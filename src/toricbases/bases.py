@@ -28,7 +28,7 @@ from .lattice import (
     BoundExceeded,
     KernelLattice,
     build_truncated_lattice,
-    conformal_filters,
+    conformal_box,
 )
 from .normalform import is_standard, normal_form_bounded
 
@@ -139,7 +139,7 @@ def in_graver(A: SparseIntMatrix, L: KernelLattice, z: Sequence[int]) -> bool:
         common = gcd(common, abs(x))
     if common > 1:
         return False
-    return L.count(conformal_filters(z)) == 2
+    return L.count(conformal_box(z)) == 2
 
 
 def graver_basis(A: SparseIntMatrix, L: KernelLattice) -> BasisReport:

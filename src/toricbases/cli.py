@@ -370,7 +370,6 @@ def build_parser() -> argparse.ArgumentParser:
         prog="toricbases",
         description="Toric ideal computations driven by the matrix's graph structure",
     )
-    parser.add_argument("--threads", type=int, default=1, help="worker cap (sequential run)")
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("graph-stats", help="column/row graph statistics")
@@ -418,7 +417,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("reduce-ip", help="embed an IP as a normal-form instance")
     p.add_argument("--ip", required=True)
-    p.add_argument("--to", choices=["normal-form"], default="normal-form")
     p.add_argument("--graded", action="store_true", help="use the graded order")
     p.add_argument("--out-prefix", required=True)
     p.set_defaults(func=_cmd_reduce_ip)
@@ -455,8 +453,6 @@ def main(argv: Sequence[str] | None = None) -> int:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return int(exc.code or 0)
-    if args.threads < 1:
-        parser.error("--threads must be positive")
     try:
         return args.func(args)
     except ToricError as exc:

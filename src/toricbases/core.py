@@ -306,6 +306,24 @@ class MonomialOrder:
         return 0
 
 
+def weight_vector(weights: Sequence[int], r: int, n: int) -> Vec:
+    """c = r^n * weights + (r^(n-1), ..., r, 1), exactly.
+
+    For any u, v with max |v_i - u_i| <= r - 1, the sign of c.(v - u) matches
+    the weighted order's comparison of u and v.
+    """
+    if r < 1:
+        raise ValueError("r must be at least 1")
+    weights = as_vector(weights)
+    if len(weights) != n:
+        raise DimensionMismatch(f"weights length {len(weights)}, expected {n}")
+    place = [1] * n  # r^(n-1), ..., r, 1
+    for i in range(n - 2, -1, -1):
+        place[i] = place[i + 1] * r
+    scale = r**n
+    return tuple(scale * w + p for w, p in zip(weights, place))
+
+
 # ---------------------------------------------------------------------------
 # binomials
 

@@ -17,9 +17,10 @@ make every stored row extend to a full solution.
 
 from __future__ import annotations
 
+import operator
 import os
 import warnings
-from typing import Callable, Iterator, Sequence
+from typing import Iterator, Sequence
 
 from .core import (
     DimensionMismatch,
@@ -28,6 +29,7 @@ from .core import (
     ToricError,
     Vec,
     as_vector,
+    weight_vector,
 )
 from .graphs import Graph, column_graph, eliminate, min_fill_ordering
 
@@ -48,14 +50,16 @@ DEFAULT_BUILD_BUDGET = 50_000_000
 _BOUND_WARN_THRESHOLD = 64
 
 
-def _budget_from_env(default: int) -> int:
+def _resolve_budget(build_budget: int | None) -> int:
+    """The build budget: ``TORICBASES_BUDGET`` when set, else the argument,
+    else the default.  A value that is not an integer is rejected."""
     raw = os.environ.get("TORICBASES_BUDGET")
     if raw is None:
-        return default
+        return build_budget if build_budget is not None else DEFAULT_BUILD_BUDGET
     try:
         return int(raw)
     except ValueError:
-        return default
+        raise ValueError(f"TORICBASES_BUDGET must be an integer, got {raw!r}") from None
 
 
 def graver_infinity_bound(A: SparseIntMatrix) -> int:
@@ -298,7 +302,8 @@ def _enumerate_bag(
 # the lattice
 
 
-_Filters = dict[int, Callable[[int], bool]]
+# Per-column interval (lo, hi): the vectors v with lo[j] <= v[j] <= hi[j].
+Box = tuple[Vec, Vec]
 
 
 class KernelLattice:
@@ -306,8 +311,9 @@ class KernelLattice:
     (kind ``box`` with bound g) or degree-truncated (kind ``degree`` with
     bound d).
 
-    Immutable once built.  The filtering operations return new lattices; the
-    query operations are pure.
+    Immutable once built; the queries are pure.  ``count`` and ``minimize``
+    take an optional :data:`Box` that restricts them to the represented
+    vectors inside it.
     """
 
     def __init__(
@@ -318,7 +324,6 @@ class KernelLattice:
         column_ordering: tuple[int, ...],
         domains: dict[int, tuple[int, ...]],
         bags: list[_Bag],
-        constraints: list,
         clique_number: int,
     ):
         self.matrix = matrix
@@ -328,11 +333,9 @@ class KernelLattice:
         self.num_columns = matrix.num_cols
         self._domains = domains
         self._bags = bags
-        self._constraints = constraints
         self.realized_clique_number = clique_number
         self._roots = tuple(b.pos for b in bags if b.parent is None)
         self._preorder = self._compute_preorder()
-        self._zero_key: Vec = (0,) * (self.num_columns + 1)
 
     def _compute_preorder(self) -> tuple[int, ...]:
         order: list[int] = []
@@ -343,15 +346,8 @@ class KernelLattice:
             stack.extend(reversed(self._bags[pos].children))
         return tuple(order)
 
-    @property
-    def is_empty(self) -> bool:
-        return any(not b.rows for b in self._bags)
-
     def total_rows(self) -> int:
         return sum(len(b.rows) for b in self._bags)
-
-    def bag_scopes(self) -> list[tuple[int, ...]]:
-        return [b.scope for b in self._bags]
 
     # -- membership -------------------------------------------------------
 
@@ -394,278 +390,117 @@ class KernelLattice:
 
     def iterate(self) -> Iterator[Vec]:
         """Yield every represented vector exactly once, in a deterministic
-        order, by backtrack-free depth-first extension along the tree."""
-        if self.is_empty:
-            return
+        order, by backtrack-free depth-first extension along the tree.
+
+        The extension keeps one iterator of candidate values per bag in
+        preorder on an explicit stack, so long trees need no recursion."""
         n = self.num_columns
+        order = [self._bags[pos] for pos in self._preorder]
+        if not order:
+            yield ()
+            return
         env: dict[int, int] = {}
-        order = self._preorder
-        bags = self._bags
 
-        def extend(i: int) -> Iterator[Vec]:
-            if i == len(order):
+        def candidates(i: int) -> Iterator[int]:
+            bag = order[i]
+            return iter(bag.sep_index.get(tuple(env[v] for v in bag.sep), ()))
+
+        stack = [candidates(0)]
+        while stack:
+            value = next(stack[-1], None)
+            if value is None:
+                stack.pop()
+                continue
+            env[order[len(stack) - 1].intro] = value
+            if len(stack) == len(order):
                 yield tuple(env[j] for j in range(n))
-                return
-            bag = bags[order[i]]
-            key = tuple(env[v] for v in bag.sep)
-            for value in bag.sep_index.get(key, ()):
-                env[bag.intro] = value
-                yield from extend(i + 1)
-            env.pop(bag.intro, None)
-
-        yield from extend(0)
+            else:
+                stack.append(candidates(len(stack)))
 
     def __iter__(self) -> Iterator[Vec]:
         return self.iterate()
 
-    # -- counting -------------------------------------------------------------
+    # -- sweeps -------------------------------------------------------------
 
-    def count(self, filters: _Filters | None = None) -> int:
-        """Exact number of represented vectors, without enumeration."""
-        per_child: dict[int, dict[tuple[int, ...], int]] = {}
-        total = 1
-        for pos in range(len(self._bags)):
-            bag = self._bags[pos]
-            agg: dict[tuple[int, ...], int] = {}
-            checks = self._filter_positions(bag, filters)
-            for row in bag.rows:
-                if checks and not all(fn(row[i]) for i, fn in checks):
-                    continue
-                weight = 1
-                for c in bag.children:
-                    weight *= per_child[c].get(
-                        tuple(row[i] for i in bag.child_extract[c]), 0
-                    )
-                    if not weight:
+    def _sweep(self, box: Box | None, leaf, times, plus) -> list[dict]:
+        """One bottom-up pass of a commutative semiring over the join tree.
+
+        Children precede their parent in position order.  The message of a
+        bag maps each separator value to ``plus`` over the bag's rows inside
+        the box with that separator of ``leaf(bag, row)`` ``times`` the
+        children's messages at the row.  A missing entry is the semiring's
+        zero, so a row whose child has no entry is dropped.
+        """
+        n = self.num_columns
+        if box is not None:
+            lo, hi = box
+            if not len(lo) == len(hi) == n:
+                raise DimensionMismatch(f"box needs {n} lower and upper bounds")
+        msgs: list[dict] = []
+        for bag in self._bags:
+            rows = bag.rows
+            if box is not None:
+                for i, var in enumerate(bag.scope):
+                    if var < n:
+                        l, h = lo[var], hi[var]
+                        dom = self._domains[var]
+                        if l > dom[0] or h < dom[-1]:
+                            rows = [row for row in rows if l <= row[i] <= h]
+            children = [(msgs[c], bag.child_extract[c]) for c in bag.children]
+            sep = bag.sep_positions
+            agg: dict = {}
+            for row in rows:
+                acc = leaf(bag, row)
+                for msg, extract in children:
+                    entry = msg.get(tuple([row[i] for i in extract]))
+                    if entry is None:
                         break
-                if not weight:
-                    continue
-                key = bag.project_sep(row)
-                agg[key] = agg.get(key, 0) + weight
-            per_child[pos] = agg
-            if bag.parent is None:
-                total *= sum(agg.values())
+                    acc = times(acc, entry)
+                else:
+                    key = tuple([row[i] for i in sep])
+                    old = agg.get(key)
+                    agg[key] = acc if old is None else plus(old, acc)
+            msgs.append(agg)
+        return msgs
+
+    def count(self, box: Box | None = None) -> int:
+        """Exact number of represented vectors inside the box, without
+        enumeration: the (+, x) sweep."""
+        msgs = self._sweep(box, lambda bag, row: 1, operator.mul, operator.add)
+        total = 1
+        for root in self._roots:
+            total *= msgs[root].get((), 0)
         return total
 
-    @staticmethod
-    def _filter_positions(bag: _Bag, filters: _Filters | None):
-        if not filters:
-            return ()
-        return tuple(
-            (i, filters[var]) for i, var in enumerate(bag.scope) if var in filters
-        )
+    def minimize(self, order: MonomialOrder, box: Box | None = None) -> Vec | None:
+        """The represented vector inside the box that is smallest under the
+        order, or None when there is none: the (min, +) sweep.
 
-    # -- additive-key minimisation ---------------------------------------------
-
-    def _contribution(self, order: MonomialOrder) -> Callable[[int, int], Vec]:
+        The order's key (w.v, v_1, ..., v_n) becomes the single integer c.v
+        with c = weight_vector(w, 2*bound + 1, n); any two represented
+        vectors differ by at most 2*bound in every column, so c.v orders them
+        exactly as the key does.  Each message entry keeps its argmin row as
+        a back-pointer, and the vector is read off top-down in preorder.
+        """
         n = self.num_columns
-        weights = order.weights
-        zero = self._zero_key
+        c = weight_vector(order.weights, 2 * self.bound + 1, n)
+        c += (0,) * (len(self._bags) - n)  # counters carry no weight
 
-        def contrib(var: int, value: int) -> Vec:
-            if var >= n:
-                return zero
-            key = [0] * (n + 1)
-            key[0] = weights[var] * value
-            key[var + 1] = value
-            return tuple(key)
+        def leaf(bag: _Bag, row: tuple[int, ...]) -> tuple[int, tuple[int, ...]]:
+            return c[bag.intro] * row[bag.intro_position], row
 
-        return contrib
+        def times(a, b):
+            return a[0] + b[0], a[1]
 
-    def k_smallest(
-        self,
-        k: int,
-        order: MonomialOrder,
-        filters: _Filters | None = None,
-    ) -> list[Vec]:
-        """Up to k represented vectors with the smallest additive keys under
-        the order, ascending.  Keys embed the full vector, so distinct vectors
-        never tie."""
-        if order.num_vars != self.num_columns:
-            raise DimensionMismatch("order dimension does not match the matrix")
-        if k == 1:
-            best = self._smallest(order, filters)
-            return [best] if best is not None else []
-        contrib = self._contribution(order)
-        zero = self._zero_key
-
-        def add(a: Vec, b: Vec) -> Vec:
-            return tuple(x + y for x, y in zip(a, b))
-
-        def combine(
-            left: list[tuple[Vec, tuple]], right: list[tuple[Vec, tuple]]
-        ) -> list[tuple[Vec, tuple]]:
-            merged = [(add(ka, kb), fa + fb) for ka, fa in left for kb, fb in right]
-            merged.sort(key=lambda t: t[0])
-            return merged[:k]
-
-        per_child: dict[int, dict[tuple[int, ...], list[tuple[Vec, tuple]]]] = {}
-        root_best: list[tuple[Vec, tuple]] = [(zero, ())]
-        for pos in range(len(self._bags)):
+        msgs = self._sweep(box, leaf, times, min)
+        env: dict[int, int] = {}
+        for pos in self._preorder:
             bag = self._bags[pos]
-            agg: dict[tuple[int, ...], list[tuple[Vec, tuple]]] = {}
-            checks = self._filter_positions(bag, filters)
-            for row in bag.rows:
-                if checks and not all(fn(row[i]) for i, fn in checks):
-                    continue
-                value = row[bag.intro_position]
-                entry: list[tuple[Vec, tuple]] | None = [
-                    (contrib(bag.intro, value), ((bag.intro, value),))
-                ]
-                for c in bag.children:
-                    opts = per_child[c].get(tuple(row[i] for i in bag.child_extract[c]))
-                    if not opts:
-                        entry = None
-                        break
-                    entry = combine(entry, opts)
-                if entry is None:
-                    continue
-                key = bag.project_sep(row)
-                bucket = agg.get(key)
-                if bucket is None:
-                    agg[key] = entry
-                else:
-                    bucket.extend(entry)
-                    bucket.sort(key=lambda t: t[0])
-                    del bucket[k:]
-            per_child[pos] = agg
-            if bag.parent is None:
-                top = sorted(
-                    (item for bucket in agg.values() for item in bucket),
-                    key=lambda t: t[0],
-                )[:k]
-                if not top:
-                    return []
-                root_best = combine(root_best, top)
-
-        vectors = []
-        for _, frag in root_best:
-            chosen = dict(frag)
-            vectors.append(tuple(chosen.get(j, 0) for j in range(self.num_columns)))
-        return vectors
-
-    def _smallest(self, order: MonomialOrder, filters: _Filters | None) -> Vec | None:
-        """Single-best specialisation of the top-k sweep: one (key, fragment)
-        pair per separator value instead of candidate lists."""
-        contrib = self._contribution(order)
-        per_child: dict[int, dict[tuple[int, ...], tuple[Vec, tuple]]] = {}
-        total_key, total_frag = self._zero_key, ()
-        for pos in range(len(self._bags)):
-            bag = self._bags[pos]
-            agg: dict[tuple[int, ...], tuple[Vec, tuple]] = {}
-            checks = self._filter_positions(bag, filters)
-            for row in bag.rows:
-                if checks and not all(fn(row[i]) for i, fn in checks):
-                    continue
-                value = row[bag.intro_position]
-                key = contrib(bag.intro, value)
-                frag = ((bag.intro, value),)
-                dead = False
-                for c in bag.children:
-                    entry = per_child[c].get(tuple(row[i] for i in bag.child_extract[c]))
-                    if entry is None:
-                        dead = True
-                        break
-                    key = tuple(a + b for a, b in zip(key, entry[0]))
-                    frag = frag + entry[1]
-                if dead:
-                    continue
-                sep_key = bag.project_sep(row)
-                incumbent = agg.get(sep_key)
-                if incumbent is None or key < incumbent[0]:
-                    agg[sep_key] = (key, frag)
-            per_child[pos] = agg
-            if bag.parent is None:
-                if not agg:
-                    return None
-                key, frag = min(agg.values(), key=lambda t: t[0])
-                total_key = tuple(a + b for a, b in zip(total_key, key))
-                total_frag = total_frag + frag
-        chosen = dict(total_frag)
-        return tuple(chosen.get(j, 0) for j in range(self.num_columns))
-
-    def minimize(self, order: MonomialOrder, filters: _Filters | None = None) -> Vec | None:
-        """The represented vector with the smallest key, or None when the
-        represented set is empty."""
-        return self._smallest(order, filters)
-
-    def two_smallest(
-        self, order: MonomialOrder, filters: _Filters | None = None
-    ) -> list[Vec]:
-        return self.k_smallest(2, order, filters)
-
-    # -- filtering ------------------------------------------------------------
-
-    def _refiltered(self, filters: _Filters) -> "KernelLattice":
-        bags: list[_Bag] = []
-        for old in self._bags:
-            bag = _Bag(old.pos, old.intro, old.scope, old.parent)
-            bag.children = old.children
-            bag.sep_positions = old.sep_positions
-            bag.intro_position = old.intro_position
-            bag.child_extract = dict(old.child_extract)
-            checks = self._filter_positions(old, filters)
-            bag.rows = tuple(
-                row for row in old.rows if all(fn(row[i]) for i, fn in checks)
-            )
-            bags.append(bag)
-
-        # upward semijoin: keep rows that extend into every child
-        for bag in bags:
-            if not bag.children:
-                continue
-            keys_of = {
-                c: {bags[c].project_sep(r) for r in bags[c].rows} for c in bag.children
-            }
-            bag.rows = tuple(
-                row
-                for row in bag.rows
-                if all(
-                    tuple(row[i] for i in bag.child_extract[c]) in keys_of[c]
-                    for c in bag.children
-                )
-            )
-
-        # downward semijoin: keep rows whose separator occurs in the parent
-        for bag in sorted(bags, key=lambda b: -b.pos):
-            for c in bag.children:
-                child = bags[c]
-                allowed = {
-                    tuple(row[i] for i in bag.child_extract[c]) for row in bag.rows
-                }
-                child.rows = tuple(
-                    r for r in child.rows if child.project_sep(r) in allowed
-                )
-        for bag in bags:
-            bag.build_indexes()
-
-        return KernelLattice(
-            self.matrix,
-            self.kind,
-            self.bound,
-            self.column_ordering,
-            self._domains,
-            bags,
-            self._constraints,
-            self.realized_clique_number,
-        )
-
-    def restrict_shift_nonneg(self, u: Sequence[int]) -> "KernelLattice":
-        """Sub-lattice of vectors v with u + v >= 0 (u nonnegative)."""
-        u = as_vector(u)
-        if len(u) != self.num_columns:
-            raise DimensionMismatch(f"expected length {self.num_columns}, got {len(u)}")
-        if any(x < 0 for x in u):
-            raise ValueError("shift vector must be nonnegative")
-        return self._refiltered(shift_filters(u))
-
-    def restrict_conformal(self, z: Sequence[int]) -> "KernelLattice":
-        """Sub-lattice of vectors that are sign-compatible with z and
-        componentwise dominated by it."""
-        z = as_vector(z)
-        if len(z) != self.num_columns:
-            raise DimensionMismatch(f"expected length {self.num_columns}, got {len(z)}")
-        return self._refiltered(conformal_filters(z))
+            best = msgs[pos].get(tuple(env[v] for v in bag.sep))
+            if best is None:  # an empty root; below a root every entry exists
+                return None
+            env[bag.intro] = best[1][bag.intro_position]
+        return tuple(env[j] for j in range(n))
 
     # -- validation (exercised by the test suite) -------------------------------
 
@@ -707,19 +542,15 @@ class KernelLattice:
         )
 
 
-def shift_filters(u: Vec) -> _Filters:
-    return {j: (lambda value, lo=-x: value >= lo) for j, x in enumerate(u)}
+def shift_box(u: Sequence[int], g: int) -> Box:
+    """The vectors v with u + v >= 0 and entries at most g."""
+    return tuple(-x for x in u), (g,) * len(u)
 
 
-def conformal_filters(z: Vec) -> _Filters:
-    def make(target: int) -> Callable[[int], bool]:
-        if target == 0:
-            return lambda value: value == 0
-        if target > 0:
-            return lambda value: 0 <= value <= target
-        return lambda value: target <= value <= 0
-
-    return {j: make(x) for j, x in enumerate(z)}
+def conformal_box(z: Sequence[int]) -> Box:
+    """The vectors conformal to z: sign-compatible with z and componentwise
+    dominated by it in absolute value."""
+    return tuple(min(x, 0) for x in z), tuple(max(x, 0) for x in z)
 
 
 # ---------------------------------------------------------------------------
@@ -735,7 +566,7 @@ def _assemble(
     pi: tuple[int, ...],
     domains: dict[int, tuple[int, ...]],
     constraints: list,
-    build_budget: int | None,
+    budget: int,
 ) -> KernelLattice:
     edges = set()
     for cons in constraints:
@@ -747,9 +578,6 @@ def _assemble(
     primal = Graph.from_edges(num_vars, edges)
     elim = eliminate(primal, pi)
 
-    budget = _budget_from_env(
-        build_budget if build_budget is not None else DEFAULT_BUILD_BUDGET
-    )
     estimate = 0
     for clique in elim.cliques:
         cells = 1
@@ -815,7 +643,6 @@ def _assemble(
         column_ordering,
         domains,
         bags,
-        constraints,
         elim.clique_number,
     )
 
@@ -862,9 +689,7 @@ def build_lattice(
             )
     if g < 0:
         raise ValueError("bound must be nonnegative")
-    budget = _budget_from_env(
-        build_budget if build_budget is not None else DEFAULT_BUILD_BUDGET
-    )
+    budget = _resolve_budget(build_budget)
     if 2 * g + 1 > budget:
         raise BudgetExceeded(f"domain size {2 * g + 1} exceeds budget {budget}")
     column_ordering = _resolve_ordering(A, ordering)
@@ -880,7 +705,7 @@ def build_lattice(
         column_ordering,
         domains,
         _row_constraints(A),
-        build_budget,
+        budget,
     )
 
 
@@ -934,5 +759,5 @@ def build_truncated_lattice(
         tuple(pi),
         domains,
         constraints,
-        build_budget,
+        _resolve_budget(build_budget),
     )

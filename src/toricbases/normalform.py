@@ -23,7 +23,7 @@ from .core import (
     one_norm,
     vector_add,
 )
-from .lattice import BoundExceeded, KernelLattice, shift_filters
+from .lattice import BoundExceeded, KernelLattice, LatticeError, shift_box
 
 
 @dataclass(frozen=True)
@@ -56,16 +56,24 @@ def _check_monomial(
             )
 
 
+def _jump(L: KernelLattice, order: MonomialOrder, u: Vec) -> Vec:
+    """The order-smallest lattice vector v with u + v >= 0."""
+    best = L.minimize(order, shift_box(u, L.bound))
+    if best is None:
+        raise LatticeError("the zero vector is missing from the lattice")
+    return best
+
+
 def normal_form_bounded(
     A: SparseIntMatrix, L: KernelLattice, order: MonomialOrder, u: Sequence[int]
 ) -> NormalFormResult:
     """Smallest nonnegative exponent congruent to u, reached by repeatedly
     jumping to the order-minimum of {z + v : v in the lattice, z + v >= 0}.
 
-    Each jump is a single dynamic-programming sweep of the join tree with the
-    shift filters applied inline.  A jump from a non-minimal point always
-    finds something strictly smaller once the lattice bound dominates the
-    conformal-minimality norm bound, because the difference to the fiber
+    Each jump is a single dynamic-programming sweep of the join tree inside
+    the shift box of the current point.  A jump from a non-minimal point
+    always finds something strictly smaller once the lattice bound dominates
+    the conformal-minimality norm bound, because the difference to the fiber
     minimum splits into conformal moves that stay feasible one at a time; the
     fixed point is then the true normal form.
     """
@@ -73,9 +81,7 @@ def normal_form_bounded(
     _check_monomial(A, L, order, u)
     current = u
     while True:
-        best = L.minimize(order, shift_filters(current))
-        assert best is not None, "the zero vector always survives the shift filters"
-        nxt = vector_add(current, best)
+        nxt = vector_add(current, _jump(L, order, current))
         if nxt == current:
             return NormalFormResult(u, current, current == u)
         current = nxt
@@ -92,9 +98,7 @@ def is_standard(
     """
     u = as_vector(u)
     _check_monomial(A, L, order, u)
-    best = L.minimize(order, shift_filters(u))
-    assert best is not None
-    return not any(best)
+    return not any(_jump(L, order, u))
 
 
 class ReductionDiverged(ToricError):

@@ -23,6 +23,7 @@ from .core import (
     is_nonnegative,
     negative_part,
     positive_part,
+    weight_vector,
 )
 from .graphs import Graph
 from .lattice import build_lattice
@@ -210,21 +211,6 @@ def solve_ip(ip: IntegerProgram) -> Vec:
 # normal form -> integer program
 
 
-def weight_vector(weights: Sequence[int], r: int, n: int) -> Vec:
-    """c = r^n * weights + (r^(n-1), ..., r, 1), exactly.
-
-    For any u, v with max |v_i - u_i| <= r - 1, the sign of c.(v - u) matches
-    the weighted order's comparison of u and v.
-    """
-    if r < 1:
-        raise ValueError("r must be at least 1")
-    weights = as_vector(weights)
-    if len(weights) != n:
-        raise DimensionMismatch(f"weights length {len(weights)}, expected {n}")
-    scale = r**n
-    return tuple(scale * w + r ** (n - 1 - i) for i, w in enumerate(weights))
-
-
 def normalform_to_ip(
     A: SparseIntMatrix, order: MonomialOrder, u: Sequence[int]
 ) -> IntegerProgram:
@@ -281,8 +267,10 @@ class NormalFormReduction:
         return len(self.source_objective)
 
     def extract_solution(self, normal_exponent: Sequence[int]) -> tuple[Vec, int]:
-        """Optimal point and objective value encoded by a normal form; the
-        tracker identity r = c_neg . t + c . z is asserted."""
+        """Optimal point and objective value encoded by a normal form.
+
+        Raises ValueError when the tracker identity r = c_neg . t + c . z
+        fails, since the exponent then encodes no solution."""
         v = as_vector(normal_exponent)
         n = self.num_source_vars
         if len(v) != 2 * n + 1:
@@ -292,7 +280,10 @@ class NormalFormReduction:
         objective = sum(cj * xj for cj, xj in zip(c, z))
         c_neg = negative_part(c)
         shift = sum(a * t for a, t in zip(c_neg, self.source_upper))
-        assert tracker == shift + objective, "tracker does not match the objective"
+        if tracker != shift + objective:
+            raise ValueError(
+                f"tracker {tracker} does not match the objective: expected {shift + objective}"
+            )
         return z, objective
 
 

@@ -201,6 +201,26 @@ def test_budget_env_override(capsys, tc_matrix, monkeypatch):
     assert "budget" in err
 
 
+def test_budget_env_must_be_an_integer(capsys, tc_matrix, monkeypatch):
+    monkeypatch.setenv("TORICBASES_BUDGET", "lots")
+    code, _, err = run_cli(capsys, "lattice", "--matrix", tc_matrix, "--bound", "3", "count")
+    assert code == 2
+    assert "TORICBASES_BUDGET" in err
+
+
+def test_removed_flags_are_usage_errors(capsys, tc_matrix, tmp_path):
+    # both calls succeed without the removed flag
+    lattice = ["lattice", "--matrix", tc_matrix, "--bound", "1", "count"]
+    ip_path = tmp_path / "ip.json"
+    ip_path.write_text(json.dumps({"A": [[1, 1]], "b": [1], "c": [1, 2],
+                                   "upper": [1, 1], "hint": [1, 0]}))
+    reduce_ip = ["reduce-ip", "--ip", str(ip_path), "--out-prefix", str(tmp_path / "red")]
+    assert main(lattice) == 0 and main(reduce_ip) == 0
+    assert main(["--threads", "2", *lattice]) == 2
+    assert main([*reduce_ip, "--to", "normal-form"]) == 2
+    capsys.readouterr()
+
+
 def test_normal_form_degree_route(capsys, tc_matrix):
     code, out, _ = run_cli(
         capsys, "normal-form", "--matrix", tc_matrix, "--order", "grlex",

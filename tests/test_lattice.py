@@ -1,6 +1,8 @@
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from toricbases import (
     BudgetExceeded,
@@ -8,10 +10,15 @@ from toricbases import (
     SparseIntMatrix,
     build_lattice,
     build_truncated_lattice,
+    graver_basis,
     graver_infinity_bound,
 )
 from toricbases.core import DimensionMismatch
-from toricbases.oracle import enumerate_kernel, random_sparse_matrix
+from toricbases.graphs import cycle_graph
+from toricbases.lattice import conformal_box, shift_box
+from toricbases.oracle import enumerate_kernel, incidence_matrix, random_sparse_matrix
+
+from conftest import TWISTED_CUBIC_GRAVER
 
 
 def oracle_truncated(A, d):
@@ -159,39 +166,40 @@ def test_truncated_contains_checks_degree(twisted_cubic):
     assert not L.contains((2, -3, 0, 1))  # positive part has degree 3
 
 
+def in_box(v, box):
+    lo, hi = box
+    return all(l <= x <= h for x, l, h in zip(v, lo, hi))
+
+
+def check_box_queries(L, everything, order, box):
+    want = [v for v in everything if in_box(v, box)]
+    assert L.count(box) == len(want)
+    assert L.minimize(order, box) == (min(want, key=order.key) if want else None)
+
+
 def test_restrict_shift_nonneg(twisted_cubic):
     L = build_lattice(twisted_cubic, 3)
     everything = frozenset(L.iterate())
-    rng = random.Random(59)
-    for _ in range(10):
-        u = tuple(rng.randint(0, 3) for _ in range(4))
-        restricted = L.restrict_shift_nonneg(u)
-        restricted.validate()
-        want = frozenset(v for v in everything if all(a + b >= 0 for a, b in zip(u, v)))
-        assert frozenset(restricted.iterate()) == want
+    order = MonomialOrder.grlex(4)
     # shifting by the bound changes nothing
-    full = L.restrict_shift_nonneg((3, 3, 3, 3))
-    assert frozenset(full.iterate()) == everything
-    nonneg = L.restrict_shift_nonneg((0, 0, 0, 0))
-    assert frozenset(nonneg.iterate()) == {v for v in everything if all(x >= 0 for x in v)}
+    assert L.count(shift_box((3, 3, 3, 3), 3)) == len(everything)
+    # the all-ones row leaves no nonzero nonnegative kernel vector
+    assert L.count(shift_box((0, 0, 0, 0), 3)) == 1
+    assert L.minimize(order, shift_box((0, 0, 0, 0), 3)) == (0, 0, 0, 0)
+    for u in ((0, 1, 0, 1), (1, 0, 0, 1), (2, 0, 1, 3)):
+        check_box_queries(L, everything, order, shift_box(u, 3))
 
 
 def test_restrict_conformal(twisted_cubic):
     L = build_lattice(twisted_cubic, 3)
     everything = frozenset(L.iterate())
-    assert frozenset(L.restrict_conformal((0, 0, 0, 0)).iterate()) == {(0, 0, 0, 0)}
-    rng = random.Random(61)
-    for _ in range(10):
-        z = tuple(rng.randint(-3, 3) for _ in range(4))
-        got = frozenset(L.restrict_conformal(z).iterate())
-        want = frozenset(
-            v
-            for v in everything
-            if all(a * b >= 0 and abs(a) <= abs(b) for a, b in zip(v, z))
-        )
-        assert got == want
-        if z in everything:
-            assert z in got
+    assert L.count(conformal_box((0, 0, 0, 0))) == 1
+    for z in TWISTED_CUBIC_GRAVER:
+        assert L.count(conformal_box(z)) == 2
+    # twice a Graver element sits above it and its double
+    assert L.count(conformal_box((2, -2, -2, 2))) == 3
+    for z in ((2, -3, 0, 1), (3, -3, -3, 3), (-1, 2, -3, 2)):
+        check_box_queries(L, everything, MonomialOrder.lex(4), conformal_box(z))
 
 
 def test_minimize_matches_oracle(twisted_cubic):
@@ -202,44 +210,88 @@ def test_minimize_matches_oracle(twisted_cubic):
         order = MonomialOrder(tuple(rng.randint(0, 2) for _ in range(4)))
         want = min(elements, key=order.key)
         assert L.minimize(order) == want
-        two = L.two_smallest(order)
-        assert two == sorted(elements, key=order.key)[:2]
+    # columns spread over 2g need the radix 2g + 1: with radix 2g the lex key
+    # of (-1, 1, -1, 0) ties with that of the true minimum (-1, 0, 1, 0)
+    A = SparseIntMatrix.from_dense([[1, 2, 1, 1], [0, 0, 0, -1]])
+    L = build_lattice(A, 1)
+    assert L.minimize(MonomialOrder.lex(4), shift_box((1, 1, 1, 1), 1)) == (-1, 0, 1, 0)
 
 
-def test_minimize_agrees_with_two_smallest_head():
-    # the single-best sweep and the general top-k sweep are separate paths
-    rng = random.Random(73)
-    for A in random_instances(15, seed=73):
-        L = build_lattice(A, rng.randint(1, 3))
-        order = MonomialOrder(tuple(rng.randint(0, 2) for _ in range(A.num_cols)))
-        u = tuple(rng.randint(0, 2) for _ in range(A.num_cols))
-        from toricbases.lattice import shift_filters
-
-        for filters in (None, shift_filters(u)):
-            two = L.two_smallest(order, filters)
-            assert L.minimize(order, filters) == (two[0] if two else None)
-
-
-def test_two_smallest_on_singleton():
+def test_minimize_on_singleton():
     A = SparseIntMatrix.from_dense([[1, 0], [0, 1]])
     L = build_lattice(A, 1)
-    assert L.two_smallest(MonomialOrder.lex(2)) == [(0, 0)]
+    assert L.minimize(MonomialOrder.lex(2)) == (0, 0)
+    assert L.count() == 1
 
 
 def test_minimize_on_emptied_lattice(twisted_cubic):
-    L = build_lattice(twisted_cubic, 2)
-    empty = L._refiltered({0: lambda value: False})
-    assert empty.is_empty
-    assert empty.minimize(MonomialOrder.lex(4)) is None
-    assert empty.count() == 0
-    assert list(empty.iterate()) == []
+    order = MonomialOrder.grlex(4)
+    for L in (build_lattice(twisted_cubic, 2), build_truncated_lattice(twisted_cubic, 2)):
+        # an empty interval in column 0, and a box missing every kernel vector
+        for box in (((1, -2, -2, -2), (0, 2, 2, 2)), ((1, 1, 1, 1), (2, 2, 2, 2))):
+            assert L.minimize(order, box) is None
+            assert L.count(box) == 0
 
 
 def test_refiltered_nonempty_subset(twisted_cubic):
     L = build_lattice(twisted_cubic, 2)
-    positive_first = L._refiltered({0: lambda value: value >= 1})
-    want = frozenset(v for v in L.iterate() if v[0] >= 1)
-    assert frozenset(positive_first.iterate()) == want
+    box = ((1, -2, -2, -2), (2, 2, 2, 2))
+    want = [v for v in L.iterate() if v[0] >= 1]
+    assert L.count(box) == len(want) > 0
+    order = MonomialOrder.lex(4)
+    assert L.minimize(order, box) == min(want, key=order.key)
+
+
+def test_box_dimension_mismatch(twisted_cubic):
+    L = build_lattice(twisted_cubic, 2)
+    with pytest.raises(DimensionMismatch):
+        L.count(((0, 0), (0, 0)))
+    with pytest.raises(DimensionMismatch):
+        L.minimize(MonomialOrder.lex(3))
+
+
+@st.composite
+def lattice_cases(draw):
+    m = draw(st.integers(1, 3))
+    n = draw(st.integers(2, 5))
+    row = st.lists(st.integers(-2, 2), min_size=n, max_size=n)
+    rows = draw(st.lists(row, min_size=m, max_size=m))
+    kind = draw(st.sampled_from(["box", "degree"]))
+    bound = draw(st.integers(1, 3))
+    weights = draw(st.lists(st.integers(0, 2), min_size=n, max_size=n))
+    column = st.integers(-bound, bound)
+    u = draw(st.lists(st.integers(0, bound), min_size=n, max_size=n))
+    z = draw(st.lists(column, min_size=n, max_size=n))
+    lo = draw(st.lists(column, min_size=n, max_size=n))
+    hi = draw(st.lists(column, min_size=n, max_size=n))
+    boxes = (shift_box(u, bound), conformal_box(z), (tuple(lo), tuple(hi)))
+    return SparseIntMatrix.from_dense(rows), kind, bound, MonomialOrder(tuple(weights)), boxes
+
+
+@settings(max_examples=150, deadline=None, derandomize=True, database=None)
+@given(lattice_cases())
+def test_box_queries_match_oracle(case):
+    A, kind, bound, order, boxes = case
+    if kind == "box":
+        L, everything = build_lattice(A, bound), enumerate_kernel(A, bound)
+    else:
+        L, everything = build_truncated_lattice(A, bound), oracle_truncated(A, bound)
+    assert L.count() == len(everything)
+    assert L.minimize(order) == min(everything, key=order.key)
+    for box in boxes:
+        check_box_queries(L, everything, order, box)
+
+
+def test_iterate_long_cycle_without_recursion():
+    # 2000 bags in one chain: one recursion level per bag would hit the limit
+    n = 2000
+    C = incidence_matrix(cycle_graph(n))
+    # columns are the sorted edges; the edge (k, k+1 mod n) gets sign (-1)^k
+    alt = tuple((-1) ** (a if b == a + 1 else b) for a, b in sorted(cycle_graph(n).edges))
+    minus_alt = tuple(-x for x in alt)
+    L = build_lattice(C, 1)
+    assert sorted(L.iterate()) == sorted([(0,) * n, alt, minus_alt])
+    assert graver_basis(C, L).elements == tuple(sorted([alt, minus_alt]))
 
 
 def test_backtrack_free_validator_random():

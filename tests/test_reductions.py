@@ -161,6 +161,17 @@ def test_ip_to_normalform_shape():
     assert reduction.order.weights == (0,) * (2 * n + 1)
 
 
+def test_extract_solution_rejects_tampered_exponent():
+    ip = vertex_cover_ip(complete_graph(3))
+    reduction = ip_to_normalform(ip)
+    start = reduction.start_exponent
+    # the start exponent encodes the feasible hint
+    assert reduction.extract_solution(start) == (ip.feasible_hint, 3)
+    tampered = (start[0] + 1,) + start[1:]
+    with pytest.raises(ValueError, match="tracker"):
+        reduction.extract_solution(tampered)
+
+
 def test_ip_to_normalform_requires_bounds_and_hint():
     A = SparseIntMatrix.from_dense([[1, 1]])
     with pytest.raises(NoBoxError):
