@@ -8,10 +8,10 @@ parent relation becomes the tree.
 
 from __future__ import annotations
 
+import heapq
 from dataclasses import dataclass
-from functools import lru_cache
 from itertools import combinations
-from typing import Iterable, Sequence
+from typing import Callable, Iterable, Sequence
 
 from .core import SparseIntMatrix
 
@@ -61,18 +61,6 @@ def cycle_graph(n: int) -> Graph:
 
 def complete_graph(n: int) -> Graph:
     return Graph.from_edges(n, combinations(range(n), 2))
-
-
-def star_graph(n: int) -> Graph:
-    """Star on n vertices with center 0."""
-    return Graph.from_edges(n, ((0, i) for i in range(1, n)))
-
-
-def petersen_graph() -> Graph:
-    outer = [(i, (i + 1) % 5) for i in range(5)]
-    spokes = [(i, i + 5) for i in range(5)]
-    inner = [(5 + i, 5 + (i + 2) % 5) for i in range(5)]
-    return Graph.from_edges(10, outer + spokes + inner)
 
 
 def column_graph(A: SparseIntMatrix) -> Graph:
@@ -185,47 +173,63 @@ MIN_FILL = "min-fill"
 GIVEN = "given"
 
 
+def _greedy_ordering(graph: Graph, score: Callable[[list[set[int]], int], int]) -> tuple[int, ...]:
+    """Eliminate, at every step, the remaining vertex with the least
+    (score, vertex index) in the current filled graph.
+
+    Eliminating v changes the adjacency of v's neighbours only, and adds
+    edges only among them, so a score that reads a vertex's neighbourhood
+    can change only for them and their neighbours; just those are re-scored.
+    Scores live in a heap whose outdated entries are skipped when popped.
+    """
+    adj = graph.adjacency()
+    current = [score(adj, u) for u in range(graph.num_vertices)]
+    heap = [(key, u) for u, key in enumerate(current)]
+    heapq.heapify(heap)
+    eliminated = [False] * graph.num_vertices
+    order = []
+    while heap:
+        key, v = heapq.heappop(heap)
+        if eliminated[v] or key != current[v]:
+            continue
+        eliminated[v] = True
+        order.append(v)
+        nbrs = adj[v]
+        for a in nbrs:
+            adj[a] |= nbrs
+            adj[a].discard(a)
+            adj[a].discard(v)
+        adj[v] = set()
+        touched = set(nbrs)
+        for a in nbrs:
+            touched |= adj[a]
+        for u in touched:
+            key = score(adj, u)
+            if key != current[u]:
+                current[u] = key
+                heapq.heappush(heap, (key, u))
+    return tuple(order)
+
+
+def _degree(adj: list[set[int]], u: int) -> int:
+    return len(adj[u])
+
+
+def _fill(adj: list[set[int]], u: int) -> int:
+    """Number of non-adjacent pairs among u's neighbours."""
+    nbrs = adj[u]
+    k = len(nbrs)
+    return (k * (k - 1) - sum(len(adj[a] & nbrs) for a in nbrs)) // 2
+
+
 def min_degree_ordering(graph: Graph) -> tuple[int, ...]:
     """Greedy minimum-degree elimination; ties broken by lowest vertex index."""
-    adj = graph.adjacency()
-    remaining = set(range(graph.num_vertices))
-    order = []
-    while remaining:
-        v = min(remaining, key=lambda u: (len(adj[u]), u))
-        order.append(v)
-        nbrs = sorted(adj[v])
-        for a, b in combinations(nbrs, 2):
-            adj[a].add(b)
-            adj[b].add(a)
-        for w in nbrs:
-            adj[w].discard(v)
-        adj[v].clear()
-        remaining.discard(v)
-    return tuple(order)
+    return _greedy_ordering(graph, _degree)
 
 
 def min_fill_ordering(graph: Graph) -> tuple[int, ...]:
     """Greedy minimum-fill elimination; ties broken by lowest vertex index."""
-    adj = graph.adjacency()
-    remaining = set(range(graph.num_vertices))
-
-    def fill_count(u: int) -> int:
-        nbrs = sorted(adj[u])
-        return sum(1 for a, b in combinations(nbrs, 2) if b not in adj[a])
-
-    order = []
-    while remaining:
-        v = min(remaining, key=lambda u: (fill_count(u), u))
-        order.append(v)
-        nbrs = sorted(adj[v])
-        for a, b in combinations(nbrs, 2):
-            adj[a].add(b)
-            adj[b].add(a)
-        for w in nbrs:
-            adj[w].discard(v)
-        adj[v].clear()
-        remaining.discard(v)
-    return tuple(order)
+    return _greedy_ordering(graph, _fill)
 
 
 def heuristic_ordering(
@@ -301,78 +305,6 @@ def exact_width_ordering(graph: Graph, k: int) -> tuple[int, ...] | None:
         return None
 
     return search(base, 0, [])
-
-
-def exact_depth_ordering(graph: Graph, k: int) -> tuple[int, ...] | None:
-    """An elimination ordering whose elimination tree has height <= k, or None.
-
-    Exhaustive recursion on connected subgraphs, memoised on vertex subsets;
-    limited to 12 vertices (beyond that, use the heuristics).
-    """
-    n = graph.num_vertices
-    if n > 12:
-        raise ValueError("exact treedepth search is limited to 12 vertices")
-    if n == 0:
-        return ()
-    adj = graph.adjacency()
-
-    def components(mask: int) -> list[int]:
-        comps = []
-        todo = mask
-        while todo:
-            start = (todo & -todo).bit_length() - 1
-            comp = 1 << start
-            stack = [start]
-            while stack:
-                u = stack.pop()
-                for w in adj[u]:
-                    bit = 1 << w
-                    if mask & bit and not comp & bit:
-                        comp |= bit
-                        stack.append(w)
-            comps.append(comp)
-            todo &= ~comp
-        return comps
-
-    @lru_cache(maxsize=None)
-    def best(mask: int) -> tuple[int, tuple[int, ...]]:
-        if mask == 0:
-            return 0, ()
-        comps = components(mask)
-        if len(comps) > 1:
-            depth = 0
-            order: tuple[int, ...] = ()
-            for comp in sorted(comps):
-                d, o = best(comp)
-                depth = max(depth, d)
-                order = order + o
-            return depth, order
-        best_depth, best_order = None, None
-        for v in range(n):
-            if not mask >> v & 1:
-                continue
-            d, o = best(mask & ~(1 << v))
-            if best_depth is None or d + 1 < best_depth:
-                best_depth, best_order = d + 1, o + (v,)
-        assert best_depth is not None and best_order is not None
-        return best_depth, best_order
-
-    depth, order = best((1 << n) - 1)
-    return order if depth <= k else None
-
-
-def recursive_median_ordering(n: int) -> tuple[int, ...]:
-    """Elimination ordering of the n-vertex path 0-1-...-(n-1) that realises
-    elimination-tree height ceil(log2(n+1)): recurse into the two halves and
-    eliminate the midpoint last."""
-
-    def rec(lo: int, hi: int) -> list[int]:
-        if lo > hi:
-            return []
-        mid = (lo + hi) // 2
-        return rec(lo, mid - 1) + rec(mid + 1, hi) + [mid]
-
-    return tuple(rec(0, n - 1))
 
 
 # ---------------------------------------------------------------------------

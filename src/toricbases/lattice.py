@@ -51,11 +51,14 @@ _BOUND_WARN_THRESHOLD = 64
 
 
 def _resolve_budget(build_budget: int | None) -> int:
-    """The build budget: ``TORICBASES_BUDGET`` when set, else the argument,
-    else the default.  A value that is not an integer is rejected."""
+    """The build budget: the argument when given, else ``TORICBASES_BUDGET``
+    when set, else the default.  A variable that is not an integer is
+    rejected."""
+    if build_budget is not None:
+        return build_budget
     raw = os.environ.get("TORICBASES_BUDGET")
     if raw is None:
-        return build_budget if build_budget is not None else DEFAULT_BUILD_BUDGET
+        return DEFAULT_BUILD_BUDGET
     try:
         return int(raw)
     except ValueError:
@@ -84,9 +87,6 @@ class _RowZero:
     def scope(self) -> tuple[int, ...]:
         return self.vars
 
-    def ok(self, assignment: dict[int, int]) -> bool:
-        return sum(c * assignment[v] for v, c in zip(self.vars, self.coefs)) == 0
-
 
 class _Counter:
     """out == min(prev + part(x), cap + 1), a saturating running sum.
@@ -109,14 +109,6 @@ class _Counter:
             return (self.x, self.out)
         return (self.prev, self.x, self.out)
 
-    def value(self, prev_value: int, x_value: int) -> int:
-        part = max(x_value, 0) if self.positive else max(-x_value, 0)
-        return min(prev_value + part, self.cap + 1)
-
-    def ok(self, assignment: dict[int, int]) -> bool:
-        prev_value = assignment[self.prev] if self.prev is not None else 0
-        return assignment[self.out] == self.value(prev_value, assignment[self.x])
-
 
 class _AtMost:
     """var <= limit."""
@@ -130,12 +122,16 @@ class _AtMost:
     def scope(self) -> tuple[int, ...]:
         return (self.var,)
 
-    def ok(self, assignment: dict[int, int]) -> bool:
-        return assignment[self.var] <= self.limit
-
 
 # ---------------------------------------------------------------------------
 # bags
+
+
+# A child's rows as its parent reads them: the child's separator, and one
+# trie level per separator variable, mapping the values of the variables
+# before it to its allowed values.  Tuples, not sets: a variable has only
+# its few domain values, and a set per trie node raised the peak memory.
+Message = tuple[tuple[int, ...], list[dict[tuple[int, ...], tuple[int, ...]]]]
 
 
 class _Bag:
@@ -177,7 +173,20 @@ class _Bag:
         self.child_extract = {c: tuple(index[v] for v in bags[c].sep) for c in self.children}
 
     def project_sep(self, row: tuple[int, ...]) -> tuple[int, ...]:
-        return tuple(row[i] for i in self.sep_positions)
+        return tuple([row[i] for i in self.sep_positions])
+
+    def message(self) -> Message:
+        # deepest level first: each level's keys are the prefixes one shorter
+        prefixes = {self.project_sep(row) for row in self.rows}
+        levels: list[dict[tuple[int, ...], tuple[int, ...]]] = []
+        for _ in self.sep:
+            grouped: dict[tuple[int, ...], list[int]] = {}
+            for prefix in prefixes:
+                grouped.setdefault(prefix[:-1], []).append(prefix[-1])
+            levels.append({head: tuple(values) for head, values in grouped.items()})
+            prefixes = grouped.keys()
+        levels.reverse()
+        return self.sep, levels
 
     def build_indexes(self) -> None:
         self.rows = tuple(sorted(self.rows))
@@ -192,107 +201,133 @@ def _enumerate_bag(
     scope: tuple[int, ...],
     domains: dict[int, tuple[int, ...]],
     constraints: list,
-    child_filters: list[tuple[tuple[int, ...], set[tuple[int, ...]]]],
+    messages: list[Message],
 ) -> list[tuple[int, ...]]:
     """All assignments to the scope satisfying the bag's constraints and
-    compatible with every child message, by depth-first search with pruning.
+    compatible with every child message, by depth-first search.
 
-    The scope is ordered by elimination position, so a counter's inputs always
-    precede its output; the output is then forced rather than enumerated.
-    Linear constraints prune by interval arithmetic on their unassigned part.
+    The scope is ordered by elimination position, and a value is derived
+    rather than enumerated wherever the earlier values fix it or narrow it:
+
+    * a counter's output is forced by its inputs;
+    * the last variable of a row equation is forced to -partial/coef, kept
+      only when that divides exactly (the interval checks at the equation's
+      earlier variables keep it inside the column domain, which holds 0);
+    * a variable of a child's separator takes its candidates from that
+      child's message, at the values of the separator variables before it
+      (one trie step, as in Generic Join), checked against every other
+      message that reaches the same variable.
+
+    Only the remaining variables range over their domain.  Row equations
+    prune the earlier depths by interval arithmetic on their later part.
     """
     s = len(scope)
     index = {v: i for i, v in enumerate(scope)}
 
-    forced_at: list[list[_Counter]] = [[] for _ in range(s)]
+    def depth_after(var: int, inputs) -> int:
+        depth = index[var]
+        if any(index[v] >= depth for v in inputs):
+            raise LatticeError(f"variable {var} does not follow its inputs in the bag scope")
+        return depth
+
+    # per depth: (prev depth or None, x depth, cap + 1, positive) of forcing counters
+    counters_at: list[list[tuple[int | None, int, int, bool]]] = [[] for _ in range(s)]
+    # per depth: (equation, coef) of the row equations whose last variable is here
+    closing_at: list[list[tuple[int, int]]] = [[] for _ in range(s)]
+    # per depth: (equation, coef, lo, hi) of the row equations with later
+    # variables, whose later terms can sum to anything in [lo, hi]
+    open_at: list[list[tuple[int, int, int, int]]] = [[] for _ in range(s)]
+    # per depth: (depths of the key, trie level) of the messages reaching here
+    indexed_at: list[list[tuple[tuple[int, ...], dict]]] = [[] for _ in range(s)]
     limit_at: list[int | None] = [None] * s
-    # (coef by depth, first depth, last depth, later-variable bounds)
-    linear: list[tuple[dict[int, int], int, int, dict[int, tuple[int, int]]]] = []
-    message_at: list[list[tuple[tuple[int, ...], set[tuple[int, ...]]]]] = [
-        [] for _ in range(s)
-    ]
+    num_equations = 0
 
     for cons in constraints:
         if isinstance(cons, _Counter):
-            depth = index[cons.out]
-            assert all(index[v] < depth for v in cons.scope() if v != cons.out)
-            forced_at[depth].append(cons)
+            inputs = (cons.x,) if cons.prev is None else (cons.prev, cons.x)
+            prev = None if cons.prev is None else index[cons.prev]
+            counters_at[depth_after(cons.out, inputs)].append(
+                (prev, index[cons.x], cons.cap + 1, cons.positive)
+            )
         elif isinstance(cons, _AtMost):
             d = index[cons.var]
             cur = limit_at[d]
             limit_at[d] = cons.limit if cur is None else min(cur, cons.limit)
         elif isinstance(cons, _RowZero):
             by_depth = sorted((index[v], c) for v, c in zip(cons.vars, cons.coefs))
+            eq = num_equations
+            num_equations += 1
             lo, hi = 0, 0
-            nxt: dict[int, tuple[int, int]] = {}
-            for depth, coef in reversed(by_depth):
-                nxt[depth] = (lo, hi)
+            for k, (depth, coef) in enumerate(reversed(by_depth)):
+                if k:
+                    open_at[depth].append((eq, coef, lo, hi))
+                else:
+                    closing_at[depth].append((eq, coef))
                 dom = domains[scope[depth]]
                 lo += min(coef * dom[0], coef * dom[-1])
                 hi += max(coef * dom[0], coef * dom[-1])
-            # nxt[depth]: achievable range of the strictly-later variables
-            linear.append(
-                (dict(by_depth), by_depth[0][0], by_depth[-1][0], nxt)
-            )
         else:  # pragma: no cover - no other kinds exist
-            raise AssertionError(f"unknown constraint {cons!r}")
+            raise LatticeError(f"unknown constraint {cons!r}")
 
-    for sep_vars, keys in child_filters:
-        depth = max((index[v] for v in sep_vars), default=0)
-        message_at[depth].append((tuple(index[v] for v in sep_vars), keys))
+    for sep_vars, levels in messages:
+        for k, level in enumerate(levels):
+            earlier = sep_vars[:k]
+            indexed_at[depth_after(sep_vars[k], earlier)].append(
+                (tuple(index[v] for v in earlier), level)
+            )
 
-    # checks scheduled at the depth of each constraint's variables
-    linear_at: list[list[int]] = [[] for _ in range(s)]
-    for ci, (coef_by_depth, _first, _last, _nxt) in enumerate(linear):
-        for depth in coef_by_depth:
-            linear_at[depth].append(ci)
-
-    partial = [0] * len(linear)
+    partial = [0] * num_equations
     rows: list[tuple[int, ...]] = []
     values = [0] * s
+    nothing: tuple[int, ...] = ()
 
     def descend(depth: int) -> None:
         if depth == s:
             rows.append(tuple(values))
             return
-        var = scope[depth]
-        dom = domains[var]
-        if forced_at[depth]:
-            cons = forced_at[depth][0]
-            prev_value = values[index[cons.prev]] if cons.prev is not None else 0
-            forced = cons.value(prev_value, values[index[cons.x]])
-            candidates: tuple[int, ...] = (forced,) if dom[0] <= forced <= dom[-1] else ()
-            for extra in forced_at[depth][1:]:
-                prev_value = values[index[extra.prev]] if extra.prev is not None else 0
-                if candidates and extra.value(prev_value, values[index[extra.x]]) != candidates[0]:
-                    candidates = ()
+        fixed = None
+        for prev, x, cap, positive in counters_at[depth]:
+            part = values[x] if positive else -values[x]
+            out = (0 if prev is None else values[prev]) + (part if part > 0 else 0)
+            out = out if out < cap else cap
+            if fixed is not None and out != fixed:
+                return
+            fixed = out
+        for eq, coef in closing_at[depth]:
+            forced, rem = divmod(-partial[eq], coef)
+            if rem or (fixed is not None and forced != fixed):
+                return
+            fixed = forced
+        indexed = indexed_at[depth]
+        if indexed:
+            allowed = [level.get(tuple([values[i] for i in key]), nothing) for key, level in indexed]
+            allowed.sort(key=len)
         else:
-            candidates = dom
+            allowed = indexed
+        if fixed is not None:
+            candidates = (fixed,)
+        elif allowed:
+            candidates, *allowed = allowed
+        else:
+            candidates = domains[scope[depth]]
         limit = limit_at[depth]
+        opens = open_at[depth]
         for value in candidates:
             if limit is not None and value > limit:
                 continue
-            values[depth] = value
-            ok = True
-            for ci in linear_at[depth]:
-                coef_by_depth, _first, last, nxt = linear[ci]
-                partial[ci] += coef_by_depth[depth] * value
-                if depth == last:
-                    if partial[ci] != 0:
-                        ok = False
-                else:
-                    lo, hi = nxt[depth]
-                    if not (partial[ci] + lo <= 0 <= partial[ci] + hi):
-                        ok = False
-            if ok:
-                for positions, keys in message_at[depth]:
-                    if tuple(values[i] for i in positions) not in keys:
-                        ok = False
-                        break
-            if ok:
+            if allowed and any(value not in other for other in allowed):
+                continue
+            for eq, coef, lo, hi in opens:
+                p = partial[eq] + coef * value
+                if p + lo > 0 or p + hi < 0:
+                    break
+            else:
+                values[depth] = value
+                for eq, coef, _lo, _hi in opens:
+                    partial[eq] += coef * value
                 descend(depth + 1)
-            for ci in linear_at[depth]:
-                partial[ci] -= linear[ci][0][depth] * value
+                for eq, coef, _lo, _hi in opens:
+                    partial[eq] -= coef * value
 
     descend(0)
     return rows
@@ -618,14 +653,8 @@ def _assemble(
 
     # upward pass: enumerate each bag against its children's messages
     for bag in bags:
-        child_filters = []
-        for c in bag.children:
-            child = bags[c]
-            keys = {child.project_sep(r) for r in child.rows}
-            child_filters.append((child.sep, keys))
-        bag.rows = tuple(
-            _enumerate_bag(bag.scope, domains, by_bag[bag.pos], child_filters)
-        )
+        messages = [bags[c].message() for c in bag.children]
+        bag.rows = tuple(_enumerate_bag(bag.scope, domains, by_bag[bag.pos], messages))
 
     # downward pass: drop rows without support in the parent
     for bag in sorted(bags, key=lambda b: -b.pos):

@@ -97,24 +97,37 @@ def _conformal(u: Vec, v: Vec) -> bool:
     return all(a * b >= 0 and abs(a) <= abs(b) for a, b in zip(u, v))
 
 
-def _jump_minimum(kernel, weights: Vec, z: Vec) -> Vec:
-    """Order-minimum of {z + v : v in kernel, z + v >= 0}."""
-    best = z
-    best_key = _order_key(weights, z)
-    for v in kernel:
-        candidate = tuple(a + b for a, b in zip(z, v))
-        if any(x < 0 for x in candidate):
-            continue
-        key = _order_key(weights, candidate)
-        if key < best_key:
-            best, best_key = candidate, key
-    return best
+def _kernel_array(kernel, weights: Vec) -> tuple[np.ndarray, np.ndarray]:
+    """The kernel as an int64 array with the weight of each row."""
+    K = np.array(list(kernel), dtype=np.int64).reshape(len(kernel), len(weights))
+    largest = int(np.abs(K).max(initial=0))
+    if len(weights) * max(map(abs, weights), default=0) * largest >= 2**60:
+        raise BudgetExceededError("kernel weights outside the exact int64 regime")
+    return K, K @ np.array(weights, dtype=np.int64)
 
 
-def _normal_form_over_kernel(kernel, weights: Vec, u: Vec) -> Vec:
+def _jump_minimum(kernel: tuple[np.ndarray, np.ndarray], z: Vec) -> Vec:
+    """Order-minimum of {z + v : v in kernel, z + v >= 0}.
+
+    Adding z shifts every weight by w.z and keeps the lexicographic order,
+    so the minimum is taken over the kernel rows v >= -z by (w.v, v): least
+    weight, ties broken lexicographically as in :func:`_order_key`.  z
+    itself competes as v = 0.
+    """
+    K, weight = kernel
+    fits = (K >= -np.array(z, dtype=np.int64)).all(axis=1)
+    best = (0, (0,) * len(z))
+    if fits.any():
+        least = weight[fits].min()
+        tied = K[fits & (weight == least)]
+        best = min(best, (int(least), min(map(tuple, tied.tolist()))))
+    return tuple(a + b for a, b in zip(z, best[1]))
+
+
+def _normal_form_over_kernel(kernel: tuple[np.ndarray, np.ndarray], u: Vec) -> Vec:
     current = u
     while True:
-        nxt = _jump_minimum(kernel, weights, current)
+        nxt = _jump_minimum(kernel, current)
         if nxt == current:
             return current
         current = nxt
@@ -132,8 +145,8 @@ def normal_form_bruteforce(
     """
     u = tuple(int(x) for x in u)
     weights = tuple(int(w) for w in weights)
-    kernel = enumerate_kernel(A, g, budget)
-    return _normal_form_over_kernel(kernel, weights, u)
+    kernel = _kernel_array(enumerate_kernel(A, g, budget), weights)
+    return _normal_form_over_kernel(kernel, u)
 
 
 def graver_bruteforce(A: SparseIntMatrix, g: int, budget: int = DEFAULT_BUDGET) -> frozenset[Vec]:
@@ -163,8 +176,9 @@ def reduced_gb_bruteforce(
     the initial ideal.
     """
     weights = tuple(int(w) for w in weights)
-    kernel = enumerate_kernel(A, g, budget)
-    nonzero = [v for v in kernel if any(v)]
+    vectors = enumerate_kernel(A, g, budget)
+    nonzero = [v for v in vectors if any(v)]
+    kernel = _kernel_array(vectors, weights)
 
     seen: set[tuple[Vec, Vec]] = set()
     out: set[tuple[Vec, Vec]] = set()
@@ -176,15 +190,15 @@ def reduced_gb_bruteforce(
         if (head, tail) in seen:
             continue
         seen.add((head, tail))
-        if _normal_form_over_kernel(kernel, weights, tail) != tail:
+        if _normal_form_over_kernel(kernel, tail) != tail:
             continue
-        if _normal_form_over_kernel(kernel, weights, head) != tail:
+        if _normal_form_over_kernel(kernel, head) != tail:
             continue
         minimal = True
         for k, exponent in enumerate(head):
             if exponent:
                 divisor = head[:k] + (exponent - 1,) + head[k + 1 :]
-                if _jump_minimum(kernel, weights, divisor) != divisor:
+                if _jump_minimum(kernel, divisor) != divisor:
                     minimal = False
                     break
         if minimal:

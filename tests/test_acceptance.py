@@ -36,12 +36,7 @@ from toricbases import (
     weight_vector,
 )
 from toricbases.cli import main as cli_main
-from toricbases.graphs import (
-    complete_graph,
-    cycle_graph,
-    path_graph,
-    recursive_median_ordering,
-)
+from toricbases.graphs import complete_graph, cycle_graph, path_graph
 from toricbases.oracle import (
     enumerate_kernel,
     graver_bruteforce,
@@ -52,6 +47,8 @@ from toricbases.oracle import (
     reduced_gb_bruteforce,
     saturated_graver,
 )
+
+from graph_helpers import recursive_median_ordering
 
 NUM_INSTANCES = 200
 _HARDNESS_CAP = 2500

@@ -22,12 +22,18 @@ from toricbases.graphs import (
     cycle_graph,
     edge_list_from_text,
     edge_list_to_text,
-    exact_depth_ordering,
     path_graph,
-    recursive_median_ordering,
-    star_graph,
 )
 from toricbases.oracle import incidence_matrix, nfold_product, random_graph
+
+from graph_helpers import (
+    exact_depth_ordering,
+    ladder_graph,
+    recursive_median_ordering,
+    reference_min_degree_ordering,
+    reference_min_fill_ordering,
+    star_graph,
+)
 
 
 def dense_ones(rows: int, cols: int) -> SparseIntMatrix:
@@ -181,6 +187,21 @@ def test_exact_depth_ordering_path():
 def test_exact_depth_rejects_large_graphs():
     with pytest.raises(ValueError):
         exact_depth_ordering(path_graph(13), 4)
+
+
+def test_greedy_orderings_match_quadratic_reference():
+    # the incremental heap orderings re-score only the vertices an
+    # elimination can affect; the reference re-scores all of them
+    rng = random.Random(2026)
+    graphs = [
+        random_graph(rng.randint(0, 30), 0.6 * rng.random(), seed=rng.randrange(2**30))
+        for _ in range(60)
+    ]
+    graphs.append(column_graph(incidence_matrix(ladder_graph(300))))  # 898 columns
+    graphs.append(column_graph(incidence_matrix(cycle_graph(1000))))
+    for G in graphs:
+        assert min_fill_ordering(G) == reference_min_fill_ordering(G)
+        assert min_degree_ordering(G) == reference_min_degree_ordering(G)
 
 
 def test_estimates_on_complete_graph():

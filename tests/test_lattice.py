@@ -282,6 +282,30 @@ def test_box_queries_match_oracle(case):
         check_box_queries(L, everything, order, box)
 
 
+@st.composite
+def ordered_cases(draw):
+    m = draw(st.integers(1, 3))
+    n = draw(st.integers(2, 5))
+    row = st.lists(st.integers(-2, 2), min_size=n, max_size=n)
+    rows = draw(st.lists(row, min_size=m, max_size=m))
+    ordering = draw(st.permutations(range(n)))
+    return SparseIntMatrix.from_dense(rows), draw(st.integers(0, 3)), tuple(ordering)
+
+
+@settings(max_examples=150, deadline=None, derandomize=True, database=None)
+@given(ordered_cases())
+def test_built_sets_match_oracle_under_any_ordering(case):
+    # the bag enumerator forces values and takes candidates from child
+    # messages; under every column ordering the represented set is exact
+    A, bound, ordering = case
+    L = build_lattice(A, bound, ordering)
+    L.validate()
+    assert sorted(L.iterate()) == sorted(enumerate_kernel(A, bound))
+    LT = build_truncated_lattice(A, bound, ordering)
+    LT.validate()
+    assert sorted(LT.iterate()) == sorted(oracle_truncated(A, bound))
+
+
 def test_iterate_long_cycle_without_recursion():
     # 2000 bags in one chain: one recursion level per bag would hit the limit
     n = 2000
@@ -317,9 +341,21 @@ def test_default_bound_small_matrix():
     assert L.count() == 7
 
 
-def test_build_budget_guard(twisted_cubic):
+def test_build_budget_guard(twisted_cubic, monkeypatch):
     with pytest.raises(BudgetExceeded):
         build_lattice(twisted_cubic, 3, build_budget=10)
+    # TORICBASES_BUDGET replaces the default only; an explicit budget wins
+    monkeypatch.setenv("TORICBASES_BUDGET", str(10**8))
+    with pytest.raises(BudgetExceeded):
+        build_lattice(twisted_cubic, 3, build_budget=10)
+    with pytest.raises(BudgetExceeded):
+        build_truncated_lattice(twisted_cubic, 3, build_budget=10)
+    monkeypatch.setenv("TORICBASES_BUDGET", "10")
+    with pytest.raises(BudgetExceeded):
+        build_lattice(twisted_cubic, 3)
+    assert build_lattice(twisted_cubic, 3, build_budget=10**8).count() == len(
+        enumerate_kernel(twisted_cubic, 3)
+    )
 
 
 def test_ordering_validation(twisted_cubic):

@@ -1,9 +1,14 @@
+import random
+
 import pytest
 
 from toricbases import SparseIntMatrix, row_graph
 from toricbases.graphs import complete_graph, path_graph, treedepth_estimate
 from toricbases.oracle import (
     BudgetExceededError,
+    _jump_minimum,
+    _kernel_array,
+    _order_key,
     enumerate_kernel,
     graver_bruteforce,
     incidence_matrix,
@@ -63,6 +68,22 @@ def test_normal_form_bruteforce_basic():
     A = SparseIntMatrix.from_dense([[1, 1]])
     assert normal_form_bruteforce(A, (0, 0), (1, 0), 2) == (0, 1)
     assert normal_form_bruteforce(A, (0, 0), (0, 1), 2) == (0, 1)
+
+
+def test_jump_minimum_matches_loop_reference():
+    # the vectorised scan against the definition, written as a loop
+    rng = random.Random(91)
+    for _ in range(40):
+        n = rng.randint(2, 5)
+        A = random_sparse_matrix(rng.randint(1, 3), n, 2, 0.6, rng.randrange(2**30))
+        kernel = enumerate_kernel(A, 2)
+        weights = tuple(rng.randint(0, 2) for _ in range(n))
+        array = _kernel_array(kernel, weights)
+        for _ in range(10):
+            z = tuple(rng.randint(0, 2) for _ in range(n))
+            shifted = [tuple(a + b for a, b in zip(z, v)) for v in kernel]
+            want = min([z] + [c for c in shifted if min(c) >= 0], key=lambda c: _order_key(weights, c))
+            assert _jump_minimum(array, z) == want
 
 
 def test_generator_minors_is_k23_incidence():

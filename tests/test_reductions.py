@@ -19,8 +19,10 @@ from toricbases import (
     weight_vector,
 )
 from toricbases.core import negative_part
-from toricbases.graphs import complete_graph, cycle_graph, petersen_graph, star_graph
+from toricbases.graphs import complete_graph, cycle_graph
 from toricbases.oracle import random_sparse_matrix
+
+from graph_helpers import petersen_graph, star_graph
 
 
 def brute_force_optimum(ip: IntegerProgram):
