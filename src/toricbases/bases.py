@@ -40,7 +40,9 @@ class BasisReport:
     ``kind`` is one of ``reduced-groebner``, ``graver``,
     ``truncated-groebner``, ``truncated-graver``; ``elements`` holds sorted
     Binomial objects for the Groebner kinds and sorted kernel vectors for the
-    Graver kinds; ``scanned`` counts the lattice elements examined.
+    Graver kinds; ``scanned`` counts the lattice elements examined;
+    ``certified`` is :attr:`KernelLattice.certified`, without which elements
+    beyond the bound may be missing.
     """
 
     kind: str
@@ -48,6 +50,7 @@ class BasisReport:
     elements: tuple
     scanned: int
     bound_used: int
+    certified: bool
 
 
 def _check_kernel_pair(A: SparseIntMatrix, head: Vec, tail: Vec) -> None:
@@ -111,7 +114,7 @@ def reduced_groebner_basis(
             kept.append(binomial)
     kept.sort(key=lambda b: (order.key(b.head), order.key(b.tail)))
     kind = "reduced-groebner" if L.kind == "box" else "truncated-groebner"
-    return BasisReport(kind, order, tuple(kept), scanned, L.bound)
+    return BasisReport(kind, order, tuple(kept), scanned, L.bound, L.certified)
 
 
 def in_graver(A: SparseIntMatrix, L: KernelLattice, z: Sequence[int]) -> bool:
@@ -155,7 +158,7 @@ def graver_basis(A: SparseIntMatrix, L: KernelLattice) -> BasisReport:
             kept.append(v)
     kept.sort()
     kind = "graver" if L.kind == "box" else "truncated-graver"
-    return BasisReport(kind, None, tuple(kept), scanned, L.bound)
+    return BasisReport(kind, None, tuple(kept), scanned, L.bound, L.certified)
 
 
 def truncated_bases(

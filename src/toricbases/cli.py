@@ -55,6 +55,14 @@ def _emit(payload: dict) -> None:
     sys.stdout.write(json.dumps(_sanitize(payload), sort_keys=True) + "\n")
 
 
+def _warn_unless_certified(certified: bool) -> None:
+    if not certified:
+        sys.stderr.write(
+            "warning: the lattice bound does not cover the Graver basis; "
+            "the result is not certified\n"
+        )
+
+
 def _read_matrix(path: str, drop_zero_rows: bool) -> SparseIntMatrix:
     return matrix_from_text(Path(path).read_text(), drop_zero_rows=drop_zero_rows)
 
@@ -188,6 +196,9 @@ def _cmd_normal_form(args) -> int:
             lattice = _build_from_args(args, A)
         reduced = polynomial_normal_form(A, lattice, order, terms)
         payload["polynomial"] = [[c, list(e)] for c, e in reduced]
+    # the IP route is exact; every lattice route rests on the lattice's bound
+    payload["certified"] = lattice is None or lattice.certified
+    _warn_unless_certified(payload["certified"])
     _emit(payload)
     return 0
 
@@ -203,6 +214,7 @@ def _cmd_groebner(args) -> int:
     else:
         lattice = _build_from_args(args, A)
         report = bases_mod.reduced_groebner_basis(A, lattice, order)
+    _warn_unless_certified(report.certified)
     if args.format == "text":
         for b in report.elements:
             sys.stdout.write(
@@ -213,6 +225,7 @@ def _cmd_groebner(args) -> int:
         {
             "kind": report.kind,
             "bound": report.bound_used,
+            "certified": report.certified,
             "count": len(report.elements),
             "scanned": report.scanned,
             "elements": [
@@ -233,6 +246,7 @@ def _cmd_graver(args) -> int:
     else:
         lattice = _build_from_args(args, A)
         report = bases_mod.graver_basis(A, lattice)
+    _warn_unless_certified(report.certified)
     if args.format == "text":
         for v in report.elements:
             sys.stdout.write(",".join(map(str, v)) + "\n")
@@ -241,6 +255,7 @@ def _cmd_graver(args) -> int:
         {
             "kind": report.kind,
             "bound": report.bound_used,
+            "certified": report.certified,
             "count": len(report.elements),
             "scanned": report.scanned,
             "elements": [list(v) for v in report.elements],

@@ -20,6 +20,8 @@ from __future__ import annotations
 import operator
 import os
 import warnings
+from bisect import bisect_left, bisect_right
+from itertools import compress, count, repeat
 from typing import Iterator, Sequence
 
 from .core import (
@@ -135,6 +137,20 @@ Message = tuple[tuple[int, ...], list[dict[tuple[int, ...], tuple[int, ...]]]]
 
 
 class _Bag:
+    """One clique of the join tree, and after the build its sweep plan.
+
+    The scope is ordered by elimination position, so the introduced
+    variable comes first in it and in every row.  The plan is fixed by the
+    downward pass.  Rows are sorted by separator key id, then by the
+    introduced variable's value; ``key_ids[r]`` is the id of row r's
+    separator key, and ``up[r]`` the id of this bag's separator key at row r
+    of the parent (``child_ups`` holds the children's).  So a child's
+    message, a list indexed by key id, is read at a parent row with no tuple
+    built.  Each scope column keeps its sorted distinct values and, for
+    each, the mask of the rows at or above it (bit len(rows) - 1 - r for
+    row r).
+    """
+
     __slots__ = (
         "pos",
         "intro",
@@ -143,11 +159,13 @@ class _Bag:
         "parent",
         "children",
         "rows",
-        "row_set",
         "sep_positions",
-        "intro_position",
-        "sep_index",
         "child_extract",
+        "key_ids",
+        "num_keys",
+        "up",
+        "child_ups",
+        "columns",
     )
 
     def __init__(self, pos: int, intro: int, scope: tuple[int, ...], parent: int | None):
@@ -158,17 +176,20 @@ class _Bag:
         self.parent = parent
         self.children: tuple[int, ...] = ()
         self.rows: tuple[tuple[int, ...], ...] = ()
-        self.row_set: frozenset[tuple[int, ...]] = frozenset()
         self.sep_positions: tuple[int, ...] = ()
-        self.intro_position: int = 0
-        # sep projection -> sorted values of the introduced variable
-        self.sep_index: dict[tuple[int, ...], tuple[int, ...]] = {}
         # child pos -> positions of the child's separator inside this scope
         self.child_extract: dict[int, tuple[int, ...]] = {}
+        self.key_ids: list[int] = []
+        self.num_keys = 0
+        self.up: list[int] = []
+        self.child_ups: tuple[list[int], ...] = ()
+        # (column, sorted distinct values, masks of the rows at or above each)
+        self.columns: tuple[tuple[int, tuple[int, ...], tuple[int, ...]], ...] = ()
 
     def set_positions(self, bags: "list[_Bag]") -> None:
         index = {v: i for i, v in enumerate(self.scope)}
-        self.intro_position = index[self.intro]
+        if index[self.intro]:
+            raise LatticeError("the introduced variable must come first in the bag scope")
         self.sep_positions = tuple(index[v] for v in self.sep)
         self.child_extract = {c: tuple(index[v] for v in bags[c].sep) for c in self.children}
 
@@ -188,13 +209,65 @@ class _Bag:
         levels.reverse()
         return self.sep, levels
 
-    def build_indexes(self) -> None:
-        self.rows = tuple(sorted(self.rows))
-        self.row_set = frozenset(self.rows)
-        grouped: dict[tuple[int, ...], list[int]] = {}
-        for row in self.rows:
-            grouped.setdefault(self.project_sep(row), []).append(row[self.intro_position])
-        self.sep_index = {k: tuple(sorted(vals)) for k, vals in grouped.items()}
+    def settle(
+        self, keyed: list[tuple[int, tuple[int, ...]]], num_keys: int, n: int, room: int
+    ) -> int:
+        """Fix the rows, given as (key id, row) pairs, and compile the plan.
+
+        A column's masks take len(rows) bits per distinct value; returns the
+        bits taken, or raises BudgetExceeded when they would pass ``room``.
+        """
+        keyed.sort()
+        self.rows = tuple(map(operator.itemgetter(1), keyed))
+        self.key_ids = list(map(operator.itemgetter(0), keyed))
+        self.num_keys = num_keys
+        size = len(self.rows)
+        scoped = [(var, operator.itemgetter(i)) for i, var in enumerate(self.scope) if var < n]
+        distinct = [sorted(set(map(value, self.rows))) for _, value in scoped]
+        bits = size * sum(map(len, distinct))
+        if bits > room:
+            raise BudgetExceeded(
+                f"row masks need more than {room} bits of the budget; lower the bound"
+            )
+        columns = []
+        for (var, value), values in zip(scoped, distinct):
+            # each row's value as the character of its rank, so that one
+            # translate per threshold marks the rows at or above it
+            rank = {x: k for k, x in enumerate(values)}
+            codes = "".join(map(chr, map(rank.__getitem__, map(value, self.rows))))
+            masks = [
+                int(codes.translate("0" * k + "1" * (len(values) - k)), 2)
+                for k in range(len(values))
+            ]
+            masks.append(0)
+            columns.append((var, tuple(values), tuple(masks)))
+        self.columns = tuple(columns)
+        return bits
+
+    def key_at(self, chosen: list[int]) -> int:
+        """This bag's separator key id at the parent's chosen row."""
+        return 0 if self.parent is None else self.up[chosen[self.parent]]
+
+    def group(self, key: int) -> range:
+        """The rows with the given separator key id."""
+        return range(bisect_left(self.key_ids, key), bisect_right(self.key_ids, key))
+
+    def selection(self, lo: Vec, hi: Vec) -> bytes | None:
+        """One byte per row, nonzero for the rows inside the box, or None
+        when the box keeps every row."""
+        mask = None
+        for var, values, masks in self.columns:
+            l, h = lo[var], hi[var]
+            if l > values[0] or h < values[-1]:
+                m = masks[bisect_left(values, l)] & ~masks[bisect_right(values, h)]
+                mask = m if mask is None else mask & m
+        if mask is None:
+            return None
+        return format(mask, f"0{len(self.rows)}b").encode().translate(_BIT_BYTES)
+
+
+# ASCII binary digits as the bytes 0 and 1
+_BIT_BYTES = bytes.maketrans(b"01", b"\x00\x01")
 
 
 def _enumerate_bag(
@@ -384,6 +457,13 @@ class KernelLattice:
     def total_rows(self) -> int:
         return sum(len(b.rows) for b in self._bags)
 
+    @property
+    def certified(self) -> bool:
+        """Whether the lattice holds every Graver element of its matrix (a
+        box lattice with bound >= graver_infinity_bound), which makes the
+        normal forms and bases computed from it exact."""
+        return self.kind == "box" and self.bound >= graver_infinity_bound(self.matrix)
+
     # -- membership -------------------------------------------------------
 
     def _full_assignment(self, v: Vec) -> dict[int, int] | None:
@@ -412,14 +492,27 @@ class KernelLattice:
         assignment = self._full_assignment(v)
         if assignment is None:
             return False
-        for bag in self._bags:
-            row = tuple(assignment[var] for var in bag.scope)
-            if row not in bag.row_set:
+        chosen = [0] * len(self._bags)
+        for pos in self._preorder:
+            bag = self._bags[pos]
+            rows = bag.group(bag.key_at(chosen))
+            x = assignment[bag.intro]
+            r = bisect_left(bag.rows, x, rows.start, rows.stop, key=operator.itemgetter(0))
+            if r == rows.stop or bag.rows[r][0] != x:
                 return False
+            chosen[pos] = r
         return True
 
     def __contains__(self, v: Sequence[int]) -> bool:
         return self.contains(v)
+
+    def _vector(self, chosen: list[int]) -> Vec:
+        """The column vector of one chosen row per bag."""
+        v = [0] * self.num_columns
+        for bag in self._bags:
+            if bag.intro < self.num_columns:
+                v[bag.intro] = bag.rows[chosen[bag.pos]][0]
+        return tuple(v)
 
     # -- enumeration --------------------------------------------------------
 
@@ -427,84 +520,80 @@ class KernelLattice:
         """Yield every represented vector exactly once, in a deterministic
         order, by backtrack-free depth-first extension along the tree.
 
-        The extension keeps one iterator of candidate values per bag in
-        preorder on an explicit stack, so long trees need no recursion."""
-        n = self.num_columns
-        order = [self._bags[pos] for pos in self._preorder]
+        The extension keeps one iterator over a bag's rows at the chosen
+        parent row's key, per bag in preorder, on an explicit stack, so long
+        trees need no recursion."""
+        bags = self._bags
+        order = [bags[pos] for pos in self._preorder]
         if not order:
             yield ()
             return
-        env: dict[int, int] = {}
+        chosen = [0] * len(bags)
 
-        def candidates(i: int) -> Iterator[int]:
-            bag = order[i]
-            return iter(bag.sep_index.get(tuple(env[v] for v in bag.sep), ()))
+        def rows(bag: _Bag) -> Iterator[int]:
+            return iter(bag.group(bag.key_at(chosen)))
 
-        stack = [candidates(0)]
+        stack = [rows(order[0])]
         while stack:
-            value = next(stack[-1], None)
-            if value is None:
+            r = next(stack[-1], None)
+            if r is None:
                 stack.pop()
                 continue
-            env[order[len(stack) - 1].intro] = value
+            chosen[order[len(stack) - 1].pos] = r
             if len(stack) == len(order):
-                yield tuple(env[j] for j in range(n))
+                yield self._vector(chosen)
             else:
-                stack.append(candidates(len(stack)))
+                stack.append(rows(order[len(stack)]))
 
     def __iter__(self) -> Iterator[Vec]:
         return self.iterate()
 
     # -- sweeps -------------------------------------------------------------
 
-    def _sweep(self, box: Box | None, leaf, times, plus) -> list[dict]:
+    def _sweep(self, box: Box | None, leaf, times, plus, zero) -> list[list]:
         """One bottom-up pass of a commutative semiring over the join tree.
 
-        Children precede their parent in position order.  The message of a
-        bag maps each separator value to ``plus`` over the bag's rows inside
-        the box with that separator of ``leaf(bag, row)`` ``times`` the
-        children's messages at the row.  A missing entry is the semiring's
-        zero, so a row whose child has no entry is dropped.
+        Children precede their parent in position order.  A bag's aggregate
+        is a list indexed by separator key id: ``plus`` over the bag's rows
+        inside the box with that key of the row's leaf value ``times`` the
+        children's messages at the row, ``zero`` where no row contributes.
+        ``leaf(bag, selected)`` yields the leaf values of the rows that the
+        selection bytes keep (all rows when None).  ``zero`` must absorb
+        under ``times``, because the passes over the rows (``compress`` and
+        ``map``) cannot skip a row; only the fold into the aggregates runs a
+        Python loop.
         """
         n = self.num_columns
         if box is not None:
             lo, hi = box
             if not len(lo) == len(hi) == n:
                 raise DimensionMismatch(f"box needs {n} lower and upper bounds")
-        msgs: list[dict] = []
-        for bag in self._bags:
-            rows = bag.rows
-            if box is not None:
-                for i, var in enumerate(bag.scope):
-                    if var < n:
-                        l, h = lo[var], hi[var]
-                        dom = self._domains[var]
-                        if l > dom[0] or h < dom[-1]:
-                            rows = [row for row in rows if l <= row[i] <= h]
-            children = [(msgs[c], bag.child_extract[c]) for c in bag.children]
-            sep = bag.sep_positions
-            agg: dict = {}
-            for row in rows:
-                acc = leaf(bag, row)
-                for msg, extract in children:
-                    entry = msg.get(tuple([row[i] for i in extract]))
-                    if entry is None:
-                        break
-                    acc = times(acc, entry)
-                else:
-                    key = tuple([row[i] for i in sep])
-                    old = agg.get(key)
-                    agg[key] = acc if old is None else plus(old, acc)
-            msgs.append(agg)
-        return msgs
+        bags = self._bags
+        aggs: list[list] = []
+        for bag in bags:
+            selected = None if box is None else bag.selection(lo, hi)
+            keys = bag.key_ids
+            ups = bag.child_ups
+            if selected is not None:
+                keys = compress(keys, selected)
+                ups = [compress(up, selected) for up in ups]
+            acc = leaf(bag, selected)
+            for c, up in zip(bag.children, ups):
+                acc = map(times, acc, map(aggs[c].__getitem__, up))
+            agg = [zero] * bag.num_keys
+            for key, value in zip(keys, acc):
+                old = agg[key]
+                agg[key] = value if old is zero else plus(old, value)
+            aggs.append(agg)
+        return aggs
 
     def count(self, box: Box | None = None) -> int:
         """Exact number of represented vectors inside the box, without
         enumeration: the (+, x) sweep."""
-        msgs = self._sweep(box, lambda bag, row: 1, operator.mul, operator.add)
+        aggs = self._sweep(box, lambda bag, selected: repeat(1), operator.mul, operator.add, 0)
         total = 1
         for root in self._roots:
-            total *= msgs[root].get((), 0)
+            total *= aggs[root][0]
         return total
 
     def minimize(self, order: MonomialOrder, box: Box | None = None) -> Vec | None:
@@ -514,34 +603,49 @@ class KernelLattice:
         The order's key (w.v, v_1, ..., v_n) becomes the single integer c.v
         with c = weight_vector(w, 2*bound + 1, n); any two represented
         vectors differ by at most 2*bound in every column, so c.v orders them
-        exactly as the key does.  Each message entry keeps its argmin row as
-        a back-pointer, and the vector is read off top-down in preorder.
+        exactly as the key does.  Every partial key lies in [-M, M] for
+        M = bound * sum c_j (c is positive), so 2M + 1 absorbs under + and
+        loses every min: it is the zero.  The vector is read off top-down in
+        preorder: each bag takes, among its rows at the chosen parent row's
+        key id, the one whose key is the aggregate.  Distinct rows there
+        extend to distinct partial vectors, whose keys c.v tell apart, so
+        the row is unique, and it lies inside the box.
         """
         n = self.num_columns
+        bags = self._bags
         c = weight_vector(order.weights, 2 * self.bound + 1, n)
-        c += (0,) * (len(self._bags) - n)  # counters carry no weight
+        limit = sum(c) * self.bound
+        c += (0,) * (len(bags) - n)  # counters carry no weight
+        first = operator.itemgetter(0)
 
-        def leaf(bag: _Bag, row: tuple[int, ...]) -> tuple[int, tuple[int, ...]]:
-            return c[bag.intro] * row[bag.intro_position], row
+        def leaf(bag: _Bag, selected: bytes | None):
+            rows = bag.rows if selected is None else compress(bag.rows, selected)
+            return map(operator.mul, map(first, rows), repeat(c[bag.intro]))
 
-        def times(a, b):
-            return a[0] + b[0], a[1]
-
-        msgs = self._sweep(box, leaf, times, min)
-        env: dict[int, int] = {}
+        aggs = self._sweep(box, leaf, operator.add, min, 2 * limit + 1)
+        if any(aggs[root][0] > limit for root in self._roots):
+            return None
+        chosen = [0] * len(bags)
         for pos in self._preorder:
-            bag = self._bags[pos]
-            best = msgs[pos].get(tuple(env[v] for v in bag.sep))
-            if best is None:  # an empty root; below a root every entry exists
-                return None
-            env[bag.intro] = best[1][bag.intro_position]
-        return tuple(env[j] for j in range(n))
+            bag = bags[pos]
+            key = bag.key_at(chosen)
+            if bag.num_keys == len(bag.rows):  # one row per key: the row is the key
+                chosen[pos] = key
+                continue
+            for r in bag.group(key):
+                value = c[bag.intro] * bag.rows[r][0]
+                value += sum(aggs[child][bags[child].up[r]] for child in bag.children)
+                if value == aggs[pos][key]:
+                    chosen[pos] = r
+                    break
+        return self._vector(chosen)
 
     # -- validation (exercised by the test suite) -------------------------------
 
     def validate(self) -> None:
         """Assert the structural invariants: running intersection, separator
-        containment, and backtrack-freeness in both directions."""
+        containment, backtrack-freeness in both directions, and a sweep plan
+        that agrees with the rows."""
         bags = self._bags
         containing: dict[int, list[int]] = {}
         for bag in bags:
@@ -559,16 +663,31 @@ class KernelLattice:
                     )
                     walk = parent
         for bag in bags:
-            if bag.parent is not None:
+            if bag.parent is None:
+                assert set(bag.key_ids) <= {0} and bag.num_keys == 1
+            else:
                 assert set(bag.sep) <= set(bags[bag.parent].scope)
+            assert bag.key_ids == sorted(bag.key_ids), "rows not grouped by key id"
+            keyed = list(zip(bag.key_ids, (row[0] for row in bag.rows)))
+            assert keyed == sorted(set(keyed)), "rows of a key not strictly sorted"
+            key_of = {}
+            for k, row in zip(bag.key_ids, bag.rows):
+                assert key_of.setdefault(k, bag.project_sep(row)) == bag.project_sep(row)
+            for var, values, masks in bag.columns:
+                i = bag.scope.index(var)
+                for x, mask in zip(values, masks):
+                    want = "".join("1" if row[i] >= x else "0" for row in bag.rows)
+                    assert mask == int(want, 2), "row mask disagrees with the rows"
             for c in bag.children:
                 child = bags[c]
-                child_keys = {child.project_sep(r) for r in child.rows}
-                parent_keys = {
-                    tuple(row[i] for i in bag.child_extract[c]) for row in bag.rows
-                }
-                assert parent_keys <= child_keys, "parent row with no child extension"
-                assert child_keys <= parent_keys, "child row with no parent support"
+                child_keys = {}
+                for k, row in zip(child.key_ids, child.rows):
+                    child_keys[k] = child.project_sep(row)
+                assert len(child.up) == len(bag.rows)
+                for row, k in zip(bag.rows, child.up):
+                    want = tuple(row[i] for i in bag.child_extract[c])
+                    assert child_keys.get(k) == want, "parent row with no child extension"
+                assert set(child_keys) <= set(child.up), "child row with no parent support"
 
     def __repr__(self) -> str:
         return (
@@ -656,14 +775,24 @@ def _assemble(
         messages = [bags[c].message() for c in bag.children]
         bag.rows = tuple(_enumerate_bag(bag.scope, domains, by_bag[bag.pos], messages))
 
-    # downward pass: drop rows without support in the parent
-    for bag in sorted(bags, key=lambda b: -b.pos):
+    # downward pass: drop rows without support in the parent, numbering a
+    # child's separator keys in the order the parent's rows first project
+    # onto them; parents come first, so their rows are settled
+    n = matrix.num_cols
+    for bag in reversed(bags):
+        if bag.parent is None:
+            budget -= bag.settle([(0, row) for row in bag.rows], 1, n, budget)
         for c in bag.children:
             child = bags[c]
-            allowed = {tuple(row[i] for i in bag.child_extract[c]) for row in bag.rows}
-            child.rows = tuple(r for r in child.rows if child.project_sep(r) in allowed)
-    for bag in bags:
-        bag.build_indexes()
+            # a child's separator is never empty, and the parent and the
+            # child project it with getters of the same arity
+            projections = list(map(operator.itemgetter(*bag.child_extract[c]), bag.rows))
+            ids = dict(zip(dict.fromkeys(projections), count()))
+            child.up = list(map(ids.__getitem__, projections))
+            keys = map(ids.get, map(operator.itemgetter(*child.sep_positions), child.rows))
+            keyed = [(key, row) for key, row in zip(keys, child.rows) if key is not None]
+            budget -= child.settle(keyed, len(ids), n, budget)
+        bag.child_ups = tuple(bags[c].up for c in bag.children)
 
     return KernelLattice(
         matrix,

@@ -28,9 +28,13 @@ from .lattice import BoundExceeded, KernelLattice, LatticeError, shift_box
 
 @dataclass(frozen=True)
 class NormalFormResult:
+    """``certified`` is :attr:`KernelLattice.certified`: when it is false the
+    bound may miss a move, and the normal form may be too large."""
+
     input_exponent: Vec
     normal_exponent: Vec
     was_standard: bool
+    certified: bool
 
 
 def _check_monomial(
@@ -83,7 +87,7 @@ def normal_form_bounded(
     while True:
         nxt = vector_add(current, _jump(L, order, current))
         if nxt == current:
-            return NormalFormResult(u, current, current == u)
+            return NormalFormResult(u, current, current == u, L.certified)
         current = nxt
 
 

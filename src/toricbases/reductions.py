@@ -11,7 +11,7 @@ feasible starting monomial reads off an optimal solution.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Iterator, Sequence
 
 from .core import (
     DimensionMismatch,
@@ -185,7 +185,11 @@ def solve_ip(ip: IntegerProgram) -> Vec:
                         return False
         return True
 
-    def search(lo: list[int], hi: list[int]) -> None:
+    # depth-first: one frame (lo, hi, branching variable, values left) per
+    # open node on an explicit stack, so deep trees need no recursion
+    stack: list[tuple[list[int], list[int], int, Iterator[int]]] = []
+
+    def visit(lo: list[int], hi: list[int]) -> None:
         if not propagate(lo, hi):
             return
         free = [j for j in range(n) if lo[j] < hi[j]]
@@ -196,12 +200,18 @@ def solve_ip(ip: IntegerProgram) -> Vec:
                 best[0], best[1] = obj, vec
             return
         j = min(free, key=lambda k: (hi[k] - lo[k], k))
-        for value in range(lo[j], hi[j] + 1):
-            child_lo, child_hi = lo.copy(), hi.copy()
-            child_lo[j] = child_hi[j] = value
-            search(child_lo, child_hi)
+        stack.append((lo, hi, j, iter(range(lo[j], hi[j] + 1))))
 
-    search(lo, hi)
+    visit(lo, hi)
+    while stack:
+        node_lo, node_hi, j, values = stack[-1]
+        value = next(values, None)
+        if value is None:
+            stack.pop()
+            continue
+        child_lo, child_hi = node_lo.copy(), node_hi.copy()
+        child_lo[j] = child_hi[j] = value
+        visit(child_lo, child_hi)
     if best[1] is None:
         raise InfeasibleError("no feasible point in the box")
     return tuple(best[1])

@@ -266,3 +266,13 @@ def test_graver_subset_of_lattice_random():
         L = build_lattice(A, 2)
         for v in graver_basis(A, L).elements:
             assert L.contains(v)
+
+
+def test_reports_carry_the_certified_flag():
+    A = SparseIntMatrix.from_dense([[1, 1]])  # graver_infinity_bound 3
+    lex = MonomialOrder.lex(2)
+    for bound, certified in ((3, True), (2, False)):
+        L = build_lattice(A, bound)
+        assert graver_basis(A, L).certified is certified
+        assert reduced_groebner_basis(A, L, lex).certified is certified
+    assert truncated_bases(A, 3, want="graver").certified is False

@@ -221,6 +221,41 @@ def test_removed_flags_are_usage_errors(capsys, tc_matrix, tmp_path):
     capsys.readouterr()
 
 
+def test_certified_flag_and_warning(capsys, simple_matrix, tc_matrix):
+    # the default bound is graver_infinity_bound: certified, and no warning
+    code, out, err = run_cli(
+        capsys, "normal-form", "--matrix", simple_matrix, "--order", "lex", "--monomial", "1,0"
+    )
+    assert code == 0 and json.loads(out)["certified"] is True and err == ""
+    # the twisted cubic at g=1 misses a move: the same JSON, flagged, and one
+    # warning line on stderr
+    code, out, err = run_cli(
+        capsys, "normal-form", "--matrix", tc_matrix, "--order", "lex",
+        "--monomial", "0,1,0,1", "--bound", "1",
+    )
+    payload = json.loads(out)
+    assert code == 0 and payload["normal_form"] == [0, 1, 0, 1]
+    assert payload["certified"] is False
+    assert len(err.splitlines()) == 1 and "not certified" in err
+    # the IP route is exact
+    code, out, err = run_cli(
+        capsys, "normal-form", "--matrix", tc_matrix, "--order", "lex",
+        "--monomial", "0,1,0,1", "--via", "ip",
+    )
+    assert json.loads(out)["normal_form"] == [0, 0, 2, 0]
+    assert json.loads(out)["certified"] is True and err == ""
+    for argv in (
+        ["graver", "--matrix", tc_matrix, "--bound", "3"],
+        ["graver", "--matrix", tc_matrix, "--truncate", "3"],
+        ["groebner", "--matrix", tc_matrix, "--order", "grlex", "--bound", "3"],
+    ):
+        code, out, err = run_cli(capsys, *argv)
+        assert code == 0 and json.loads(out)["certified"] is False
+        assert "not certified" in err
+    code, out, err = run_cli(capsys, "graver", "--matrix", simple_matrix)
+    assert json.loads(out)["certified"] is True and err == ""
+
+
 def test_normal_form_degree_route(capsys, tc_matrix):
     code, out, _ = run_cli(
         capsys, "normal-form", "--matrix", tc_matrix, "--order", "grlex",

@@ -19,6 +19,7 @@ from toricbases.lattice import conformal_box, shift_box
 from toricbases.oracle import enumerate_kernel, incidence_matrix, random_sparse_matrix
 
 from conftest import TWISTED_CUBIC_GRAVER
+from sweep_reference import reference_count, reference_minimize
 
 
 def oracle_truncated(A, d):
@@ -280,6 +281,20 @@ def test_box_queries_match_oracle(case):
     assert L.minimize(order) == min(everything, key=order.key)
     for box in boxes:
         check_box_queries(L, everything, order, box)
+
+
+@settings(max_examples=150, deadline=None, derandomize=True, database=None)
+@given(lattice_cases())
+def test_sweep_plan_matches_tuple_keyed_reference(case):
+    # the integer-indexed sweep against the tuple-keyed one it replaced, with
+    # no box, a shift box, a conformal box, an arbitrary box and an empty one
+    A, kind, bound, order, boxes = case
+    L = build_lattice(A, bound) if kind == "box" else build_truncated_lattice(A, bound)
+    n = A.num_cols
+    empty = ((bound,) + (-bound,) * (n - 1), (-bound,) * n)
+    for box in (None, *boxes, empty):
+        assert L.count(box) == reference_count(L, box)
+        assert L.minimize(order, box) == reference_minimize(L, order, box)
 
 
 @st.composite

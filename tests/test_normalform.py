@@ -1,12 +1,16 @@
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from toricbases import (
     Binomial,
     MonomialOrder,
     SparseIntMatrix,
     build_lattice,
+    build_truncated_lattice,
+    graver_infinity_bound,
     ideal_membership,
     is_standard,
     normal_form_bounded,
@@ -114,6 +118,77 @@ def test_standard_monomials_downward_closed(twisted_cubic):
             if u[k]:
                 below = tuple(x - (i == k) for i, x in enumerate(u))
                 assert below in standard
+
+
+@st.composite
+def normal_form_cases(draw):
+    m = draw(st.integers(1, 3))
+    n = draw(st.integers(2, 5))
+    row = st.lists(st.integers(-2, 2), min_size=n, max_size=n)
+    rows = draw(st.lists(row, min_size=m, max_size=m))
+    bound = draw(st.integers(1, 3))
+    weights = draw(st.lists(st.integers(0, 2), min_size=n, max_size=n))
+    u = draw(st.lists(st.integers(0, bound), min_size=n, max_size=n))
+    return SparseIntMatrix.from_dense(rows), bound, MonomialOrder(tuple(weights)), tuple(u)
+
+
+@settings(max_examples=150, deadline=None, derandomize=True, database=None)
+@given(normal_form_cases())
+def test_normal_form_properties(case):
+    # at any bound: nonnegative, congruent, not above u, standard, and a
+    # fixed point
+    A, bound, order, u = case
+    L = build_lattice(A, bound)
+    result = normal_form_bounded(A, L, order, u)
+    nf = result.normal_exponent
+    assert min(nf) >= 0
+    assert A.apply(nf) == A.apply(u)
+    assert order.compare(nf, u) <= 0
+    assert result.was_standard == (nf == u)
+    if max(nf) <= bound:  # the lattice takes only exponents inside its box
+        assert is_standard(A, L, order, nf)
+        again = normal_form_bounded(A, L, order, nf)
+        assert again.normal_exponent == nf and again.was_standard
+
+
+@st.composite
+def certified_cases(draw):
+    # one row with entries in [-2, 2]: graver_infinity_bound is at most 5
+    n = draw(st.integers(2, 4))
+    row = draw(st.lists(st.integers(-2, 2), min_size=n, max_size=n))
+    A = SparseIntMatrix.from_dense([row])
+    weights = draw(st.lists(st.integers(0, 2), min_size=n, max_size=n))
+    bound = graver_infinity_bound(A)
+    u = draw(st.lists(st.integers(0, bound), min_size=n, max_size=n))
+    return A, bound, MonomialOrder(tuple(weights)), tuple(u)
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(certified_cases())
+def test_certified_normal_form_matches_bruteforce(case):
+    A, bound, order, u = case
+    result = normal_form_bounded(A, build_lattice(A, bound), order, u)
+    assert result.certified
+    assert result.normal_exponent == normal_form_bruteforce(A, order.weights, u, bound)
+
+
+def test_uncertified_bound_is_reported(twisted_cubic):
+    # at g=1 the move (0,1,0,1) -> (0,0,2,0) leaves the box, so the jump loop
+    # stops at u; the result cannot know that, but it says the bound is short
+    lex = MonomialOrder.lex(4)
+    u = (0, 1, 0, 1)
+    short = normal_form_bounded(twisted_cubic, build_lattice(twisted_cubic, 1), lex, u)
+    assert short.normal_exponent == u and short.was_standard
+    assert short.certified is False
+    wider = normal_form_bounded(twisted_cubic, build_lattice(twisted_cubic, 3), lex, u)
+    assert wider.normal_exponent == (0, 0, 2, 0)
+    assert wider.certified is False  # 3 < graver_infinity_bound = 169
+    A = SparseIntMatrix.from_dense([[1, 1]])
+    assert graver_infinity_bound(A) == 3
+    assert normal_form_bounded(A, build_lattice(A, 3), MonomialOrder.lex(2), (1, 0)).certified
+    assert not normal_form_bounded(A, build_lattice(A, 2), MonomialOrder.lex(2), (1, 0)).certified
+    degree = build_truncated_lattice(A, 3)
+    assert not normal_form_bounded(A, degree, MonomialOrder.grlex(2), (1, 0)).certified
 
 
 def test_bound_checks(twisted_cubic):

@@ -114,6 +114,17 @@ def test_solve_ip_matches_enumeration_random():
         assert (obj, got) == expected
 
 
+def test_solve_ip_deep_branching_without_recursion():
+    # one row x_0 + ... + x_{n-1} = 1 over 0/1 variables with costs n - j:
+    # the first dive fixes x_0 = ... = x_{n-2} = 0 one level at a time, and
+    # propagation then forces x_{n-1} = 1; a recursive search needs one
+    # frame per level and hits the interpreter's limit here
+    n = 2001
+    A = SparseIntMatrix(1, n, [(0, j, 1) for j in range(n)])
+    ip = IntegerProgram(A, (1,), tuple(n - j for j in range(n)), lower=(0,) * n, upper=(1,) * n)
+    assert solve_ip(ip) == (0,) * (n - 1) + (1,)
+
+
 def test_normalform_to_ip_round_trip():
     A = SparseIntMatrix.from_dense([[1, 1]])
     lex = MonomialOrder.lex(2)
