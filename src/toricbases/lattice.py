@@ -209,40 +209,32 @@ class _Bag:
         levels.reverse()
         return self.sep, levels
 
-    def settle(
-        self, keyed: list[tuple[int, tuple[int, ...]]], num_keys: int, n: int, room: int
-    ) -> int:
-        """Fix the rows, given as (key id, row) pairs, and compile the plan.
-
-        A column's masks take len(rows) bits per distinct value; returns the
-        bits taken, or raises BudgetExceeded when they would pass ``room``.
-        """
-        keyed.sort()
+    def settle(self, pairs: Iterator[tuple[int, tuple[int, ...]]], num_keys: int, n: int) -> None:
+        """Fix the rows, given as (key id, row) pairs, and compile the plan."""
+        keyed = sorted(pairs)
         self.rows = tuple(map(operator.itemgetter(1), keyed))
         self.key_ids = list(map(operator.itemgetter(0), keyed))
+        del keyed  # freed before the masks are built, to lower the peak
         self.num_keys = num_keys
-        size = len(self.rows)
-        scoped = [(var, operator.itemgetter(i)) for i, var in enumerate(self.scope) if var < n]
-        distinct = [sorted(set(map(value, self.rows))) for _, value in scoped]
-        bits = size * sum(map(len, distinct))
-        if bits > room:
-            raise BudgetExceeded(
-                f"row masks need more than {room} bits of the budget; lower the bound"
-            )
         columns = []
-        for (var, value), values in zip(scoped, distinct):
-            # each row's value as the character of its rank, so that one
-            # translate per threshold marks the rows at or above it
-            rank = {x: k for k, x in enumerate(values)}
-            codes = "".join(map(chr, map(rank.__getitem__, map(value, self.rows))))
-            masks = [
-                int(codes.translate("0" * k + "1" * (len(values) - k)), 2)
-                for k in range(len(values))
-            ]
-            masks.append(0)
+        for i, var in enumerate(self.scope):
+            if var >= n:  # counters are never boxed
+                continue
+            rows_at: dict[int, list[int]] = {}
+            for r, x in enumerate(map(operator.itemgetter(i), self.rows)):
+                rows_at.setdefault(x, []).append(r)
+            values = sorted(rows_at)
+            # the binary digits of the rows at or above each value, filled in
+            # from the largest value down, so that every row is marked once
+            digits = bytearray(b"0") * len(self.rows)
+            masks = [0]
+            for x in reversed(values):
+                for r in rows_at[x]:
+                    digits[r] = ord("1")
+                masks.append(int(digits, 2))
+            masks.reverse()
             columns.append((var, tuple(values), tuple(masks)))
         self.columns = tuple(columns)
-        return bits
 
     def key_at(self, chosen: list[int]) -> int:
         """This bag's separator key id at the parent's chosen row."""
@@ -459,10 +451,15 @@ class KernelLattice:
 
     @property
     def certified(self) -> bool:
-        """Whether the lattice holds every Graver element of its matrix (a
-        box lattice with bound >= graver_infinity_bound), which makes the
-        normal forms and bases computed from it exact."""
-        return self.kind == "box" and self.bound >= graver_infinity_bound(self.matrix)
+        """Whether the normal forms and bases computed from the lattice are
+        exact.  A box lattice must hold every Graver element of its matrix:
+        its bound is at least graver_infinity_bound.  A degree-d lattice
+        always qualifies.  It serves only graded orders and monomials of
+        degree at most d, whose normal form has no larger degree, so the
+        move to it has both parts of degree at most d and lies in the
+        lattice; and its bases are by definition the elements of degree at
+        most d."""
+        return self.kind == "degree" or self.bound >= graver_infinity_bound(self.matrix)
 
     # -- membership -------------------------------------------------------
 
@@ -609,7 +606,8 @@ class KernelLattice:
         preorder: each bag takes, among its rows at the chosen parent row's
         key id, the one whose key is the aggregate.  Distinct rows there
         extend to distinct partial vectors, whose keys c.v tell apart, so
-        the row is unique, and it lies inside the box.
+        the row is unique, and it lies inside the box.  So when no other
+        row of the key matches, the last one does, unchecked.
         """
         n = self.num_columns
         bags = self._bags
@@ -629,15 +627,15 @@ class KernelLattice:
         for pos in self._preorder:
             bag = bags[pos]
             key = bag.key_at(chosen)
-            if bag.num_keys == len(bag.rows):  # one row per key: the row is the key
-                chosen[pos] = key
-                continue
-            for r in bag.group(key):
+            keys = bag.key_ids
+            r = bisect_left(keys, key)
+            while r + 1 < len(keys) and keys[r + 1] == key:
                 value = c[bag.intro] * bag.rows[r][0]
                 value += sum(aggs[child][bags[child].up[r]] for child in bag.children)
                 if value == aggs[pos][key]:
-                    chosen[pos] = r
                     break
+                r += 1
+            chosen[pos] = r
         return self._vector(chosen)
 
     # -- validation (exercised by the test suite) -------------------------------
@@ -781,7 +779,7 @@ def _assemble(
     n = matrix.num_cols
     for bag in reversed(bags):
         if bag.parent is None:
-            budget -= bag.settle([(0, row) for row in bag.rows], 1, n, budget)
+            bag.settle(zip(repeat(0), bag.rows), 1, n)
         for c in bag.children:
             child = bags[c]
             # a child's separator is never empty, and the parent and the
@@ -790,8 +788,9 @@ def _assemble(
             ids = dict(zip(dict.fromkeys(projections), count()))
             child.up = list(map(ids.__getitem__, projections))
             keys = map(ids.get, map(operator.itemgetter(*child.sep_positions), child.rows))
-            keyed = [(key, row) for key, row in zip(keys, child.rows) if key is not None]
-            budget -= child.settle(keyed, len(ids), n, budget)
+            child.settle(
+                ((key, row) for key, row in zip(keys, child.rows) if key is not None), len(ids), n
+            )
         bag.child_ups = tuple(bags[c].up for c in bag.children)
 
     return KernelLattice(

@@ -275,4 +275,6 @@ def test_reports_carry_the_certified_flag():
         L = build_lattice(A, bound)
         assert graver_basis(A, L).certified is certified
         assert reduced_groebner_basis(A, L, lex).certified is certified
-    assert truncated_bases(A, 3, want="graver").certified is False
+    # truncated bases are exact for their degree
+    assert truncated_bases(A, 3, want="graver").certified is True
+    assert truncated_bases(A, 3, want="groebner").certified is True

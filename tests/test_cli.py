@@ -246,14 +246,21 @@ def test_certified_flag_and_warning(capsys, simple_matrix, tc_matrix):
     assert json.loads(out)["certified"] is True and err == ""
     for argv in (
         ["graver", "--matrix", tc_matrix, "--bound", "3"],
-        ["graver", "--matrix", tc_matrix, "--truncate", "3"],
         ["groebner", "--matrix", tc_matrix, "--order", "grlex", "--bound", "3"],
     ):
         code, out, err = run_cli(capsys, *argv)
         assert code == 0 and json.loads(out)["certified"] is False
         assert "not certified" in err
-    code, out, err = run_cli(capsys, "graver", "--matrix", simple_matrix)
-    assert json.loads(out)["certified"] is True and err == ""
+    # exact: the default box bound, and degree routes for the degree asked
+    for argv in (
+        ["graver", "--matrix", simple_matrix],
+        ["normal-form", "--matrix", tc_matrix, "--order", "grlex", "--monomial", "0,1,0,1",
+         "--degree", "2"],
+        ["graver", "--matrix", tc_matrix, "--truncate", "3"],
+        ["groebner", "--matrix", tc_matrix, "--order", "grlex", "--truncate", "3"],
+    ):
+        code, out, err = run_cli(capsys, *argv)
+        assert code == 0 and json.loads(out)["certified"] is True and err == ""
 
 
 def test_normal_form_degree_route(capsys, tc_matrix):

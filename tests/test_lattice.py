@@ -373,6 +373,19 @@ def test_build_budget_guard(twisted_cubic, monkeypatch):
     )
 
 
+def test_budget_covers_only_the_table_estimate():
+    # 4201^2 + 4201 estimated cells fit the default budget; the row masks,
+    # one per distinct value of every column (about 53M bits here), do not
+    # count against it
+    A = SparseIntMatrix.from_dense([[1, 1]])
+    L = build_lattice(A, 2100)
+    assert L.count() == 4201
+    assert L.contains((2100, -2100)) and not L.contains((2101, -2101))
+    assert L.count(shift_box((5, 0), 2100)) == 6
+    assert L.minimize(MonomialOrder.lex(2), shift_box((5, 0), 2100)) == (-5, 5)
+    assert L.minimize(MonomialOrder.lex(2), ((-7, -3000), (-7, 3000))) == (-7, 7)
+
+
 def test_ordering_validation(twisted_cubic):
     with pytest.raises(ValueError):
         build_lattice(twisted_cubic, 1, ordering=(0, 1, 2))

@@ -188,7 +188,35 @@ def test_uncertified_bound_is_reported(twisted_cubic):
     assert normal_form_bounded(A, build_lattice(A, 3), MonomialOrder.lex(2), (1, 0)).certified
     assert not normal_form_bounded(A, build_lattice(A, 2), MonomialOrder.lex(2), (1, 0)).certified
     degree = build_truncated_lattice(A, 3)
-    assert not normal_form_bounded(A, degree, MonomialOrder.grlex(2), (1, 0)).certified
+    assert normal_form_bounded(A, degree, MonomialOrder.grlex(2), (1, 0)).certified
+
+
+@st.composite
+def degree_cases(draw):
+    # entries in [-1, 1] and at most two rows: graver_infinity_bound is at most 25
+    m = draw(st.integers(1, 2))
+    n = draw(st.integers(2, 4))
+    row = st.lists(st.integers(-1, 1), min_size=n, max_size=n)
+    rows = draw(st.lists(row, min_size=m, max_size=m))
+    A = SparseIntMatrix.from_dense(rows)
+    d = draw(st.integers(1, 3))
+    u = [0] * n
+    for j in draw(st.lists(st.integers(0, n - 1), max_size=d)):
+        u[j] += 1
+    return A, d, tuple(u)
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(degree_cases())
+def test_degree_normal_form_matches_bruteforce(case):
+    # the degree route's certified flag: the grlex normal form of a monomial
+    # of degree at most d is reached by a move inside the degree-d lattice
+    A, d, u = case
+    grlex = MonomialOrder.grlex(A.num_cols)
+    result = normal_form_bounded(A, build_truncated_lattice(A, d), grlex, u)
+    assert result.certified
+    want = normal_form_bruteforce(A, grlex.weights, u, graver_infinity_bound(A))
+    assert result.normal_exponent == want
 
 
 def test_bound_checks(twisted_cubic):
