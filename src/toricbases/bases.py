@@ -19,17 +19,8 @@ from .core import (
     SparseIntMatrix,
     Vec,
     as_vector,
-    infinity_norm,
-    negative_part,
-    one_norm,
-    positive_part,
 )
-from .lattice import (
-    BoundExceeded,
-    KernelLattice,
-    build_truncated_lattice,
-    conformal_box,
-)
+from .lattice import KernelLattice, build_truncated_lattice, conformal_box
 from .normalform import is_standard, normal_form_bounded
 
 
@@ -76,12 +67,8 @@ def in_reduced_gb(
     _check_kernel_pair(A, head, tail)
     if order.compare(head, tail) <= 0:
         raise ValueError("binomial must be oriented head-above-tail")
-    if L.kind == "box":
-        if max(infinity_norm(head), infinity_norm(tail)) > L.bound:
-            raise BoundExceeded("binomial exceeds the lattice bound")
-    else:
-        if max(one_norm(head), one_norm(tail)) > L.bound:
-            raise BoundExceeded("binomial degree exceeds the lattice bound")
+    L.check_bound(head)
+    L.check_bound(tail)
 
     if normal_form_bounded(A, L, order, head).normal_exponent != tail:
         return False
@@ -131,12 +118,7 @@ def in_graver(A: SparseIntMatrix, L: KernelLattice, z: Sequence[int]) -> bool:
         raise ValueError("the zero vector is never a basis element")
     if any(A.apply(z)):
         raise ValueError("not a kernel vector")
-    if L.kind == "box":
-        if infinity_norm(z) > L.bound:
-            raise BoundExceeded("vector exceeds the lattice bound")
-    else:
-        if max(one_norm(positive_part(z)), one_norm(negative_part(z))) > L.bound:
-            raise BoundExceeded("vector degree exceeds the lattice bound")
+    L.check_bound(z)
     common = 0
     for x in z:
         common = gcd(common, abs(x))

@@ -87,14 +87,19 @@ def _parse_order(spec: str, n: int) -> MonomialOrder:
     raise ValueError(f"unknown order {spec!r}; use lex, grlex or weights:<csv>")
 
 
+def _auto_ordering(graph: graphs_mod.Graph) -> tuple[str, tuple[int, ...]]:
+    """The strategy ``--ordering auto`` uses and its ordering: the one of
+    smaller width, min-fill on a tie."""
+    candidates = [
+        (strategy, graphs_mod.heuristic_ordering(graph, strategy))
+        for strategy in (graphs_mod.MIN_FILL, graphs_mod.MIN_DEGREE)
+    ]
+    return min(candidates, key=lambda c: graphs_mod.treewidth_estimate(graph, c[1]))
+
+
 def _resolve_cli_ordering(spec: str, A: SparseIntMatrix) -> tuple[int, ...] | None:
     if spec == "auto":
-        graph = graphs_mod.column_graph(A)
-        candidates = [
-            graphs_mod.min_fill_ordering(graph),
-            graphs_mod.min_degree_ordering(graph),
-        ]
-        return min(candidates, key=lambda o: graphs_mod.treewidth_estimate(graph, o))
+        return _auto_ordering(graphs_mod.column_graph(A))[1]
     if spec == "min-fill":
         return graphs_mod.min_fill_ordering(graphs_mod.column_graph(A))
     if spec == "min-degree":
@@ -117,6 +122,15 @@ def _build_from_args(args, A: SparseIntMatrix):
     return build_lattice(A, bound, ordering)
 
 
+def _truncated_from_args(
+    args, A: SparseIntMatrix, want: str, order: MonomialOrder | None = None
+):
+    if args.bound is not None:
+        raise ValueError("choose exactly one of --bound and --truncate")
+    ordering = _resolve_cli_ordering(args.ordering, A)
+    return bases_mod.truncated_bases(A, args.truncate, order, want=want, ordering=ordering)
+
+
 # ---------------------------------------------------------------------------
 # subcommand handlers
 
@@ -124,7 +138,6 @@ def _build_from_args(args, A: SparseIntMatrix):
 def _cmd_graph_stats(args) -> int:
     A = _read_matrix(args.matrix, args.drop_zero_rows)
     payload: dict = {"columns": A.num_cols, "rows": A.num_rows}
-    chosen = None
     for name, graph in (
         ("column_graph", graphs_mod.column_graph(A)),
         ("row_graph", graphs_mod.row_graph(A)),
@@ -136,12 +149,9 @@ def _cmd_graph_stats(args) -> int:
             width = graphs_mod.treewidth_estimate(graph, ordering)
             depth = graphs_mod.treedepth_estimate(graph, ordering)
             strategies[strategy] = {"treewidth": width, "treedepth": depth}
-            if name == "column_graph" and (chosen is None or width < chosen[1]):
-                chosen = (strategy, width)
         stats["strategies"] = strategies
         payload[name] = stats
-    assert chosen is not None
-    payload["lattice_strategy"] = chosen[0]
+    payload["lattice_strategy"] = _auto_ordering(graphs_mod.column_graph(A))[0]
     _emit(payload)
     return 0
 
@@ -207,10 +217,7 @@ def _cmd_groebner(args) -> int:
     A = _read_matrix(args.matrix, args.drop_zero_rows)
     order = _parse_order(args.order, A.num_cols)
     if args.truncate is not None:
-        report = bases_mod.truncated_bases(
-            A, args.truncate, order, want="groebner",
-            ordering=_resolve_cli_ordering(args.ordering, A),
-        )
+        report = _truncated_from_args(args, A, "groebner", order)
     else:
         lattice = _build_from_args(args, A)
         report = bases_mod.reduced_groebner_basis(A, lattice, order)
@@ -239,10 +246,7 @@ def _cmd_groebner(args) -> int:
 def _cmd_graver(args) -> int:
     A = _read_matrix(args.matrix, args.drop_zero_rows)
     if args.truncate is not None:
-        report = bases_mod.truncated_bases(
-            A, args.truncate, want="graver",
-            ordering=_resolve_cli_ordering(args.ordering, A),
-        )
+        report = _truncated_from_args(args, A, "graver")
     else:
         lattice = _build_from_args(args, A)
         report = bases_mod.graver_basis(A, lattice)

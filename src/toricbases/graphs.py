@@ -102,22 +102,6 @@ class EliminationStructure:
     parent: dict[int, int | None]
     height: int
 
-    def children(self) -> dict[int, list[int]]:
-        out: dict[int, list[int]] = {v: [] for v in self.ordering}
-        for v, p in self.parent.items():
-            if p is not None:
-                out[p].append(v)
-        for v in out:
-            out[v].sort(key=self.position.__getitem__)
-        return out
-
-    def roots(self) -> list[int]:
-        return [v for v in self.ordering if self.parent[v] is None]
-
-    @property
-    def width(self) -> int:
-        return self.clique_number - 1
-
 
 def eliminate(graph: Graph, ordering: Sequence[int]) -> EliminationStructure:
     """Chordally complete the graph along the ordering and build the

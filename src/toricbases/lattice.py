@@ -9,10 +9,12 @@ The represented set is either
 
 Construction treats the defining conditions as a constraint network whose
 primal graph is the column graph of the matrix (plus, for the degree kind,
-two chains of saturating running-sum counters interleaved along the
-elimination ordering).  Bags are the cliques of the chordal completion under
-the chosen ordering, arranged along the elimination tree; two semijoin passes
-make every stored row extend to a full solution.
+two chains of running-sum counters interleaved along the elimination
+ordering).  Every bound is a variable's domain: [-g, g] for a column of the
+box kind, [-d, d] for a column and 0..d for a counter of the degree kind.
+Bags are the cliques of the chordal completion under the chosen ordering,
+arranged along the elimination tree; two semijoin passes make every stored
+row extend to a full solution.
 """
 
 from __future__ import annotations
@@ -21,7 +23,7 @@ import operator
 import os
 import warnings
 from bisect import bisect_left, bisect_right
-from itertools import compress, count, repeat
+from itertools import accumulate, compress, count, repeat
 from typing import Iterator, Sequence
 
 from .core import (
@@ -31,6 +33,10 @@ from .core import (
     ToricError,
     Vec,
     as_vector,
+    infinity_norm,
+    negative_part,
+    one_norm,
+    positive_part,
     weight_vector,
 )
 from .graphs import Graph, column_graph, eliminate, min_fill_ordering
@@ -91,38 +97,24 @@ class _RowZero:
 
 
 class _Counter:
-    """out == min(prev + part(x), cap + 1), a saturating running sum.
+    """out == prev + part(x), a running sum.
 
     ``part`` is the positive or the negative part of the column value; prev
     is None for the first counter in a chain.
     """
 
-    __slots__ = ("prev", "x", "out", "cap", "positive")
+    __slots__ = ("prev", "x", "out", "positive")
 
-    def __init__(self, prev: int | None, x: int, out: int, cap: int, positive: bool):
+    def __init__(self, prev: int | None, x: int, out: int, positive: bool):
         self.prev = prev
         self.x = x
         self.out = out
-        self.cap = cap
         self.positive = positive
 
     def scope(self) -> tuple[int, ...]:
         if self.prev is None:
             return (self.x, self.out)
         return (self.prev, self.x, self.out)
-
-
-class _AtMost:
-    """var <= limit."""
-
-    __slots__ = ("var", "limit")
-
-    def __init__(self, var: int, limit: int):
-        self.var = var
-        self.limit = limit
-
-    def scope(self) -> tuple[int, ...]:
-        return (self.var,)
 
 
 # ---------------------------------------------------------------------------
@@ -274,7 +266,8 @@ def _enumerate_bag(
     The scope is ordered by elimination position, and a value is derived
     rather than enumerated wherever the earlier values fix it or narrow it:
 
-    * a counter's output is forced by its inputs;
+    * a counter's output is forced by its inputs, and the branch ends when
+      that is above the counter's domain;
     * the last variable of a row equation is forced to -partial/coef, kept
       only when that divides exactly (the interval checks at the equation's
       earlier variables keep it inside the column domain, which holds 0);
@@ -295,7 +288,7 @@ def _enumerate_bag(
             raise LatticeError(f"variable {var} does not follow its inputs in the bag scope")
         return depth
 
-    # per depth: (prev depth or None, x depth, cap + 1, positive) of forcing counters
+    # per depth: (prev depth or None, x depth, domain maximum, positive) of forcing counters
     counters_at: list[list[tuple[int | None, int, int, bool]]] = [[] for _ in range(s)]
     # per depth: (equation, coef) of the row equations whose last variable is here
     closing_at: list[list[tuple[int, int]]] = [[] for _ in range(s)]
@@ -304,7 +297,6 @@ def _enumerate_bag(
     open_at: list[list[tuple[int, int, int, int]]] = [[] for _ in range(s)]
     # per depth: (depths of the key, trie level) of the messages reaching here
     indexed_at: list[list[tuple[tuple[int, ...], dict]]] = [[] for _ in range(s)]
-    limit_at: list[int | None] = [None] * s
     num_equations = 0
 
     for cons in constraints:
@@ -312,12 +304,8 @@ def _enumerate_bag(
             inputs = (cons.x,) if cons.prev is None else (cons.prev, cons.x)
             prev = None if cons.prev is None else index[cons.prev]
             counters_at[depth_after(cons.out, inputs)].append(
-                (prev, index[cons.x], cons.cap + 1, cons.positive)
+                (prev, index[cons.x], domains[cons.out][-1], cons.positive)
             )
-        elif isinstance(cons, _AtMost):
-            d = index[cons.var]
-            cur = limit_at[d]
-            limit_at[d] = cons.limit if cur is None else min(cur, cons.limit)
         elif isinstance(cons, _RowZero):
             by_depth = sorted((index[v], c) for v, c in zip(cons.vars, cons.coefs))
             eq = num_equations
@@ -351,11 +339,10 @@ def _enumerate_bag(
             rows.append(tuple(values))
             return
         fixed = None
-        for prev, x, cap, positive in counters_at[depth]:
+        for prev, x, top, positive in counters_at[depth]:
             part = values[x] if positive else -values[x]
             out = (0 if prev is None else values[prev]) + (part if part > 0 else 0)
-            out = out if out < cap else cap
-            if fixed is not None and out != fixed:
+            if out > top or (fixed is not None and out != fixed):
                 return
             fixed = out
         for eq, coef in closing_at[depth]:
@@ -375,11 +362,8 @@ def _enumerate_bag(
             candidates, *allowed = allowed
         else:
             candidates = domains[scope[depth]]
-        limit = limit_at[depth]
         opens = open_at[depth]
         for value in candidates:
-            if limit is not None and value > limit:
-                continue
             if allowed and any(value not in other for other in allowed):
                 continue
             for eq, coef, lo, hi in opens:
@@ -422,7 +406,6 @@ class KernelLattice:
         kind: str,
         bound: int,
         column_ordering: tuple[int, ...],
-        domains: dict[int, tuple[int, ...]],
         bags: list[_Bag],
         clique_number: int,
     ):
@@ -431,7 +414,6 @@ class KernelLattice:
         self.bound = bound
         self.column_ordering = column_ordering
         self.num_columns = matrix.num_cols
-        self._domains = domains
         self._bags = bags
         self.realized_clique_number = clique_number
         self._roots = tuple(b.pos for b in bags if b.parent is None)
@@ -463,32 +445,36 @@ class KernelLattice:
 
     # -- membership -------------------------------------------------------
 
-    def _full_assignment(self, v: Vec) -> dict[int, int] | None:
-        """Variable assignment induced by a candidate column vector, or None
-        when a value falls outside its domain."""
-        n = self.num_columns
-        assignment: dict[int, int] = {}
-        for j, x in enumerate(v):
-            if x < self._domains[j][0] or x > self._domains[j][-1]:
-                return None
-            assignment[j] = x
-        if self.kind == "degree":
-            d = self.bound
-            run_pos, run_neg = 0, 0
-            for l, col in enumerate(self.column_ordering):
-                run_pos = min(run_pos + max(v[col], 0), d + 1)
-                run_neg = min(run_neg + max(-v[col], 0), d + 1)
-                assignment[n + l] = run_pos
-                assignment[2 * n + l] = run_neg
-        return assignment
+    def within_bound(self, v: Vec) -> bool:
+        """Whether v lies inside the lattice's bound: every entry at most g
+        in absolute value (box), or both parts of 1-norm at most d (degree).
+        The lattice holds exactly the kernel vectors inside it."""
+        if self.kind == "box":
+            return infinity_norm(v) <= self.bound
+        return max(one_norm(positive_part(v)), one_norm(negative_part(v))) <= self.bound
+
+    def check_bound(self, v: Vec) -> None:
+        """Raise BoundExceeded unless v lies inside the lattice's bound."""
+        if not self.within_bound(v):
+            raise BoundExceeded(f"{v} lies outside the {self.kind} bound {self.bound}")
+
+    def _full_assignment(self, v: Vec) -> Vec:
+        """The value of every variable at a vector inside the bound: the
+        columns, then (degree kind) the two running sums along the ordering."""
+        if self.kind == "box":
+            return v
+        ordered = [v[col] for col in self.column_ordering]
+        pos = accumulate(x if x > 0 else 0 for x in ordered)
+        neg = accumulate(-x if x < 0 else 0 for x in ordered)
+        return (*v, *pos, *neg)
 
     def contains(self, v: Sequence[int]) -> bool:
         v = as_vector(v)
         if len(v) != self.num_columns:
             raise DimensionMismatch(f"expected length {self.num_columns}, got {len(v)}")
-        assignment = self._full_assignment(v)
-        if assignment is None:
+        if not self.within_bound(v):
             return False
+        assignment = self._full_assignment(v)
         chosen = [0] * len(self._bags)
         for pos in self._preorder:
             bag = self._bags[pos]
@@ -798,7 +784,6 @@ def _assemble(
         kind,
         bound,
         column_ordering,
-        domains,
         bags,
         elim.clique_number,
     )
@@ -877,8 +862,10 @@ def build_truncated_lattice(
     parts both have 1-norm at most d.
 
     The two degree conditions are global, so they are threaded along the
-    elimination ordering as saturating running-sum counters capped at d+1,
-    one pair per column, interleaved right after their column.
+    elimination ordering as running-sum counters over 0..d, one pair per
+    column, interleaved right after their column.  The sums only grow, so a
+    counter's domain is the whole bound: a branch whose sum passes d ends
+    there.
     """
     if d < 0:
         raise ValueError("degree bound must be nonnegative")
@@ -886,7 +873,7 @@ def build_truncated_lattice(
     n = A.num_cols
     num_vars = 3 * n
     column_domain = tuple(range(-d, d + 1))
-    counter_domain = tuple(range(0, d + 2))
+    counter_domain = tuple(range(0, d + 1))
     domains: dict[int, tuple[int, ...]] = {}
     for j in range(n):
         domains[j] = column_domain
@@ -902,10 +889,8 @@ def build_truncated_lattice(
     for l, col in enumerate(column_ordering):
         prev_pos = n + l - 1 if l else None
         prev_neg = 2 * n + l - 1 if l else None
-        constraints.append(_Counter(prev_pos, col, n + l, d, positive=True))
-        constraints.append(_Counter(prev_neg, col, 2 * n + l, d, positive=False))
-    constraints.append(_AtMost(n + n - 1, d))
-    constraints.append(_AtMost(2 * n + n - 1, d))
+        constraints.append(_Counter(prev_pos, col, n + l, positive=True))
+        constraints.append(_Counter(prev_neg, col, 2 * n + l, positive=False))
 
     return _assemble(
         A,

@@ -18,12 +18,10 @@ from .core import (
     ToricError,
     Vec,
     as_vector,
-    infinity_norm,
     is_nonnegative,
-    one_norm,
     vector_add,
 )
-from .lattice import BoundExceeded, KernelLattice, LatticeError, shift_box
+from .lattice import KernelLattice, LatticeError, shift_box
 
 
 @dataclass(frozen=True)
@@ -44,20 +42,9 @@ def _check_monomial(
         raise DimensionMismatch(f"expected length {A.num_cols}, got {len(u)}")
     if not is_nonnegative(u):
         raise ValueError("monomial exponents must be nonnegative")
-    if L.kind == "box":
-        if infinity_norm(u) > L.bound:
-            raise BoundExceeded(
-                f"max entry {infinity_norm(u)} exceeds the lattice bound {L.bound}"
-            )
-    else:
-        if one_norm(u) > L.bound:
-            raise BoundExceeded(
-                f"degree {one_norm(u)} exceeds the lattice degree bound {L.bound}"
-            )
-        if not order.is_unit_weights:
-            raise ValueError(
-                "degree-truncated lattices support only the graded lexicographic order"
-            )
+    L.check_bound(u)
+    if L.kind == "degree" and not order.is_unit_weights:
+        raise ValueError("degree-truncated lattices support only the graded lexicographic order")
 
 
 def _jump(L: KernelLattice, order: MonomialOrder, u: Vec) -> Vec:

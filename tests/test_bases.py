@@ -4,12 +4,16 @@ import pytest
 
 from toricbases import (
     Binomial,
+    BoundExceeded,
     MonomialOrder,
     SparseIntMatrix,
     build_lattice,
+    build_truncated_lattice,
     graver_basis,
     in_graver,
     in_reduced_gb,
+    is_standard,
+    normal_form_bounded,
     reduce_by_basis,
     reduced_groebner_basis,
     truncated_bases,
@@ -278,3 +282,42 @@ def test_reports_carry_the_certified_flag():
     # truncated bases are exact for their degree
     assert truncated_bases(A, 3, want="graver").certified is True
     assert truncated_bases(A, 3, want="groebner").certified is True
+
+
+def test_bound_checks_raise_one_past_the_bound(twisted_cubic):
+    A = twisted_cubic
+    grlex = MonomialOrder.grlex(4)
+    # the move x2^2 -> x1 x3, oriented with x2^2 as the head
+    heavy_x2 = MonomialOrder((0, 2, 1, 0))
+    # (lattice, order, (inside, one past) for monomials and kernel vectors)
+    cases = (
+        (build_lattice(A, 1), grlex, ((1, 1, 1, 1), (0, 2, 0, 0)), ((1, -1, -1, 1), (1, -2, 1, 0))),
+        (build_truncated_lattice(A, 2), grlex, ((1, 0, 1, 0), (1, 1, 1, 0)),
+         ((1, -2, 1, 0), (2, -3, 0, 1))),
+    )
+    for L, order, (u_in, u_out), (z_in, z_out) in cases:
+        for check in (normal_form_bounded, is_standard):
+            check(A, L, order, u_in)
+            with pytest.raises(BoundExceeded):
+                check(A, L, order, u_out)
+        assert in_graver(A, L, z_in)
+        with pytest.raises(BoundExceeded):
+            in_graver(A, L, z_out)
+    box, degree = cases[0][0], cases[1][0]
+    assert in_reduced_gb(A, box, grlex, Binomial((1, 0, 0, 1), (0, 1, 1, 0)))
+    for order in (grlex, heavy_x2):  # the tail, then the head, one past the bound
+        binomial = Binomial.from_kernel_vector((1, -2, 1, 0)).oriented(order)
+        assert (binomial.head == (0, 2, 0, 0)) is (order is heavy_x2)
+        with pytest.raises(BoundExceeded):
+            in_reduced_gb(A, box, order, binomial)
+    assert in_reduced_gb(A, degree, grlex, Binomial((1, 0, 1, 0), (0, 2, 0, 0)))
+    with pytest.raises(BoundExceeded):  # degree 3 on both sides
+        in_reduced_gb(A, degree, grlex, Binomial.from_kernel_vector((2, -3, 0, 1)).oriented(grlex))
+
+
+def test_degree_bound_covers_the_negative_part():
+    A = SparseIntMatrix.from_dense([[1, 2]])
+    # (-2, 1): positive part of degree 1, negative part of degree 2
+    with pytest.raises(BoundExceeded):
+        in_graver(A, build_truncated_lattice(A, 1), (-2, 1))
+    assert in_graver(A, build_truncated_lattice(A, 2), (-2, 1))

@@ -3,6 +3,8 @@ import json
 import pytest
 
 from toricbases.cli import main
+from toricbases.core import matrix_to_text
+from toricbases.oracle import random_sparse_matrix
 
 
 def run_cli(capsys, *argv):
@@ -327,3 +329,32 @@ def test_big_integers_serialized_as_strings(capsys, tmp_path):
     payload = json.loads(out)
     assert payload["objective"] == str(-2 * big)
     assert isinstance(payload["objective"], str)
+
+
+def test_auto_ordering_tie_goes_to_min_fill(capsys, tmp_path):
+    # both strategies reach width 2 on this matrix, with different orderings
+    path = tmp_path / "tie.txt"
+    path.write_text(matrix_to_text(random_sparse_matrix(4, 9, 2, 0.35, 0)))
+    code, out, _ = run_cli(capsys, "graph-stats", "--matrix", str(path))
+    stats = json.loads(out)
+    widths = {s: v["treewidth"] for s, v in stats["column_graph"]["strategies"].items()}
+    assert code == 0 and widths["min-fill"] == widths["min-degree"]
+    assert stats["lattice_strategy"] == "min-fill"
+    # the enumeration order follows the ordering the lattice is built with
+    listed = {}
+    for ordering in ("auto", "min-fill", "min-degree"):
+        code, out, _ = run_cli(
+            capsys, "lattice", "--matrix", str(path), "--degree", "2", "--ordering", ordering, "list"
+        )
+        assert code == 0
+        listed[ordering] = json.loads(out)["elements"]
+    assert listed["auto"] == listed["min-fill"] != listed["min-degree"]
+
+
+def test_truncate_with_bound_is_a_usage_error(capsys, tc_matrix):
+    for argv in (
+        ["graver", "--matrix", tc_matrix, "--truncate", "2", "--bound", "1"],
+        ["groebner", "--matrix", tc_matrix, "--order", "grlex", "--truncate", "2", "--bound", "1"],
+    ):
+        code, out, err = run_cli(capsys, *argv)
+        assert code == 2 and out == "" and "--truncate" in err

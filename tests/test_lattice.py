@@ -165,6 +165,10 @@ def test_truncated_contains_checks_degree(twisted_cubic):
     L = build_truncated_lattice(twisted_cubic, 2)
     assert L.contains((1, -2, 1, 0))
     assert not L.contains((2, -3, 0, 1))  # positive part has degree 3
+    # only the negative part exceeds the bound
+    A = SparseIntMatrix.from_dense([[1, 2]])
+    assert not build_truncated_lattice(A, 1).contains((-2, 1))
+    assert build_truncated_lattice(A, 2).contains((-2, 1))
 
 
 def in_box(v, box):
