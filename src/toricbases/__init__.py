@@ -18,7 +18,6 @@ from .graphs import (
     Graph,
     column_graph,
     eliminate,
-    exact_width_ordering,
     heuristic_ordering,
     min_degree_ordering,
     min_fill_ordering,
@@ -47,7 +46,6 @@ from .bases import (
     in_graver,
     in_reduced_gb,
     reduced_groebner_basis,
-    truncated_bases,
 )
 from .reductions import (
     InfeasibleError,
@@ -82,7 +80,6 @@ __all__ = [
     "build_truncated_lattice",
     "column_graph",
     "eliminate",
-    "exact_width_ordering",
     "graver_basis",
     "graver_infinity_bound",
     "heuristic_ordering",
@@ -105,7 +102,6 @@ __all__ = [
     "solve_ip_via_normal_form",
     "treedepth_estimate",
     "treewidth_estimate",
-    "truncated_bases",
     "vertex_cover_ip",
     "weight_vector",
 ]

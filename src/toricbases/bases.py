@@ -1,9 +1,11 @@
 """Membership tests and construction for reduced Groebner bases and Graver
-bases, full and degree-truncated, driven by a kernel lattice.
+bases, driven by a kernel lattice, box-bounded or degree-truncated.
 
-The construction pattern is the same everywhere: stream the lattice's
-elements and keep those passing the respective membership test.  Membership
-itself costs one or two dynamic-programming sweeps of the join tree.
+Membership of a single element costs one or two dynamic-programming sweeps of
+the join tree.  The two constructions form one pipeline over the lattice's
+elements: the Graver basis is a conformal filter of the elements in 1-norm
+order, and the reduced basis is the Graver binomials that pass the
+reduced-basis membership test.
 """
 
 from __future__ import annotations
@@ -19,8 +21,10 @@ from .core import (
     SparseIntMatrix,
     Vec,
     as_vector,
+    conformal_leq,
+    one_norm,
 )
-from .lattice import KernelLattice, build_truncated_lattice, conformal_box
+from .lattice import KernelLattice, conformal_box
 from .normalform import is_standard, normal_form_bounded
 
 
@@ -83,25 +87,26 @@ def in_reduced_gb(
 def reduced_groebner_basis(
     A: SparseIntMatrix, L: KernelLattice, order: MonomialOrder
 ) -> BasisReport:
-    """Stream the lattice and keep the oriented binomials passing the
-    reduced-basis membership test; each sign pair contributes one candidate."""
-    seen: set[tuple[Vec, Vec]] = set()
-    kept: list[Binomial] = []
-    scanned = 0
-    for v in L.iterate():
-        scanned += 1
-        if not any(v):
-            continue
-        binomial = Binomial.from_kernel_vector(v).oriented(order)
-        key = (binomial.head, binomial.tail)
-        if key in seen:
-            continue
-        seen.add(key)
-        if in_reduced_gb(A, L, order, binomial):
-            kept.append(binomial)
-    kept.sort(key=lambda b: (order.key(b.head), order.key(b.tail)))
+    """The oriented binomials of the lattice's Graver basis that pass the
+    reduced-basis membership test; each sign pair contributes one candidate.
+
+    Only Graver elements can pass the test, at any bound, so this equals the
+    scan of every lattice vector.  Let v = head - tail pass it, and let y be
+    a kernel vector conformally below v other than 0 and v.  y and v - y
+    satisfy v's bound, so both are in the lattice, and one of them, say y,
+    has its positive part above its negative part.  If y+ is not the whole
+    head, it divides some head - e_k, from which y is an improving move: that
+    divisor is not standard.  Otherwise y- is a proper divisor of the tail,
+    reached from it by the move v - y: the tail is not the normal form.
+    """
+    L.check_order(order)
+    graver = graver_basis(A, L)
+    kept = [
+        b for b in binomials_from_vectors(graver.elements, order)
+        if in_reduced_gb(A, L, order, b)
+    ]
     kind = "reduced-groebner" if L.kind == "box" else "truncated-groebner"
-    return BasisReport(kind, order, tuple(kept), scanned, L.bound, L.certified)
+    return BasisReport(kind, order, tuple(kept), graver.scanned, L.bound, L.certified)
 
 
 def in_graver(A: SparseIntMatrix, L: KernelLattice, z: Sequence[int]) -> bool:
@@ -128,53 +133,28 @@ def in_graver(A: SparseIntMatrix, L: KernelLattice, z: Sequence[int]) -> bool:
 
 
 def graver_basis(A: SparseIntMatrix, L: KernelLattice) -> BasisReport:
-    """Stream the lattice and keep the vectors passing the conformal
-    minimality test; both signs of each element are kept."""
+    """The conformally minimal nonzero vectors of the lattice; both signs of
+    each element are kept.
+
+    The lattice is scanned in 1-norm order, keeping a vector when no kept
+    vector is conformally below it.  A vector conformally below a lattice
+    vector satisfies the same box or degree bound, so it is in the lattice,
+    and unless the two are equal its 1-norm is smaller, so it is seen first.
+    """
+    vectors = sorted(L.iterate(), key=one_norm)
     kept: list[Vec] = []
-    scanned = 0
-    for v in L.iterate():
-        scanned += 1
-        if not any(v):
-            continue
-        if in_graver(A, L, v):
-            kept.append(v)
+    for z in vectors:
+        if any(z) and not any(conformal_leq(w, z) for w in kept):
+            kept.append(z)
     kept.sort()
     kind = "graver" if L.kind == "box" else "truncated-graver"
-    return BasisReport(kind, None, tuple(kept), scanned, L.bound, L.certified)
-
-
-def truncated_bases(
-    A: SparseIntMatrix,
-    d: int,
-    order: MonomialOrder | None = None,
-    *,
-    want: str = "groebner",
-    ordering: Sequence[int] | None = None,
-    build_budget: int | None = None,
-) -> BasisReport:
-    """Degree-truncated bases from the degree-d lattice.
-
-    ``want='groebner'`` yields the elements of the graded-order reduced basis
-    whose two sides both have degree at most d; the order must have unit
-    weights (only the graded lexicographic order is compatible with degree
-    truncation).  ``want='graver'`` yields the conformally minimal kernel
-    vectors whose parts both have degree at most d.
-    """
-    L = build_truncated_lattice(A, d, ordering, build_budget=build_budget)
-    if want == "groebner":
-        if order is None:
-            order = MonomialOrder.grlex(A.num_cols)
-        if not order.is_unit_weights:
-            raise ValueError("degree truncation requires the graded lexicographic order")
-        return reduced_groebner_basis(A, L, order)
-    if want == "graver":
-        return graver_basis(A, L)
-    raise ValueError(f"unknown basis kind {want!r}")
+    return BasisReport(kind, None, tuple(kept), len(vectors), L.bound, L.certified)
 
 
 def binomials_from_vectors(vectors: Sequence[Vec], order: MonomialOrder) -> list[Binomial]:
-    """Oriented, deduplicated binomials of a set of kernel vectors; useful for
-    reducing against a Graver basis."""
+    """Oriented, deduplicated binomials of a set of kernel vectors, sorted by
+    head and then tail: the candidates of the reduced basis, and a
+    division basis when the vectors are a Graver basis."""
     seen: set[tuple[Vec, Vec]] = set()
     out: list[Binomial] = []
     for v in vectors:

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import re
 import sys
 from pathlib import Path
 from typing import Sequence
@@ -100,10 +101,8 @@ def _auto_ordering(graph: graphs_mod.Graph) -> tuple[str, tuple[int, ...]]:
 def _resolve_cli_ordering(spec: str, A: SparseIntMatrix) -> tuple[int, ...] | None:
     if spec == "auto":
         return _auto_ordering(graphs_mod.column_graph(A))[1]
-    if spec == "min-fill":
-        return graphs_mod.min_fill_ordering(graphs_mod.column_graph(A))
-    if spec == "min-degree":
-        return graphs_mod.min_degree_ordering(graphs_mod.column_graph(A))
+    if spec in (graphs_mod.MIN_FILL, graphs_mod.MIN_DEGREE):
+        return graphs_mod.heuristic_ordering(graphs_mod.column_graph(A), spec)
     if spec.startswith("file:"):
         text = Path(spec[len("file:") :]).read_text()
         return tuple(int(tok) for tok in text.split())
@@ -112,23 +111,10 @@ def _resolve_cli_ordering(spec: str, A: SparseIntMatrix) -> tuple[int, ...] | No
 
 def _build_from_args(args, A: SparseIntMatrix):
     ordering = _resolve_cli_ordering(args.ordering, A)
-    if getattr(args, "degree", None) is not None:
-        if getattr(args, "bound", None) is not None:
-            raise ValueError("choose exactly one of --bound and --degree")
+    if args.degree is not None:
         return build_truncated_lattice(A, args.degree, ordering)
-    bound = getattr(args, "bound", None)
-    if bound is None:
-        bound = graver_infinity_bound(A)
+    bound = graver_infinity_bound(A) if args.bound is None else args.bound
     return build_lattice(A, bound, ordering)
-
-
-def _truncated_from_args(
-    args, A: SparseIntMatrix, want: str, order: MonomialOrder | None = None
-):
-    if args.bound is not None:
-        raise ValueError("choose exactly one of --bound and --truncate")
-    ordering = _resolve_cli_ordering(args.ordering, A)
-    return bases_mod.truncated_bases(A, args.truncate, order, want=want, ordering=ordering)
 
 
 # ---------------------------------------------------------------------------
@@ -216,11 +202,7 @@ def _cmd_normal_form(args) -> int:
 def _cmd_groebner(args) -> int:
     A = _read_matrix(args.matrix, args.drop_zero_rows)
     order = _parse_order(args.order, A.num_cols)
-    if args.truncate is not None:
-        report = _truncated_from_args(args, A, "groebner", order)
-    else:
-        lattice = _build_from_args(args, A)
-        report = bases_mod.reduced_groebner_basis(A, lattice, order)
+    report = bases_mod.reduced_groebner_basis(A, _build_from_args(args, A), order)
     _warn_unless_certified(report.certified)
     if args.format == "text":
         for b in report.elements:
@@ -245,11 +227,7 @@ def _cmd_groebner(args) -> int:
 
 def _cmd_graver(args) -> int:
     A = _read_matrix(args.matrix, args.drop_zero_rows)
-    if args.truncate is not None:
-        report = _truncated_from_args(args, A, "graver")
-    else:
-        lattice = _build_from_args(args, A)
-        report = bases_mod.graver_basis(A, lattice)
+    report = bases_mod.graver_basis(A, _build_from_args(args, A))
     _warn_unless_certified(report.certified)
     if args.format == "text":
         for v in report.elements:
@@ -373,10 +351,10 @@ def _add_matrix_arg(p: argparse.ArgumentParser) -> None:
     )
 
 
-def _add_lattice_args(p: argparse.ArgumentParser, with_degree: bool = True) -> None:
-    p.add_argument("--bound", type=int, default=None, help="box bound on entries")
-    if with_degree:
-        p.add_argument("--degree", type=int, default=None, help="degree truncation bound")
+def _add_lattice_args(p: argparse.ArgumentParser, degree_flag: str = "--degree") -> None:
+    bound = p.add_mutually_exclusive_group()
+    bound.add_argument("--bound", type=int, default=None, help="box bound on entries")
+    bound.add_argument(degree_flag, dest="degree", type=int, default=None, help="degree truncation bound")
     p.add_argument(
         "--ordering",
         default="auto",
@@ -400,6 +378,8 @@ def build_parser() -> argparse.ArgumentParser:
     _add_lattice_args(p)
     p.add_argument("action", choices=["count", "list", "contains"])
     p.add_argument("vector", nargs="?", default=None, help="comma-separated integers")
+    # read a vector such as -2,1 as a value, the way argparse reads -2
+    p._negative_number_matcher = re.compile(r"^-\d+(,-?\d+)*$")
     p.set_defaults(func=_cmd_lattice)
 
     p = sub.add_parser("normal-form", help="normal form of a monomial")
@@ -417,16 +397,14 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("groebner", help="reduced Groebner basis")
     _add_matrix_arg(p)
-    _add_lattice_args(p, with_degree=False)
+    _add_lattice_args(p, "--truncate")
     p.add_argument("--order", required=True)
-    p.add_argument("--truncate", type=int, default=None, help="degree truncation")
     p.add_argument("--format", choices=["json", "text"], default="json")
     p.set_defaults(func=_cmd_groebner)
 
     p = sub.add_parser("graver", help="Graver basis")
     _add_matrix_arg(p)
-    _add_lattice_args(p, with_degree=False)
-    p.add_argument("--truncate", type=int, default=None, help="degree truncation")
+    _add_lattice_args(p, "--truncate")
     p.add_argument("--format", choices=["json", "text"], default="json")
     p.set_defaults(func=_cmd_graver)
 

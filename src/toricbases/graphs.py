@@ -45,9 +45,6 @@ class Graph:
     def num_edges(self) -> int:
         return len(self.edges)
 
-    def has_edge(self, a: int, b: int) -> bool:
-        return ((a, b) if a < b else (b, a)) in self.edges
-
 
 def path_graph(n: int) -> Graph:
     return Graph.from_edges(n, ((i, i + 1) for i in range(n - 1)))
@@ -154,7 +151,6 @@ def eliminate(graph: Graph, ordering: Sequence[int]) -> EliminationStructure:
 
 MIN_DEGREE = "min-degree"
 MIN_FILL = "min-fill"
-GIVEN = "given"
 
 
 def _greedy_ordering(graph: Graph, score: Callable[[list[set[int]], int], int]) -> tuple[int, ...]:
@@ -216,20 +212,12 @@ def min_fill_ordering(graph: Graph) -> tuple[int, ...]:
     return _greedy_ordering(graph, _fill)
 
 
-def heuristic_ordering(
-    graph: Graph, strategy: str, given: Sequence[int] | None = None
-) -> tuple[int, ...]:
+def heuristic_ordering(graph: Graph, strategy: str) -> tuple[int, ...]:
+    """The ordering of a named strategy, MIN_DEGREE or MIN_FILL."""
     if strategy == MIN_DEGREE:
         return min_degree_ordering(graph)
     if strategy == MIN_FILL:
         return min_fill_ordering(graph)
-    if strategy == GIVEN:
-        if given is None:
-            raise ValueError("strategy 'given' requires an explicit ordering")
-        ordering = tuple(int(v) for v in given)
-        if sorted(ordering) != list(range(graph.num_vertices)):
-            raise ValueError("given ordering is not a permutation of the vertices")
-        return ordering
     raise ValueError(f"unknown ordering strategy {strategy!r}")
 
 
@@ -241,54 +229,6 @@ def treewidth_estimate(graph: Graph, ordering: Sequence[int]) -> int:
 def treedepth_estimate(graph: Graph, ordering: Sequence[int]) -> int:
     """Upper bound on the treedepth: height of the elimination tree."""
     return eliminate(graph, ordering).height
-
-
-# ---------------------------------------------------------------------------
-# exact searches (small graphs only)
-
-
-def exact_width_ordering(graph: Graph, k: int) -> tuple[int, ...] | None:
-    """An elimination ordering whose completion has clique number <= k+1, or
-    None if no such ordering exists.
-
-    Branch-and-bound over elimination prefixes with memoisation on the set of
-    eliminated vertices (the filled graph depends only on that set, not on
-    the order within it).  Intended for graphs with at most ~20 vertices.
-    """
-    n = graph.num_vertices
-    if n == 0:
-        return ()
-    base = graph.adjacency()
-    failed: set[int] = set()
-
-    def search(adj: list[set[int]], mask: int, prefix: list[int]) -> tuple[int, ...] | None:
-        if len(prefix) == n:
-            return tuple(prefix)
-        if mask in failed:
-            return None
-        for v in range(n):
-            if mask >> v & 1:
-                continue
-            nbrs = adj[v]
-            if len(nbrs) > k:
-                continue
-            nxt = [s.copy() for s in adj]
-            ordered = sorted(nbrs)
-            for a, b in combinations(ordered, 2):
-                nxt[a].add(b)
-                nxt[b].add(a)
-            for w in ordered:
-                nxt[w].discard(v)
-            nxt[v].clear()
-            prefix.append(v)
-            found = search(nxt, mask | (1 << v), prefix)
-            if found is not None:
-                return found
-            prefix.pop()
-        failed.add(mask)
-        return None
-
-    return search(base, 0, [])
 
 
 # ---------------------------------------------------------------------------

@@ -458,6 +458,13 @@ class KernelLattice:
         if not self.within_bound(v):
             raise BoundExceeded(f"{v} lies outside the {self.kind} bound {self.bound}")
 
+    def check_order(self, order: MonomialOrder) -> None:
+        """Raise ValueError unless the lattice serves the order: a degree
+        lattice serves only the graded lexicographic order, under which a
+        normal form never has a larger degree."""
+        if self.kind == "degree" and not order.is_unit_weights:
+            raise ValueError("degree-truncated lattices support only the graded lexicographic order")
+
     def _full_assignment(self, v: Vec) -> Vec:
         """The value of every variable at a vector inside the bound: the
         columns, then (degree kind) the two running sums along the ordering."""

@@ -43,8 +43,7 @@ def _check_monomial(
     if not is_nonnegative(u):
         raise ValueError("monomial exponents must be nonnegative")
     L.check_bound(u)
-    if L.kind == "degree" and not order.is_unit_weights:
-        raise ValueError("degree-truncated lattices support only the graded lexicographic order")
+    L.check_order(order)
 
 
 def _jump(L: KernelLattice, order: MonomialOrder, u: Vec) -> Vec:

@@ -20,6 +20,50 @@ def petersen_graph() -> Graph:
     return Graph.from_edges(10, outer + spokes + inner)
 
 
+def exact_width_ordering(graph: Graph, k: int) -> tuple[int, ...] | None:
+    """An elimination ordering whose completion has clique number <= k+1, or
+    None if no such ordering exists.
+
+    Branch-and-bound over elimination prefixes with memoisation on the set of
+    eliminated vertices (the filled graph depends only on that set, not on
+    the order within it).  Intended for graphs with at most ~20 vertices.
+    """
+    n = graph.num_vertices
+    if n == 0:
+        return ()
+    base = graph.adjacency()
+    failed: set[int] = set()
+
+    def search(adj: list[set[int]], mask: int, prefix: list[int]) -> tuple[int, ...] | None:
+        if len(prefix) == n:
+            return tuple(prefix)
+        if mask in failed:
+            return None
+        for v in range(n):
+            if mask >> v & 1:
+                continue
+            nbrs = adj[v]
+            if len(nbrs) > k:
+                continue
+            nxt = [s.copy() for s in adj]
+            ordered = sorted(nbrs)
+            for a, b in combinations(ordered, 2):
+                nxt[a].add(b)
+                nxt[b].add(a)
+            for w in ordered:
+                nxt[w].discard(v)
+            nxt[v].clear()
+            prefix.append(v)
+            found = search(nxt, mask | (1 << v), prefix)
+            if found is not None:
+                return found
+            prefix.pop()
+        failed.add(mask)
+        return None
+
+    return search(base, 0, [])
+
+
 def exact_depth_ordering(graph: Graph, k: int) -> tuple[int, ...] | None:
     """An elimination ordering whose elimination tree has height <= k, or None.
 

@@ -16,7 +16,6 @@ from toricbases import (
     normal_form_bounded,
     reduce_by_basis,
     reduced_groebner_basis,
-    truncated_bases,
 )
 from toricbases.bases import binomials_from_vectors
 from toricbases.core import conformal_leq
@@ -178,12 +177,54 @@ def test_graver_matches_oracle_random():
         assert frozenset(graver_basis(A, L).elements) == graver_bruteforce(A, g)
 
 
+def _reference_scans(A, L, order):
+    """The per-candidate scans the basis pipeline replaced: every nonzero
+    lattice vector through in_graver, and every oriented lattice binomial
+    through in_reduced_gb."""
+    graver = sorted(v for v in L.iterate() if any(v) and in_graver(A, L, v))
+    reduced = [
+        b for b in binomials_from_vectors(list(L.iterate()), order)
+        if in_reduced_gb(A, L, order, b)
+    ]
+    return tuple(graver), tuple(reduced)
+
+
+def test_pipeline_matches_the_per_candidate_scans():
+    from toricbases.oracle import random_sparse_matrix
+
+    rng = random.Random(239)
+    certified = 0
+    for i in range(36):
+        n = rng.randint(2, 4)
+        if i % 6 == 0:  # one row of entries in [-1, 1] is certified at g=3
+            A = random_sparse_matrix(1, n, 1, 0.8, rng.randrange(2**30))
+        else:
+            A = random_sparse_matrix(rng.randint(1, 2), n, 2, 0.6, rng.randrange(2**30))
+        bound = 1 + i % 3
+        if i % 2:
+            L = build_truncated_lattice(A, bound)
+            orders = [MonomialOrder.grlex(n)]
+        else:
+            L = build_lattice(A, 3 if i % 6 == 0 else bound)
+            orders = [MonomialOrder.lex(n), MonomialOrder(tuple(rng.randint(0, 3) for _ in range(n)))]
+        certified += L.kind == "box" and L.certified
+        graver = graver_basis(A, L)
+        assert graver.scanned == L.count()
+        for order in orders:
+            want_graver, want_reduced = _reference_scans(A, L, order)
+            assert graver.elements == want_graver, (A.to_dense(), L.kind, L.bound)
+            report = reduced_groebner_basis(A, L, order)
+            assert report.elements == want_reduced, (A.to_dense(), L.kind, L.bound, order)
+            assert report.scanned == L.count()
+    assert 0 < certified < 18
+
+
 def test_truncated_gb_k23(k23):
     grlex = MonomialOrder.grlex(6)
-    assert truncated_bases(k23, 1, grlex, want="groebner").elements == ()
+    assert reduced_groebner_basis(k23, build_truncated_lattice(k23, 1), grlex).elements == ()
     got = {
         (b.head, b.tail)
-        for b in truncated_bases(k23, 2, grlex, want="groebner").elements
+        for b in reduced_groebner_basis(k23, build_truncated_lattice(k23, 2), grlex).elements
     }
     L = build_lattice(k23, 2)
     full = {
@@ -193,15 +234,20 @@ def test_truncated_gb_k23(k23):
 
 
 def test_truncated_gb_requires_graded_order(k23):
+    lex = MonomialOrder.lex(6)
     with pytest.raises(ValueError):
-        truncated_bases(k23, 2, MonomialOrder.lex(6), want="groebner")
+        reduced_groebner_basis(k23, build_truncated_lattice(k23, 2), lex)
+    # the check does not wait for a candidate: at d=1 the lattice holds only 0
+    L = build_truncated_lattice(k23, 1)
+    assert list(L.iterate()) == [(0,) * 6]
     with pytest.raises(ValueError):
-        truncated_bases(k23, 2, want="something")
+        reduced_groebner_basis(k23, L, lex)
 
 
 def test_truncated_graver_coherent_with_full(twisted_cubic):
     for d in (1, 2, 3, 4):
-        got = frozenset(truncated_bases(twisted_cubic, d, want="graver").elements)
+        L = build_truncated_lattice(twisted_cubic, d)
+        got = frozenset(graver_basis(twisted_cubic, L).elements)
         want = frozenset(
             v
             for v in TWISTED_CUBIC_GRAVER
@@ -215,7 +261,9 @@ def test_truncated_gb_coherent_with_full(twisted_cubic):
     for d in (1, 2, 3):
         got = {
             (b.head, b.tail)
-            for b in truncated_bases(twisted_cubic, d, grlex, want="groebner").elements
+            for b in reduced_groebner_basis(
+                twisted_cubic, build_truncated_lattice(twisted_cubic, d), grlex
+            ).elements
         }
         want = {
             (h, t) for h, t in TWISTED_CUBIC_RGB if sum(h) <= d and sum(t) <= d
@@ -280,8 +328,9 @@ def test_reports_carry_the_certified_flag():
         assert graver_basis(A, L).certified is certified
         assert reduced_groebner_basis(A, L, lex).certified is certified
     # truncated bases are exact for their degree
-    assert truncated_bases(A, 3, want="graver").certified is True
-    assert truncated_bases(A, 3, want="groebner").certified is True
+    L = build_truncated_lattice(A, 3)
+    assert graver_basis(A, L).certified is True
+    assert reduced_groebner_basis(A, L, MonomialOrder.grlex(2)).certified is True
 
 
 def test_bound_checks_raise_one_past_the_bound(twisted_cubic):

@@ -358,3 +358,25 @@ def test_truncate_with_bound_is_a_usage_error(capsys, tc_matrix):
     ):
         code, out, err = run_cli(capsys, *argv)
         assert code == 2 and out == "" and "--truncate" in err
+
+
+def test_lattice_and_normal_form_reject_bound_with_degree(capsys, tc_matrix):
+    for argv in (
+        ["lattice", "--matrix", tc_matrix, "--bound", "1", "--degree", "2", "count"],
+        ["normal-form", "--matrix", tc_matrix, "--order", "grlex", "--monomial", "1,0,1,0",
+         "--degree", "2", "--bound", "1"],
+    ):
+        code, out, err = run_cli(capsys, *argv)
+        assert code == 2 and out == "" and "--degree" in err
+
+
+def test_contains_accepts_a_vector_with_a_negative_first_entry(capsys, tmp_path):
+    path = tmp_path / "one_two.txt"
+    path.write_text("1 2\n1 2\n")
+    for tail in (["-2,1"], ["--", "-2,1"]):
+        code, out, _ = run_cli(
+            capsys, "lattice", "--matrix", str(path), "--degree", "3", "contains", *tail
+        )
+        assert code == 0
+        payload = json.loads(out)
+        assert payload["vector"] == [-2, 1] and payload["contains"] is True

@@ -8,7 +8,6 @@ from toricbases import (
     SparseIntMatrix,
     column_graph,
     eliminate,
-    exact_width_ordering,
     heuristic_ordering,
     min_degree_ordering,
     min_fill_ordering,
@@ -28,6 +27,7 @@ from toricbases.oracle import incidence_matrix, nfold_product, random_graph
 
 from graph_helpers import (
     exact_depth_ordering,
+    exact_width_ordering,
     ladder_graph,
     recursive_median_ordering,
     reference_min_degree_ordering,
@@ -150,7 +150,7 @@ def test_min_fill_on_c4_realizes_exhaustive_minimum():
 def test_heuristic_ordering_dispatch():
     G = cycle_graph(5)
     assert heuristic_ordering(G, "min-degree") == min_degree_ordering(G)
-    assert heuristic_ordering(G, "given", (4, 3, 2, 1, 0)) == (4, 3, 2, 1, 0)
+    assert heuristic_ordering(G, "min-fill") == min_fill_ordering(G)
     with pytest.raises(ValueError):
         heuristic_ordering(G, "given")
     with pytest.raises(ValueError):
