@@ -143,6 +143,10 @@ def _cmd_graph_stats(args) -> int:
 
 
 def _cmd_lattice(args) -> int:
+    if args.action == "contains" and args.vector is None:
+        raise ValueError("contains needs a vector argument")
+    if args.action != "contains" and args.vector is not None:
+        raise ValueError(f"{args.action} takes no vector argument")
     A = _read_matrix(args.matrix, args.drop_zero_rows)
     lattice = _build_from_args(args, A)
     payload = {
@@ -156,8 +160,6 @@ def _cmd_lattice(args) -> int:
     elif args.action == "list":
         payload["elements"] = [list(v) for v in lattice.iterate()]
     else:  # contains
-        if args.vector is None:
-            raise ValueError("contains needs a vector argument")
         payload["vector"] = list(_parse_vector(args.vector))
         payload["contains"] = lattice.contains(_parse_vector(args.vector))
     _emit(payload)
@@ -199,17 +201,18 @@ def _cmd_normal_form(args) -> int:
     return 0
 
 
-def _cmd_groebner(args) -> int:
-    A = _read_matrix(args.matrix, args.drop_zero_rows)
-    order = _parse_order(args.order, A.num_cols)
-    report = bases_mod.reduced_groebner_basis(A, _build_from_args(args, A), order)
+def _csv(v) -> str:
+    return ",".join(map(str, v))
+
+
+def _emit_report(args, report, element_json, element_text) -> None:
+    """Write a basis report: one line per element in text format, else the
+    JSON payload."""
     _warn_unless_certified(report.certified)
     if args.format == "text":
-        for b in report.elements:
-            sys.stdout.write(
-                ",".join(map(str, b.head)) + " - " + ",".join(map(str, b.tail)) + "\n"
-            )
-        return 0
+        for e in report.elements:
+            sys.stdout.write(element_text(e) + "\n")
+        return
     _emit(
         {
             "kind": report.kind,
@@ -217,32 +220,27 @@ def _cmd_groebner(args) -> int:
             "certified": report.certified,
             "count": len(report.elements),
             "scanned": report.scanned,
-            "elements": [
-                {"head": list(b.head), "tail": list(b.tail)} for b in report.elements
-            ],
+            "elements": [element_json(e) for e in report.elements],
         }
+    )
+
+
+def _cmd_groebner(args) -> int:
+    A = _read_matrix(args.matrix, args.drop_zero_rows)
+    order = _parse_order(args.order, A.num_cols)
+    report = bases_mod.reduced_groebner_basis(A, _build_from_args(args, A), order)
+    _emit_report(
+        args,
+        report,
+        lambda b: {"head": list(b.head), "tail": list(b.tail)},
+        lambda b: _csv(b.head) + " - " + _csv(b.tail),
     )
     return 0
 
 
 def _cmd_graver(args) -> int:
     A = _read_matrix(args.matrix, args.drop_zero_rows)
-    report = bases_mod.graver_basis(A, _build_from_args(args, A))
-    _warn_unless_certified(report.certified)
-    if args.format == "text":
-        for v in report.elements:
-            sys.stdout.write(",".join(map(str, v)) + "\n")
-        return 0
-    _emit(
-        {
-            "kind": report.kind,
-            "bound": report.bound_used,
-            "certified": report.certified,
-            "count": len(report.elements),
-            "scanned": report.scanned,
-            "elements": [list(v) for v in report.elements],
-        }
-    )
+    _emit_report(args, bases_mod.graver_basis(A, _build_from_args(args, A)), list, _csv)
     return 0
 
 

@@ -23,7 +23,7 @@ import operator
 import os
 import warnings
 from bisect import bisect_left, bisect_right
-from itertools import accumulate, compress, count, repeat
+from itertools import compress, count, repeat
 from typing import Iterator, Sequence
 
 from .core import (
@@ -405,14 +405,12 @@ class KernelLattice:
         matrix: SparseIntMatrix,
         kind: str,
         bound: int,
-        column_ordering: tuple[int, ...],
         bags: list[_Bag],
         clique_number: int,
     ):
         self.matrix = matrix
         self.kind = kind
         self.bound = bound
-        self.column_ordering = column_ordering
         self.num_columns = matrix.num_cols
         self._bags = bags
         self.realized_clique_number = clique_number
@@ -465,33 +463,14 @@ class KernelLattice:
         if self.kind == "degree" and not order.is_unit_weights:
             raise ValueError("degree-truncated lattices support only the graded lexicographic order")
 
-    def _full_assignment(self, v: Vec) -> Vec:
-        """The value of every variable at a vector inside the bound: the
-        columns, then (degree kind) the two running sums along the ordering."""
-        if self.kind == "box":
-            return v
-        ordered = [v[col] for col in self.column_ordering]
-        pos = accumulate(x if x > 0 else 0 for x in ordered)
-        neg = accumulate(-x if x < 0 else 0 for x in ordered)
-        return (*v, *pos, *neg)
-
     def contains(self, v: Sequence[int]) -> bool:
+        """Whether v is a represented vector: the count of the box that
+        holds v alone.  The columns fix every counter of a degree lattice,
+        so boxing the columns is enough."""
         v = as_vector(v)
         if len(v) != self.num_columns:
             raise DimensionMismatch(f"expected length {self.num_columns}, got {len(v)}")
-        if not self.within_bound(v):
-            return False
-        assignment = self._full_assignment(v)
-        chosen = [0] * len(self._bags)
-        for pos in self._preorder:
-            bag = self._bags[pos]
-            rows = bag.group(bag.key_at(chosen))
-            x = assignment[bag.intro]
-            r = bisect_left(bag.rows, x, rows.start, rows.stop, key=operator.itemgetter(0))
-            if r == rows.stop or bag.rows[r][0] != x:
-                return False
-            chosen[pos] = r
-        return True
+        return self.within_bound(v) and self.count((v, v)) == 1
 
     def __contains__(self, v: Sequence[int]) -> bool:
         return self.contains(v)
@@ -706,7 +685,6 @@ def _assemble(
     matrix: SparseIntMatrix,
     kind: str,
     bound: int,
-    column_ordering: tuple[int, ...],
     num_vars: int,
     pi: tuple[int, ...],
     domains: dict[int, tuple[int, ...]],
@@ -786,14 +764,7 @@ def _assemble(
             )
         bag.child_ups = tuple(bags[c].up for c in bag.children)
 
-    return KernelLattice(
-        matrix,
-        kind,
-        bound,
-        column_ordering,
-        bags,
-        elim.clique_number,
-    )
+    return KernelLattice(matrix, kind, bound, bags, elim.clique_number)
 
 
 def _resolve_ordering(A: SparseIntMatrix, ordering: Sequence[int] | None) -> tuple[int, ...]:
@@ -849,7 +820,6 @@ def build_lattice(
         A,
         "box",
         g,
-        column_ordering,
         n,
         column_ordering,
         domains,
@@ -903,7 +873,6 @@ def build_truncated_lattice(
         A,
         "degree",
         d,
-        column_ordering,
         num_vars,
         tuple(pi),
         domains,

@@ -26,7 +26,7 @@ from .core import (
     weight_vector,
 )
 from .graphs import Graph
-from .lattice import build_lattice
+from .lattice import build_lattice, graver_infinity_bound
 from .normalform import normal_form_bounded
 
 
@@ -80,21 +80,15 @@ class IntegerProgram:
                 raise ValueError("feasible hint violates an upper bound")
 
 
-def _floor_div(a: int, b: int) -> int:
-    if b < 0:
-        a, b = -a, -b
-    return a // b
-
-
-def _ceil_div(a: int, b: int) -> int:
-    if b < 0:
-        a, b = -a, -b
-    return -((-a) // b)
-
-
 def solve_ip(ip: IntegerProgram) -> Vec:
-    """Exact optimum by depth-first branch and bound with interval
-    propagation on the equality rows and on the objective cut.
+    """Exact optimum by depth-first branch and bound with bounds-consistency
+    propagation.
+
+    Every constraint has the form lower <= a . z <= upper: each equality row
+    with lower = upper = b_i, and, once an incumbent exists, the objective
+    cut c . z <= incumbent.  One rule tightens them all: a_j * z_j must lie
+    within [lower, upper] less the range the other terms can take.  Rows are
+    visited in order, then the cut, until no bound moves.
 
     Branches on the variable with the narrowest interval (lowest index on
     ties), values ascending; among optima the lexicographically smallest
@@ -110,11 +104,11 @@ def solve_ip(ip: IntegerProgram) -> Vec:
         raise InfeasibleError("empty box")
 
     rows = [
-        (tuple(j for j, _ in A.row(i)), tuple(v for _, v in A.row(i)), b[i])
+        (tuple(j for j, _ in A.row(i)), tuple(v for _, v in A.row(i)), b[i], b[i])
         for i in range(A.num_rows)
     ]
     in_rows = [False] * n
-    for cols, _, _ in rows:
+    for cols, _, _, _ in rows:
         for j in cols:
             in_rows[j] = True
     # variables free of every constraint are decided by their cost alone
@@ -124,6 +118,11 @@ def solve_ip(ip: IntegerProgram) -> Vec:
                 hi[j] = lo[j]
             else:
                 lo[j] = hi[j]
+    # the cut's lower end is the least cost over the root box; no node's box
+    # leaves the root box, so that end never binds
+    cost_cols = tuple(j for j in range(n) if c[j])
+    cost_coefs = tuple(c[j] for j in cost_cols)
+    cost_floor = sum(min(a * lo[j], a * hi[j]) for j, a in zip(cost_cols, cost_coefs))
 
     best: list = [None, None]  # objective, vector
     if ip.feasible_hint is not None:
@@ -132,55 +131,39 @@ def solve_ip(ip: IntegerProgram) -> Vec:
         best[1] = hint
 
     def propagate(lo: list[int], hi: list[int]) -> bool:
+        constraints = rows
+        if best[0] is not None:
+            constraints = rows + [(cost_cols, cost_coefs, cost_floor, best[0])]
         changed = True
         while changed:
             changed = False
-            for cols, coefs, rhs_i in rows:
-                lo_sum, hi_sum = 0, 0
+            for cols, coefs, lower, upper in constraints:
+                lo_sum = hi_sum = 0
                 for j, a in zip(cols, coefs):
-                    x, y = a * lo[j], a * hi[j]
-                    lo_sum += min(x, y)
-                    hi_sum += max(x, y)
-                if not (lo_sum <= rhs_i <= hi_sum):
+                    if a > 0:
+                        lo_sum += a * lo[j]
+                        hi_sum += a * hi[j]
+                    else:
+                        lo_sum += a * hi[j]
+                        hi_sum += a * lo[j]
+                if lo_sum > upper or hi_sum < lower:
                     return False
                 for j, a in zip(cols, coefs):
-                    x, y = a * lo[j], a * hi[j]
-                    others_lo = lo_sum - min(x, y)
-                    others_hi = hi_sum - max(x, y)
-                    # a * z_j must land in [rhs - others_hi, rhs - others_lo]
-                    new_lo = _ceil_div(rhs_i - others_hi, a)
-                    new_hi = _floor_div(rhs_i - others_lo, a)
-                    if a < 0:
-                        new_lo, new_hi = _ceil_div(rhs_i - others_lo, a), _floor_div(
-                            rhs_i - others_hi, a
-                        )
+                    # a * z_j must land in [lower - (hi_sum - max_j),
+                    # upper - (lo_sum - min_j)]; dividing by a < 0 swaps the ends
+                    if a > 0:
+                        bottom = lower - hi_sum + a * hi[j]
+                        top = upper - lo_sum + a * lo[j]
+                    else:
+                        bottom = upper - lo_sum + a * hi[j]
+                        top = lower - hi_sum + a * lo[j]
+                    new_lo, new_hi = -(-bottom // a), top // a
                     if new_lo > lo[j]:
                         lo[j] = new_lo
                         changed = True
                     if new_hi < hi[j]:
                         hi[j] = new_hi
                         changed = True
-                    if lo[j] > hi[j]:
-                        return False
-            if best[0] is not None:
-                min_total = sum(min(cj * lo[j], cj * hi[j]) for j, cj in enumerate(c))
-                if min_total > best[0]:
-                    return False
-                for j, cj in enumerate(c):
-                    if cj == 0:
-                        continue
-                    others = min_total - min(cj * lo[j], cj * hi[j])
-                    budget = best[0] - others
-                    if cj > 0:
-                        new_hi = _floor_div(budget, cj)
-                        if new_hi < hi[j]:
-                            hi[j] = new_hi
-                            changed = True
-                    else:
-                        new_lo = _ceil_div(budget, cj)
-                        if new_lo > lo[j]:
-                            lo[j] = new_lo
-                            changed = True
                     if lo[j] > hi[j]:
                         return False
         return True
@@ -237,7 +220,7 @@ def normalform_to_ip(
     n = A.num_cols
     if len(u) != n or order.num_vars != n:
         raise DimensionMismatch("dimension mismatch between matrix, order and monomial")
-    radix = (2 * A.num_rows * A.max_abs + 1) ** A.num_rows + 1
+    radix = graver_infinity_bound(A) + 1
     c = weight_vector(order.weights, radix, n)
     budget = sum(cj * xj for cj, xj in zip(c, u))
     upper = tuple(budget // cj for cj in c)

@@ -380,3 +380,13 @@ def test_contains_accepts_a_vector_with_a_negative_first_entry(capsys, tmp_path)
         assert code == 0
         payload = json.loads(out)
         assert payload["vector"] == [-2, 1] and payload["contains"] is True
+
+
+def test_lattice_vector_only_with_contains(capsys, tc_matrix):
+    for argv in (
+        ["--bound", "2", "count", "1,2,3,4"],
+        ["--degree", "2", "list", "1,-2,1,0"],
+        ["--bound", "2", "contains"],
+    ):
+        code, out, err = run_cli(capsys, "lattice", "--matrix", tc_matrix, *argv)
+        assert code == 2 and out == "" and "vector" in err

@@ -95,23 +95,39 @@ def test_hint_validation():
 
 
 def test_solve_ip_matches_enumeration_random():
+    # mixed-sign rows and costs over boxes that may reach below zero; every
+    # third draw seeds the incumbent with a hint, so the objective cut binds
+    # from the root, and every third shifts the right-hand side, which often
+    # leaves no solution
     rng = random.Random(307)
-    for _ in range(40):
+    infeasible = 0
+    for k in range(240):
         m, n = rng.randint(1, 3), rng.randint(1, 4)
         A = random_sparse_matrix(m, n, 3, 0.6, rng.randrange(2**30))
-        z0 = tuple(rng.randint(0, 3) for _ in range(n))
+        lower = tuple(rng.randint(-3, 0) for _ in range(n)) if k % 2 else (0,) * n
+        upper = tuple(l + 4 for l in lower)
+        z0 = tuple(rng.randint(l, l + 3) for l in lower)
+        rhs = A.apply(z0)
+        if k % 3 == 2:
+            rhs = tuple(x + rng.randint(-2, 2) for x in rhs)
         ip = IntegerProgram(
             A,
-            A.apply(z0),
+            rhs,
             tuple(rng.randint(-4, 4) for _ in range(n)),
-            lower=(0,) * n,
-            upper=(4,) * n,
+            lower=lower,
+            upper=upper,
+            feasible_hint=z0 if k % 3 == 1 else None,
         )
         expected = brute_force_optimum(ip)
-        assert expected is not None
+        if expected is None:
+            infeasible += 1
+            with pytest.raises(InfeasibleError):
+                solve_ip(ip)
+            continue
         got = solve_ip(ip)
         obj = sum(c * x for c, x in zip(ip.objective, got))
         assert (obj, got) == expected
+    assert infeasible > 0
 
 
 def test_solve_ip_deep_branching_without_recursion():
