@@ -13,7 +13,11 @@ two chains of running-sum counters interleaved along the elimination
 ordering).  Every bound is a variable's domain: [-g, g] for a column of the
 box kind, [-d, d] for a column and 0..d for a counter of the degree kind.
 Bags are the cliques of the chordal completion under the chosen ordering,
-arranged along the elimination tree; two semijoin passes make every stored
+arranged along the elimination tree, one per maximal clique as in a clique
+tree (Blair & Peyton 1993): a clique that is exactly its first child's
+separator is folded into that child, whose bag then introduces several
+variables.  (A clique equal to a later child's separator keeps its own bag,
+which keeps the enumeration order.)  Two semijoin passes make every stored
 row extend to a full solution.
 """
 
@@ -23,7 +27,8 @@ import operator
 import os
 import warnings
 from bisect import bisect_left, bisect_right
-from itertools import compress, count, repeat
+from itertools import compress, count, islice, repeat
+from math import prod
 from typing import Iterator, Sequence
 
 from .core import (
@@ -131,26 +136,31 @@ Message = tuple[tuple[int, ...], list[dict[tuple[int, ...], tuple[int, ...]]]]
 class _Bag:
     """One clique of the join tree, and after the build its sweep plan.
 
-    The scope is ordered by elimination position, so the introduced
-    variable comes first in it and in every row.  The plan is fixed by the
-    downward pass.  Rows are sorted by separator key id, then by the
-    introduced variable's value; ``key_ids[r]`` is the id of row r's
-    separator key, and ``up[r]`` the id of this bag's separator key at row r
-    of the parent (``child_ups`` holds the children's).  So a child's
-    message, a list indexed by key id, is read at a parent row with no tuple
-    built.  Each scope column keeps its sorted distinct values and, for
-    each, the mask of the rows at or above it (bit len(rows) - 1 - r for
-    row r).
+    The scope is ordered by elimination position.  Its first entries, in
+    every row too, are the bag's introduced variables ``intros``: the
+    variable eliminated at the clique, then those of the non-maximal
+    cliques folded into it, each of which was exactly the separator of the
+    one before.  The rest of the scope is the separator.  The plan is fixed
+    by the downward pass.  Rows are sorted by separator key id, then by the
+    introduced variables from the last one back to the first, which is the
+    order in which the unfolded chain of bags would enumerate them;
+    ``key_ids[r]`` is the id of row r's separator key, and ``up[r]`` the id
+    of this bag's separator key at row r of the parent (``child_ups`` holds
+    the children's).  So a child's message, a list indexed by key id, is
+    read at a parent row with no tuple built.  Each scope column keeps its
+    sorted distinct values and, for each, the mask of the rows at or above
+    it (bit len(rows) - 1 - r for row r).
     """
 
     __slots__ = (
         "pos",
-        "intro",
+        "intros",
         "scope",
         "sep",
         "parent",
         "children",
         "rows",
+        "intro_values",
         "sep_positions",
         "child_extract",
         "key_ids",
@@ -160,15 +170,21 @@ class _Bag:
         "columns",
     )
 
-    def __init__(self, pos: int, intro: int, scope: tuple[int, ...], parent: int | None):
+    def __init__(
+        self, pos: int, intros: tuple[int, ...], scope: tuple[int, ...], parent: int | None
+    ):
+        if scope[: len(intros)] != intros:
+            raise LatticeError("the introduced variables must come first in the bag scope")
         self.pos = pos
-        self.intro = intro
+        self.intros = intros
         self.scope = scope  # ordered by elimination position
-        self.sep = tuple(v for v in scope if v != intro)
+        self.sep = scope[len(intros) :]
         self.parent = parent
         self.children: tuple[int, ...] = ()
         self.rows: tuple[tuple[int, ...], ...] = ()
-        self.sep_positions: tuple[int, ...] = ()
+        # per introduced variable, its value in each row
+        self.intro_values: tuple[tuple[int, ...], ...] = ()
+        self.sep_positions = tuple(range(len(intros), len(scope)))
         # child pos -> positions of the child's separator inside this scope
         self.child_extract: dict[int, tuple[int, ...]] = {}
         self.key_ids: list[int] = []
@@ -178,19 +194,17 @@ class _Bag:
         # (column, sorted distinct values, masks of the rows at or above each)
         self.columns: tuple[tuple[int, tuple[int, ...], tuple[int, ...]], ...] = ()
 
-    def set_positions(self, bags: "list[_Bag]") -> None:
+    def set_children(self, bags: "list[_Bag]", children: tuple[int, ...]) -> None:
+        self.children = children
         index = {v: i for i, v in enumerate(self.scope)}
-        if index[self.intro]:
-            raise LatticeError("the introduced variable must come first in the bag scope")
-        self.sep_positions = tuple(index[v] for v in self.sep)
-        self.child_extract = {c: tuple(index[v] for v in bags[c].sep) for c in self.children}
+        self.child_extract = {c: tuple(index[v] for v in bags[c].sep) for c in children}
 
     def project_sep(self, row: tuple[int, ...]) -> tuple[int, ...]:
-        return tuple([row[i] for i in self.sep_positions])
+        return row[len(self.intros) :]
 
     def message(self) -> Message:
         # deepest level first: each level's keys are the prefixes one shorter
-        prefixes = {self.project_sep(row) for row in self.rows}
+        prefixes = set(map(operator.itemgetter(slice(len(self.intros), None)), self.rows))
         levels: list[dict[tuple[int, ...], tuple[int, ...]]] = []
         for _ in self.sep:
             grouped: dict[tuple[int, ...], list[int]] = {}
@@ -203,10 +217,15 @@ class _Bag:
 
     def settle(self, pairs: Iterator[tuple[int, tuple[int, ...]]], num_keys: int, n: int) -> None:
         """Fix the rows, given as (key id, row) pairs, and compile the plan."""
-        keyed = sorted(pairs)
+        k = len(self.intros)
+        if k == 1:
+            keyed = sorted(pairs)
+        else:  # rows of one key differ only in their introduced variables
+            keyed = sorted(pairs, key=lambda pair: (pair[0], pair[1][k - 1 :: -1]))
         self.rows = tuple(map(operator.itemgetter(1), keyed))
         self.key_ids = list(map(operator.itemgetter(0), keyed))
         del keyed  # freed before the masks are built, to lower the peak
+        self.intro_values = tuple(tuple(map(operator.itemgetter(i), self.rows)) for i in range(k))
         self.num_keys = num_keys
         columns = []
         for i, var in enumerate(self.scope):
@@ -413,6 +432,14 @@ class KernelLattice:
         self.bound = bound
         self.num_columns = matrix.num_cols
         self._bags = bags
+        self._num_vars = sum(len(b.intros) for b in bags)
+        # each column with its bag's position and its values in the bag's rows
+        self._column_reads = tuple(
+            (var, bag.pos, values)
+            for bag in bags
+            for var, values in zip(bag.intros, bag.intro_values)
+            if var < self.num_columns
+        )
         self.realized_clique_number = clique_number
         self._roots = tuple(b.pos for b in bags if b.parent is None)
         self._preorder = self._compute_preorder()
@@ -478,9 +505,8 @@ class KernelLattice:
     def _vector(self, chosen: list[int]) -> Vec:
         """The column vector of one chosen row per bag."""
         v = [0] * self.num_columns
-        for bag in self._bags:
-            if bag.intro < self.num_columns:
-                v[bag.intro] = bag.rows[chosen[bag.pos]][0]
+        for var, pos, values in self._column_reads:
+            v[var] = values[chosen[pos]]
         return tuple(v)
 
     # -- enumeration --------------------------------------------------------
@@ -578,19 +604,27 @@ class KernelLattice:
         preorder: each bag takes, among its rows at the chosen parent row's
         key id, the one whose key is the aggregate.  Distinct rows there
         extend to distinct partial vectors, whose keys c.v tell apart, so
-        the row is unique, and it lies inside the box.  So when no other
-        row of the key matches, the last one does, unchecked.
+        the row is unique, and it lies inside the box; a group of one row
+        needs no search.
         """
         n = self.num_columns
         bags = self._bags
         c = weight_vector(order.weights, 2 * self.bound + 1, n)
         limit = sum(c) * self.bound
-        c += (0,) * (len(bags) - n)  # counters carry no weight
-        first = operator.itemgetter(0)
+        c += (0,) * (self._num_vars - n)  # counters carry no weight
 
-        def leaf(bag: _Bag, selected: bytes | None):
-            rows = bag.rows if selected is None else compress(bag.rows, selected)
-            return map(operator.mul, map(first, rows), repeat(c[bag.intro]))
+        def leaf(bag: _Bag, selected: bytes | None, columns=None):
+            # per row that the selection keeps, c_j * x_j summed over the
+            # introduced variables; the top-down search passes the columns of
+            # one group of rows
+            intros = bag.intros
+            columns = bag.intro_values if columns is None else columns
+            kept = columns[0] if selected is None else compress(columns[0], selected)
+            acc = map(operator.mul, kept, repeat(c[intros[0]]))
+            for i in range(1, len(intros)):
+                kept = columns[i] if selected is None else compress(columns[i], selected)
+                acc = map(operator.add, acc, map(operator.mul, kept, repeat(c[intros[i]])))
+            return acc
 
         aggs = self._sweep(box, leaf, operator.add, min, 2 * limit + 1)
         if any(aggs[root][0] > limit for root in self._roots):
@@ -600,20 +634,28 @@ class KernelLattice:
             bag = bags[pos]
             key = bag.key_at(chosen)
             keys = bag.key_ids
-            r = bisect_left(keys, key)
-            while r + 1 < len(keys) and keys[r + 1] == key:
-                value = c[bag.intro] * bag.rows[r][0]
-                value += sum(aggs[child][bags[child].up[r]] for child in bag.children)
-                if value == aggs[pos][key]:
-                    break
-                r += 1
-            chosen[pos] = r
+            lo = bisect_left(keys, key)
+            if lo + 1 == len(keys) or keys[lo + 1] != key:  # a group of one row
+                chosen[pos] = lo
+                continue
+            # the group's rows inside the box, valued as the sweep valued them
+            hi = bisect_right(keys, key, lo)
+            kept = None if box is None else bag.selection(*box)
+            kept = None if kept is None else kept[lo:hi]
+            values = leaf(bag, kept, [column[lo:hi] for column in bag.intro_values])
+            for child in bag.children:
+                up = bags[child].up[lo:hi]
+                up = up if kept is None else compress(up, kept)
+                values = map(operator.add, values, map(aggs[child].__getitem__, up))
+            index = range(lo, hi) if kept is None else compress(range(lo, hi), kept)
+            chosen[pos] = next(islice(index, operator.indexOf(values, aggs[pos][key]), None))
         return self._vector(chosen)
 
     # -- validation (exercised by the test suite) -------------------------------
 
     def validate(self) -> None:
-        """Assert the structural invariants: running intersection, separator
+        """Assert the structural invariants: one bag per clique that is not
+        its first child's separator, running intersection, separator
         containment, backtrack-freeness in both directions, and a sweep plan
         that agrees with the rows."""
         bags = self._bags
@@ -633,12 +675,19 @@ class KernelLattice:
                     )
                     walk = parent
         for bag in bags:
+            num_intros = len(bag.intros)
+            assert num_intros and bag.scope[:num_intros] == bag.intros, "intros not first"
+            assert bag.intro_values == tuple(
+                tuple(row[i] for row in bag.rows) for i in range(num_intros)
+            ), "introduced values disagree with the rows"
+            if bag.children:
+                assert set(bags[bag.children[0]].sep) != set(bag.scope), "clique not folded"
             if bag.parent is None:
                 assert set(bag.key_ids) <= {0} and bag.num_keys == 1
             else:
                 assert set(bag.sep) <= set(bags[bag.parent].scope)
             assert bag.key_ids == sorted(bag.key_ids), "rows not grouped by key id"
-            keyed = list(zip(bag.key_ids, (row[0] for row in bag.rows)))
+            keyed = list(zip(bag.key_ids, (row[num_intros - 1 :: -1] for row in bag.rows)))
             assert keyed == sorted(set(keyed)), "rows of a key not strictly sorted"
             key_of = {}
             for k, row in zip(bag.key_ids, bag.rows):
@@ -701,43 +750,63 @@ def _assemble(
     primal = Graph.from_edges(num_vars, edges)
     elim = eliminate(primal, pi)
 
+    # A clique that is exactly its first child's separator is not maximal:
+    # it folds into that child, whose bag takes the clique's step and adds
+    # its variable to the introduced ones.  chain[l] lists the steps folded
+    # together up to step l, bottom first.
+    position = elim.position
+    steps = range(len(pi))
+    parent = [None if elim.parent[v] is None else position[elim.parent[v]] for v in pi]
+    kids: list[list[int]] = [[] for _ in steps]
+    for l in steps:
+        if parent[l] is not None:
+            kids[parent[l]].append(l)
+    chain: list[list[int]] = []
+    absorbed = set()
+    for l in steps:
+        first = kids[l][0] if kids[l] else None
+        if first is not None and elim.cliques[first] - {pi[first]} == elim.cliques[l]:
+            chain.append(chain[first] + [l])
+            absorbed.add(first)
+        else:
+            chain.append([l])
+    tops = [l for l in steps if l not in absorbed]
+    pos_of = {l: p for p, top in enumerate(tops) for l in chain[top]}
+    bags = [
+        _Bag(
+            p,
+            tuple(pi[l] for l in chain[top]),
+            tuple(sorted(elim.cliques[chain[top][0]], key=position.__getitem__)),
+            None if parent[top] is None else pos_of[parent[top]],
+        )
+        for p, top in enumerate(tops)
+    ]
+    children: list[list[int]] = [[] for _ in bags]
+    for bag in bags:
+        if bag.parent is not None:
+            children[bag.parent].append(bag.pos)
+    for bag in bags:
+        bag.set_children(bags, tuple(children[bag.pos]))
+
     estimate = 0
-    for clique in elim.cliques:
-        cells = 1
-        for var in clique:
-            cells *= len(domains[var])
-        estimate += cells
+    for bag in bags:
+        estimate += prod(len(domains[var]) for var in bag.scope)
         if estimate > budget:
             raise BudgetExceeded(
                 f"estimated table work {estimate} exceeds budget {budget}; "
                 "lower the bound or provide a better ordering"
             )
 
-    position = elim.position
-    bags: list[_Bag] = []
-    for l, var in enumerate(pi):
-        scope = tuple(sorted(elim.cliques[l], key=position.__getitem__))
-        parent_vertex = elim.parent[var]
-        parent_pos = position[parent_vertex] if parent_vertex is not None else None
-        bags.append(_Bag(l, var, scope, parent_pos))
-    children: dict[int, list[int]] = {l: [] for l in range(num_vars)}
-    for bag in bags:
-        if bag.parent is not None:
-            children[bag.parent].append(bag.pos)
-    for bag in bags:
-        bag.children = tuple(sorted(children[bag.pos]))
-        bag.set_positions(bags)
-
-    by_bag: dict[int, list] = {l: [] for l in range(num_vars)}
+    by_bag: list[list] = [[] for _ in bags]
     for cons in constraints:
         scope = cons.scope()
         home = min(position[v] for v in scope)
-        if not set(scope) <= set(bags[home].scope):
+        if not set(scope) <= elim.cliques[home]:
             raise LatticeError(
                 "constraint scope not covered by its bag; the ordering does not "
                 "come from the primal graph"
             )
-        by_bag[home].append(cons)
+        by_bag[pos_of[home]].append(cons)
 
     # upward pass: enumerate each bag against its children's messages
     for bag in bags:

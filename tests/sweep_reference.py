@@ -1,10 +1,11 @@
 """The tuple-keyed sweep that the integer-indexed sweep plan replaced, kept
 as a reference for the tests.
 
-It reads only each bag's scope, separator, children and rows.  Every message
-is a dict keyed by separator value tuples, every box filter compares row
-values, and the minimiser keeps (key, row) back-pointers and rebuilds the
-vector top-down from the values already chosen.
+It reads only each bag's scope, introduced variables, separator, children
+and rows.  Every message is a dict keyed by separator value tuples, every
+box filter compares row values, and the minimiser keeps (key, row)
+back-pointers and rebuilds the vector top-down from the values already
+chosen.
 """
 
 from __future__ import annotations
@@ -32,7 +33,7 @@ def reference_sweep(L, box, leaf, times, plus) -> list[dict]:
         sep = tuple(index[v] for v in bag.sep)
         agg: dict = {}
         for row in rows:
-            acc = leaf(bag, row[index[bag.intro]], row)
+            acc = leaf(bag, row)
             for msg, extract in children:
                 entry = msg.get(tuple(row[i] for i in extract))
                 if entry is None:
@@ -59,7 +60,7 @@ def _roots_and_preorder(L) -> tuple[list[int], list[int]]:
 
 
 def reference_count(L, box=None) -> int:
-    msgs = reference_sweep(L, box, lambda bag, value, row: 1, operator.mul, operator.add)
+    msgs = reference_sweep(L, box, lambda bag, row: 1, operator.mul, operator.add)
     total = 1
     for root in _roots_and_preorder(L)[0]:
         total *= msgs[root].get((), 0)
@@ -70,8 +71,9 @@ def reference_minimize(L, order, box=None):
     n = L.num_columns
     c = weight_vector(order.weights, 2 * L.bound + 1, n)
 
-    def leaf(bag, value, row):
-        return (c[bag.intro] * value if bag.intro < n else 0), row
+    def leaf(bag, row):
+        index = {v: i for i, v in enumerate(bag.scope)}
+        return sum(c[v] * row[index[v]] for v in bag.intros if v < n), row
 
     def times(a, b):
         return a[0] + b[0], a[1]

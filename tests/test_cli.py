@@ -390,3 +390,44 @@ def test_lattice_vector_only_with_contains(capsys, tc_matrix):
     ):
         code, out, err = run_cli(capsys, "lattice", "--matrix", tc_matrix, *argv)
         assert code == 2 and out == "" and "vector" in err
+
+
+def test_lattice_list_output_is_pinned(capsys, tc_matrix, tmp_path):
+    # the enumeration order of `lattice list`, byte for byte; stored_rows
+    # counts the rows the bags actually store
+    tie = tmp_path / "tie.txt"
+    tie.write_text(matrix_to_text(random_sparse_matrix(4, 9, 2, 0.35, 0)))
+    cases = [
+        (
+            ("--matrix", tc_matrix, "--bound", "2"),
+            '{"bound": 2, "clique_number": 4, "elements": [[-2, 2, 2, -2], [-1, 1, 1, -1], [0,'
+            ' -1, 2, -1], [-1, 2, -1, 0], [0, 0, 0, 0], [1, -2, 1, 0], [0, 1, -2, 1], [1, -1, -1,'
+            ' 1], [2, -2, -2, 2]], "kind": "box", "stored_rows": 9}',
+        ),
+        (
+            ("--matrix", tc_matrix, "--degree", "2"),
+            '{"bound": 2, "clique_number": 6, "elements": [[0, 0, 0, 0], [-1, 1, 1, -1], [0, -1,'
+            ' 2, -1], [-1, 2, -1, 0], [1, -2, 1, 0], [0, 1, -2, 1], [1, -1, -1, 1]], "kind":'
+            ' "degree", "stored_rows": 43}',
+        ),
+        (
+            ("--matrix", str(tie), "--degree", "2", "--ordering", "min-fill"),
+            '{"bound": 2, "clique_number": 6, "elements": [[0, 0, 0, 0, 0, 0, 0, 0, 0], [0, 1, 0,'
+            ' 0, 0, 0, 0, 0, 0], [0, 0, 0, 0, 0, 0, 1, 0, 0], [0, 2, 0, 0, 0, 0, 0, 0, 0], [0, 1,'
+            ' 0, 0, 0, 0, 1, 0, 0], [0, 0, 0, 0, 0, 0, 2, 0, 0], [0, 0, 0, 0, 0, 0, -1, 0, 0],'
+            ' [0, -1, 0, 0, 0, 0, 0, 0, 0], [0, 1, 0, 0, 0, 0, -1, 0, 0], [0, 0, 1, 0, -1, 0, 0,'
+            ' 0, 0], [0, 0, -1, 0, 1, 0, 0, 0, 0], [0, -1, 0, 0, 0, 0, 1, 0, 0], [0, 2, 0, 0, 0,'
+            ' 0, -1, 0, 0], [0, 1, 1, 0, -1, 0, 0, 0, 0], [0, 1, -1, 0, 1, 0, 0, 0, 0], [0, 0, 1,'
+            ' 0, -1, 0, 1, 0, 0], [0, 0, -1, 0, 1, 0, 1, 0, 0], [0, -1, 0, 0, 0, 0, 2, 0, 0], [0,'
+            ' 0, 0, 0, 0, 0, -2, 0, 0], [0, -1, 0, 0, 0, 0, -1, 0, 0], [0, -2, 0, 0, 0, 0, 0, 0,'
+            ' 0], [0, 1, 0, 0, 0, 0, -2, 0, 0], [0, 0, 1, 0, -1, 0, -1, 0, 0], [0, 0, -1, 0, 1,'
+            ' 0, -1, 0, 0], [0, -1, 1, 0, -1, 0, 0, 0, 0], [0, -1, -1, 0, 1, 0, 0, 0, 0], [0, -2,'
+            ' 0, 0, 0, 0, 1, 0, 0], [0, 2, 0, 0, 0, 0, -2, 0, 0], [0, 1, 1, 0, -1, 0, -1, 0, 0],'
+            ' [0, 1, -1, 0, 1, 0, -1, 0, 0], [0, 0, 2, 0, -2, 0, 0, 0, 0], [0, 0, -2, 0, 2, 0, 0,'
+            ' 0, 0], [0, -1, 1, 0, -1, 0, 1, 0, 0], [0, -1, -1, 0, 1, 0, 1, 0, 0], [0, -2, 0, 0,'
+            ' 0, 0, 2, 0, 0]], "kind": "degree", "stored_rows": 202}',
+        ),
+    ]
+    for args, want in cases:
+        code, out, _ = run_cli(capsys, "lattice", *args, "list")
+        assert code == 0 and out == want + "\n", args

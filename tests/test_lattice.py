@@ -16,7 +16,12 @@ from toricbases import (
 from toricbases.core import DimensionMismatch
 from toricbases.graphs import cycle_graph
 from toricbases.lattice import conformal_box, shift_box
-from toricbases.oracle import enumerate_kernel, incidence_matrix, random_sparse_matrix
+from toricbases.oracle import (
+    enumerate_kernel,
+    incidence_matrix,
+    random_sparse_matrix,
+    two_by_two_minors_matrix,
+)
 
 from conftest import TWISTED_CUBIC_GRAVER
 from sweep_reference import reference_count, reference_minimize
@@ -299,6 +304,10 @@ def test_sweep_plan_matches_tuple_keyed_reference(case):
     for box in (None, *boxes, empty):
         assert L.count(box) == reference_count(L, box)
         assert L.minimize(order, box) == reference_minimize(L, order, box)
+    if kind == "degree":
+        # the root clique, the last counter alone, always folds into its
+        # child, so every degree case sweeps a bag with several intros
+        assert len(L._bags[-1].intros) > 1
 
 
 @st.composite
@@ -339,11 +348,27 @@ def test_iterate_long_cycle_without_recursion():
 
 def test_backtrack_free_validator_random():
     rng = random.Random(71)
+    folded = 0
     for A in random_instances(15, seed=71):
         L = build_lattice(A, rng.randint(1, 2))
         L.validate()
         LT = build_truncated_lattice(A, rng.randint(1, 3))
         LT.validate()
+        folded += any(len(bag.intros) > 1 for bag in L._bags + LT._bags)
+    assert folded == 15  # the validator sees merged bags in every case
+
+
+def test_one_bag_per_maximal_clique(twisted_cubic):
+    # K_{3,4} at g=2 has 12 elimination cliques, 5 of them maximal, and a
+    # folded clique stores no rows of its own
+    L = build_lattice(two_by_two_minors_matrix(3, 4), 2)
+    L.validate()
+    assert (len(L._bags), L.total_rows()) == (5, 5483)
+    assert [len(bag.intros) for bag in L._bags] == [1, 1, 1, 2, 7]
+    # the twisted cubic's column graph is complete: one bag, one row per vector
+    L = build_lattice(twisted_cubic, 2)
+    assert (len(L._bags), L.total_rows()) == (1, 9)
+    assert L._bags[0].intros == L._bags[0].scope
 
 
 def test_default_bound_warns_when_large():
