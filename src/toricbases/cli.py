@@ -18,7 +18,6 @@ from typing import Sequence
 
 from . import bases as bases_mod
 from . import graphs as graphs_mod
-from . import oracle as oracle_mod
 from .core import (
     MonomialOrder,
     SparseIntMatrix,
@@ -307,6 +306,8 @@ def _cmd_vertex_cover(args) -> int:
 
 
 def _cmd_gen(args) -> int:
+    from . import oracle as oracle_mod  # imported here: it loads numpy
+
     if args.kind == "minors":
         matrix = oracle_mod.two_by_two_minors_matrix(args.blocks, args.copies)
     elif args.kind == "threeway":

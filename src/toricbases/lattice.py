@@ -27,7 +27,7 @@ import operator
 import os
 import warnings
 from bisect import bisect_left, bisect_right
-from itertools import compress, count, islice, repeat
+from itertools import compress, count, repeat
 from math import prod
 from typing import Iterator, Sequence
 
@@ -145,11 +145,11 @@ class _Bag:
     introduced variables from the last one back to the first, which is the
     order in which the unfolded chain of bags would enumerate them;
     ``key_ids[r]`` is the id of row r's separator key, and ``up[r]`` the id
-    of this bag's separator key at row r of the parent (``child_ups`` holds
-    the children's).  So a child's message, a list indexed by key id, is
-    read at a parent row with no tuple built.  Each scope column keeps its
-    sorted distinct values and, for each, the mask of the rows at or above
-    it (bit len(rows) - 1 - r for row r).
+    of this bag's separator key at row r of the parent.  So a child's
+    message, a list indexed by key id, is read at a parent row with no
+    tuple built.  Each scope column keeps its sorted distinct values and,
+    for each, the mask of the rows at or above it (bit len(rows) - 1 - r
+    for row r).
     """
 
     __slots__ = (
@@ -161,12 +161,10 @@ class _Bag:
         "children",
         "rows",
         "intro_values",
-        "sep_positions",
         "child_extract",
         "key_ids",
         "num_keys",
         "up",
-        "child_ups",
         "columns",
     )
 
@@ -184,13 +182,11 @@ class _Bag:
         self.rows: tuple[tuple[int, ...], ...] = ()
         # per introduced variable, its value in each row
         self.intro_values: tuple[tuple[int, ...], ...] = ()
-        self.sep_positions = tuple(range(len(intros), len(scope)))
         # child pos -> positions of the child's separator inside this scope
         self.child_extract: dict[int, tuple[int, ...]] = {}
         self.key_ids: list[int] = []
         self.num_keys = 0
         self.up: list[int] = []
-        self.child_ups: tuple[list[int], ...] = ()
         # (column, sorted distinct values, masks of the rows at or above each)
         self.columns: tuple[tuple[int, tuple[int, ...], tuple[int, ...]], ...] = ()
 
@@ -198,9 +194,6 @@ class _Bag:
         self.children = children
         index = {v: i for i, v in enumerate(self.scope)}
         self.child_extract = {c: tuple(index[v] for v in bags[c].sep) for c in children}
-
-    def project_sep(self, row: tuple[int, ...]) -> tuple[int, ...]:
-        return row[len(self.intros) :]
 
     def message(self) -> Message:
         # deepest level first: each level's keys are the prefixes one shorter
@@ -275,7 +268,7 @@ _BIT_BYTES = bytes.maketrans(b"01", b"\x00\x01")
 
 def _enumerate_bag(
     scope: tuple[int, ...],
-    domains: dict[int, tuple[int, ...]],
+    domains: dict[int, range],
     constraints: list,
     messages: list[Message],
 ) -> list[tuple[int, ...]]:
@@ -567,13 +560,10 @@ class KernelLattice:
         aggs: list[list] = []
         for bag in bags:
             selected = None if box is None else bag.selection(lo, hi)
-            keys = bag.key_ids
-            ups = bag.child_ups
-            if selected is not None:
-                keys = compress(keys, selected)
-                ups = [compress(up, selected) for up in ups]
+            keys = bag.key_ids if selected is None else compress(bag.key_ids, selected)
             acc = leaf(bag, selected)
-            for c, up in zip(bag.children, ups):
+            for c in bag.children:
+                up = bags[c].up if selected is None else compress(bags[c].up, selected)
                 acc = map(times, acc, map(aggs[c].__getitem__, up))
             agg = [zero] * bag.num_keys
             for key, value in zip(keys, acc):
@@ -593,32 +583,31 @@ class KernelLattice:
 
     def minimize(self, order: MonomialOrder, box: Box | None = None) -> Vec | None:
         """The represented vector inside the box that is smallest under the
-        order, or None when there is none: the (min, +) sweep.
+        order, or None when there is none: the (min, +) sweep, then O(n)
+        arithmetic.
 
         The order's key (w.v, v_1, ..., v_n) becomes the single integer c.v
-        with c = weight_vector(w, 2*bound + 1, n); any two represented
-        vectors differ by at most 2*bound in every column, so c.v orders them
-        exactly as the key does.  Every partial key lies in [-M, M] for
-        M = bound * sum c_j (c is positive), so 2M + 1 absorbs under + and
-        loses every min: it is the zero.  The vector is read off top-down in
-        preorder: each bag takes, among its rows at the chosen parent row's
-        key id, the one whose key is the aggregate.  Distinct rows there
-        extend to distinct partial vectors, whose keys c.v tell apart, so
-        the row is unique, and it lies inside the box; a group of one row
-        needs no search.
+        with c = weight_vector(w, r, n) and r = 2*bound + 1; any two
+        represented vectors differ by at most 2*bound in every column, so c.v
+        orders them exactly as the key does.  Every partial key lies in
+        [-M, M] for M = bound * sum c_j (c is positive), so 2M + 1 absorbs
+        under + and loses every min: it is the zero.  The root aggregates sum
+        to c.v = r^n (w.v) + sum_j v_j r^(n-1-j) for the minimiser v, and as
+        every |v_j| <= bound the last sum holds v as its balanced base-r
+        digits: adding (r^n - 1) / 2, the digits all equal to bound, and
+        reducing modulo r^n leaves the digits v_j + bound.  So the vector is
+        decoded, not searched for top-down.
         """
         n = self.num_columns
-        bags = self._bags
-        c = weight_vector(order.weights, 2 * self.bound + 1, n)
+        r = 2 * self.bound + 1
+        c = weight_vector(order.weights, r, n)
         limit = sum(c) * self.bound
         c += (0,) * (self._num_vars - n)  # counters carry no weight
 
-        def leaf(bag: _Bag, selected: bytes | None, columns=None):
+        def leaf(bag: _Bag, selected: bytes | None):
             # per row that the selection keeps, c_j * x_j summed over the
-            # introduced variables; the top-down search passes the columns of
-            # one group of rows
-            intros = bag.intros
-            columns = bag.intro_values if columns is None else columns
+            # introduced variables
+            intros, columns = bag.intros, bag.intro_values
             kept = columns[0] if selected is None else compress(columns[0], selected)
             acc = map(operator.mul, kept, repeat(c[intros[0]]))
             for i in range(1, len(intros)):
@@ -627,29 +616,17 @@ class KernelLattice:
             return acc
 
         aggs = self._sweep(box, leaf, operator.add, min, 2 * limit + 1)
-        if any(aggs[root][0] > limit for root in self._roots):
-            return None
-        chosen = [0] * len(bags)
-        for pos in self._preorder:
-            bag = bags[pos]
-            key = bag.key_at(chosen)
-            keys = bag.key_ids
-            lo = bisect_left(keys, key)
-            if lo + 1 == len(keys) or keys[lo + 1] != key:  # a group of one row
-                chosen[pos] = lo
-                continue
-            # the group's rows inside the box, valued as the sweep valued them
-            hi = bisect_right(keys, key, lo)
-            kept = None if box is None else bag.selection(*box)
-            kept = None if kept is None else kept[lo:hi]
-            values = leaf(bag, kept, [column[lo:hi] for column in bag.intro_values])
-            for child in bag.children:
-                up = bags[child].up[lo:hi]
-                up = up if kept is None else compress(up, kept)
-                values = map(operator.add, values, map(aggs[child].__getitem__, up))
-            index = range(lo, hi) if kept is None else compress(range(lo, hi), kept)
-            chosen[pos] = next(islice(index, operator.indexOf(values, aggs[pos][key]), None))
-        return self._vector(chosen)
+        total = 0
+        for root in self._roots:
+            if aggs[root][0] > limit:
+                return None
+            total += aggs[root][0]
+        rest = (total + (r**n - 1) // 2) % r**n
+        v = [0] * n
+        for j in reversed(range(n)):
+            rest, digit = divmod(rest, r)
+            v[j] = digit - self.bound
+        return tuple(v)
 
     # -- validation (exercised by the test suite) -------------------------------
 
@@ -690,8 +667,8 @@ class KernelLattice:
             keyed = list(zip(bag.key_ids, (row[num_intros - 1 :: -1] for row in bag.rows)))
             assert keyed == sorted(set(keyed)), "rows of a key not strictly sorted"
             key_of = {}
-            for k, row in zip(bag.key_ids, bag.rows):
-                assert key_of.setdefault(k, bag.project_sep(row)) == bag.project_sep(row)
+            for k, sep in zip(bag.key_ids, (row[num_intros:] for row in bag.rows)):
+                assert key_of.setdefault(k, sep) == sep
             for var, values, masks in bag.columns:
                 i = bag.scope.index(var)
                 for x, mask in zip(values, masks):
@@ -701,7 +678,7 @@ class KernelLattice:
                 child = bags[c]
                 child_keys = {}
                 for k, row in zip(child.key_ids, child.rows):
-                    child_keys[k] = child.project_sep(row)
+                    child_keys[k] = row[len(child.intros) :]
                 assert len(child.up) == len(bag.rows)
                 for row, k in zip(bag.rows, child.up):
                     want = tuple(row[i] for i in bag.child_extract[c])
@@ -736,7 +713,7 @@ def _assemble(
     bound: int,
     num_vars: int,
     pi: tuple[int, ...],
-    domains: dict[int, tuple[int, ...]],
+    domains: dict[int, range],
     constraints: list,
     budget: int,
 ) -> KernelLattice:
@@ -790,7 +767,8 @@ def _assemble(
 
     estimate = 0
     for bag in bags:
-        estimate += prod(len(domains[var]) for var in bag.scope)
+        # sizes as stop - start: len() of a range overflows past sys.maxsize
+        estimate += prod(domains[var].stop - domains[var].start for var in bag.scope)
         if estimate > budget:
             raise BudgetExceeded(
                 f"estimated table work {estimate} exceeds budget {budget}; "
@@ -827,11 +805,11 @@ def _assemble(
             projections = list(map(operator.itemgetter(*bag.child_extract[c]), bag.rows))
             ids = dict(zip(dict.fromkeys(projections), count()))
             child.up = list(map(ids.__getitem__, projections))
-            keys = map(ids.get, map(operator.itemgetter(*child.sep_positions), child.rows))
+            sep = operator.itemgetter(*range(len(child.intros), len(child.scope)))
+            keys = map(ids.get, map(sep, child.rows))
             child.settle(
                 ((key, row) for key, row in zip(keys, child.rows) if key is not None), len(ids), n
             )
-        bag.child_ups = tuple(bags[c].up for c in bag.children)
 
     return KernelLattice(matrix, kind, bound, bags, elim.clique_number)
 
@@ -878,13 +856,9 @@ def build_lattice(
             )
     if g < 0:
         raise ValueError("bound must be nonnegative")
-    budget = _resolve_budget(build_budget)
-    if 2 * g + 1 > budget:
-        raise BudgetExceeded(f"domain size {2 * g + 1} exceeds budget {budget}")
     column_ordering = _resolve_ordering(A, ordering)
     n = A.num_cols
-    domain = tuple(range(-g, g + 1))
-    domains = {j: domain for j in range(n)}
+    domains = dict.fromkeys(range(n), range(-g, g + 1))
     return _assemble(
         A,
         "box",
@@ -893,7 +867,7 @@ def build_lattice(
         column_ordering,
         domains,
         _row_constraints(A),
-        budget,
+        _resolve_budget(build_budget),
     )
 
 
@@ -918,14 +892,8 @@ def build_truncated_lattice(
     column_ordering = _resolve_ordering(A, ordering)
     n = A.num_cols
     num_vars = 3 * n
-    column_domain = tuple(range(-d, d + 1))
-    counter_domain = tuple(range(0, d + 1))
-    domains: dict[int, tuple[int, ...]] = {}
-    for j in range(n):
-        domains[j] = column_domain
-    for l in range(n):
-        domains[n + l] = counter_domain
-        domains[2 * n + l] = counter_domain
+    domains = dict.fromkeys(range(n), range(-d, d + 1))
+    domains.update(dict.fromkeys(range(n, num_vars), range(d + 1)))
 
     pi: list[int] = []
     for l, col in enumerate(column_ordering):

@@ -316,8 +316,6 @@ def ip_to_normalform(ip: IntegerProgram, *, graded: bool = False) -> NormalFormR
 
     z_bar = ip.feasible_hint
     y_bar = tuple(tj - zj for tj, zj in zip(t, z_bar))
-    if any(y < 0 for y in y_bar):
-        raise ValueError("feasible hint exceeds an upper bound")
     tracker = sum(a * y for a, y in zip(c_neg, y_bar)) + sum(
         a * z for a, z in zip(c_pos, z_bar)
     )

@@ -1,10 +1,17 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
 from toricbases.cli import main
-from toricbases.core import matrix_to_text
-from toricbases.oracle import random_sparse_matrix
+from toricbases.core import matrix_from_text, matrix_to_text
+from toricbases.graphs import edge_list_from_text
+from toricbases.oracle import incidence_matrix, nfold_product, random_sparse_matrix
+
+ROOT = Path(__file__).resolve().parents[1]
 
 
 def run_cli(capsys, *argv):
@@ -166,6 +173,32 @@ def test_gen_subcommands(capsys, tmp_path):
     assert out_path.exists()
     code, out, _ = run_cli(capsys, "gen", "--kind", "threeway", "--l", "2", "--m", "2", "--n", "2")
     assert code == 0
+    graph_path = tmp_path / "k3.txt"
+    graph_path.write_text("0 1\n1 2\n2 0\n")
+    code, out, _ = run_cli(capsys, "gen", "--kind", "incidence", "--graph", str(graph_path))
+    assert code == 0
+    assert out == matrix_to_text(incidence_matrix(edge_list_from_text(graph_path.read_text())))
+    a1, a2 = tmp_path / "a1.txt", tmp_path / "a2.txt"
+    a1.write_text("1 2\n1 1\n")
+    a2.write_text("1 2\n1 -1\n")
+    code, out, _ = run_cli(
+        capsys, "gen", "--kind", "nfold", "--a1", str(a1), "--a2", str(a2), "--copies", "3"
+    )
+    assert code == 0
+    want = nfold_product(matrix_from_text(a1.read_text()), matrix_from_text(a2.read_text()), 3)
+    assert out == matrix_to_text(want)
+    code, _, err = run_cli(capsys, "gen", "--kind", "nfold", "--a1", str(a1))
+    assert code == 2 and "--a2" in err
+
+
+def test_cli_import_leaves_numpy_unloaded():
+    # only `gen` needs the oracle, which loads numpy, and imports it when it runs
+    env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
+    script = "import sys, toricbases.cli; sys.exit('numpy' in sys.modules)"
+    proc = subprocess.run(
+        [sys.executable, "-c", script], cwd=ROOT, env=env, capture_output=True, text=True, timeout=60
+    )
+    assert proc.returncode == 0, proc.stderr or "toricbases.cli imported numpy"
 
 
 def test_ordering_from_file_and_strategies(capsys, tc_matrix, tmp_path):

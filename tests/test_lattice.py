@@ -1,4 +1,5 @@
 import random
+import tracemalloc
 
 import pytest
 from hypothesis import given, settings
@@ -243,6 +244,45 @@ def test_minimize_on_emptied_lattice(twisted_cubic):
             assert L.count(box) == 0
 
 
+TWISTED_CUBIC = SparseIntMatrix.from_dense([[1, 1, 1, 1], [0, 1, 2, 3]])
+BLOCK_DIAGONAL = SparseIntMatrix.from_dense([[1, 1, 1, 0, 0, 0], [0, 0, 0, 1, 2, -1]])
+
+
+@pytest.mark.parametrize(
+    "A, kind, bound",
+    [
+        (TWISTED_CUBIC, "box", 0),
+        (TWISTED_CUBIC, "degree", 0),
+        (BLOCK_DIAGONAL, "box", 2),
+        (BLOCK_DIAGONAL, "degree", 2),
+        (SparseIntMatrix(1, 0, []), "box", 2),
+        (SparseIntMatrix(1, 0, []), "degree", 2),
+    ],
+)
+def test_minimize_decodes_edge_cases(A, kind, bound):
+    # bound 0 (radix 1), a forest of several roots whose aggregates are
+    # summed, and no columns at all (an empty vector from no digits)
+    n = A.num_cols
+    if kind == "box":
+        L, elements = build_lattice(A, bound), enumerate_kernel(A, bound)
+    else:
+        L, elements = build_truncated_lattice(A, bound), oracle_truncated(A, bound)
+    if A is BLOCK_DIAGONAL and kind == "box":
+        assert len(L._roots) >= 2
+    u = tuple(j % 3 for j in range(n))
+    orders = (
+        MonomialOrder.lex(n),
+        MonomialOrder.grlex(n),
+        MonomialOrder(tuple((3 * j + 1) % 4 for j in range(n))),
+    )
+    for order in orders:
+        for box in (None, shift_box(u, bound)):
+            inside = [
+                v for v in elements if box is None or all(l <= x <= h for l, h, x in zip(*box, v))
+            ]
+            assert L.minimize(order, box) == min(inside, key=order.key, default=None)
+
+
 def test_refiltered_nonempty_subset(twisted_cubic):
     L = build_lattice(twisted_cubic, 2)
     box = ((1, -2, -2, -2), (2, 2, 2, 2))
@@ -400,6 +440,21 @@ def test_build_budget_guard(twisted_cubic, monkeypatch):
     assert build_lattice(twisted_cubic, 3, build_budget=10**8).count() == len(
         enumerate_kernel(twisted_cubic, 3)
     )
+
+
+def test_budget_refuses_before_allocating_the_domains():
+    # a domain is a range, so both builders refuse a huge bound from the
+    # table estimate alone, with no list or tuple as long as the domain
+    A = SparseIntMatrix.from_dense([[1, 1, 1]])
+    for build in (build_lattice, build_truncated_lattice):
+        tracemalloc.start()
+        try:
+            with pytest.raises(BudgetExceeded):
+                build(A, 200_000, build_budget=10)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2**20
 
 
 def test_budget_covers_only_the_table_estimate():
