@@ -146,6 +146,7 @@ def _cmd_lattice(args) -> int:
         raise ValueError("contains needs a vector argument")
     if args.action != "contains" and args.vector is not None:
         raise ValueError(f"{args.action} takes no vector argument")
+    vector = None if args.vector is None else _parse_vector(args.vector)  # before the build
     A = _read_matrix(args.matrix, args.drop_zero_rows)
     lattice = _build_from_args(args, A)
     payload = {
@@ -159,8 +160,8 @@ def _cmd_lattice(args) -> int:
     elif args.action == "list":
         payload["elements"] = [list(v) for v in lattice.iterate()]
     else:  # contains
-        payload["vector"] = list(_parse_vector(args.vector))
-        payload["contains"] = lattice.contains(_parse_vector(args.vector))
+        payload["vector"] = list(vector)
+        payload["contains"] = lattice.contains(vector)
     _emit(payload)
     return 0
 

@@ -240,14 +240,6 @@ class _Bag:
             columns.append((var, tuple(values), tuple(masks)))
         self.columns = tuple(columns)
 
-    def key_at(self, chosen: list[int]) -> int:
-        """This bag's separator key id at the parent's chosen row."""
-        return 0 if self.parent is None else self.up[chosen[self.parent]]
-
-    def group(self, key: int) -> range:
-        """The rows with the given separator key id."""
-        return range(bisect_left(self.key_ids, key), bisect_right(self.key_ids, key))
-
     def selection(self, lo: Vec, hi: Vec) -> bytes | None:
         """One byte per row, nonzero for the rows inside the box, or None
         when the box keeps every row."""
@@ -425,26 +417,19 @@ class KernelLattice:
         self.bound = bound
         self.num_columns = matrix.num_cols
         self._bags = bags
-        self._num_vars = sum(len(b.intros) for b in bags)
-        # each column with its bag's position and its values in the bag's rows
-        self._column_reads = tuple(
-            (var, bag.pos, values)
-            for bag in bags
-            for var, values in zip(bag.intros, bag.intro_values)
-            if var < self.num_columns
-        )
         self.realized_clique_number = clique_number
         self._roots = tuple(b.pos for b in bags if b.parent is None)
-        self._preorder = self._compute_preorder()
-
-    def _compute_preorder(self) -> tuple[int, ...]:
-        order: list[int] = []
+        # an enumerated tuple holds the introduced variables of the bags in
+        # preorder, roots in order; the layout picks the columns out of it
+        intros: list[int] = []
         stack = list(reversed(self._roots))
         while stack:
-            pos = stack.pop()
-            order.append(pos)
-            stack.extend(reversed(self._bags[pos].children))
-        return tuple(order)
+            bag = bags[stack.pop()]
+            intros.extend(bag.intros)
+            stack.extend(reversed(bag.children))
+        self._num_vars = len(intros)
+        where = {var: i for i, var in enumerate(intros)}
+        self._layout = tuple(map(where.__getitem__, range(self.num_columns)))
 
     def total_rows(self) -> int:
         return sum(len(b.rows) for b in self._bags)
@@ -495,61 +480,53 @@ class KernelLattice:
     def __contains__(self, v: Sequence[int]) -> bool:
         return self.contains(v)
 
-    def _vector(self, chosen: list[int]) -> Vec:
-        """The column vector of one chosen row per bag."""
-        v = [0] * self.num_columns
-        for var, pos, values in self._column_reads:
-            v[var] = values[chosen[pos]]
-        return tuple(v)
-
     # -- enumeration --------------------------------------------------------
 
     def iterate(self) -> Iterator[Vec]:
         """Yield every represented vector exactly once, in a deterministic
-        order, by backtrack-free depth-first extension along the tree.
+        order: the sweep over lists of partial tuples, united over a key's
+        rows and multiplied across the children as ordered products (the
+        free semiring).
 
-        The extension keeps one iterator over a bag's rows at the chosen
-        parent row's key, per bag in preorder, on an explicit stack, so long
-        trees need no recursion."""
-        bags = self._bags
-        order = [bags[pos] for pos in self._preorder]
-        if not order:
-            yield ()
-            return
-        chosen = [0] * len(bags)
+        The product puts a row's introduced values first, then each child's
+        tuples in child order, with the row outermost, and a key's rows stay
+        in stored order.  So the tuples come out as the depth-first extension
+        along the tree gives them: lexicographic in one row per bag, bags in
+        preorder.  The layout maps a tuple to column order, without counters."""
 
-        def rows(bag: _Bag) -> Iterator[int]:
-            return iter(bag.group(bag.key_at(chosen)))
+        def leaf(bag: _Bag, selected: None) -> Iterator[list]:
+            return ([t] for t in zip(*bag.intro_values))
 
-        stack = [rows(order[0])]
-        while stack:
-            r = next(stack[-1], None)
-            if r is None:
-                stack.pop()
-                continue
-            chosen[order[len(stack) - 1].pos] = r
-            if len(stack) == len(order):
-                yield self._vector(chosen)
-            else:
-                stack.append(rows(order[len(stack)]))
+        def times(acc: list, child: list) -> list:
+            return [a + b for a in acc for b in child]
+
+        aggs = self._sweep(None, leaf, times, operator.iadd, [])
+        tuples: list[tuple[int, ...]] = [()]
+        for root in self._roots:
+            tuples = times(tuples, aggs[root][0])
+        for t in tuples:
+            yield tuple(map(t.__getitem__, self._layout))
 
     def __iter__(self) -> Iterator[Vec]:
         return self.iterate()
 
     # -- sweeps -------------------------------------------------------------
 
-    def _sweep(self, box: Box | None, leaf, times, plus, zero) -> list[list]:
-        """One bottom-up pass of a commutative semiring over the join tree.
+    def _sweep(self, box: Box | None, leaf, times, plus, zero) -> list[list | None]:
+        """One bottom-up pass of a semiring over the join tree.
 
         Children precede their parent in position order.  A bag's aggregate
         is a list indexed by separator key id: ``plus`` over the bag's rows
-        inside the box with that key of the row's leaf value ``times`` the
-        children's messages at the row, ``zero`` where no row contributes.
-        ``leaf(bag, selected)`` yields the leaf values of the rows that the
-        selection bytes keep (all rows when None).  ``zero`` must absorb
-        under ``times``, because the passes over the rows (``compress`` and
-        ``map``) cannot skip a row; only the fold into the aggregates runs a
-        Python loop.
+        inside the box with that key, in row order, of the row's leaf value
+        ``times`` the children's messages at the row in child order,
+        ``zero`` where no row contributes.  ``leaf(bag, selected)`` yields
+        the leaf values of the rows that the selection bytes keep (all rows
+        when None).  ``zero`` must absorb under ``times``, because the
+        passes over the rows (``compress`` and ``map``) cannot skip a row;
+        only the fold into the aggregates runs a Python loop.  ``leaf`` and
+        ``times`` make fresh values, so ``plus`` may extend its left operand
+        in place.  A child's aggregate is released (set to None) once its
+        parent has read it; only the roots' aggregates are returned.
         """
         n = self.num_columns
         if box is not None:
@@ -557,7 +534,7 @@ class KernelLattice:
             if not len(lo) == len(hi) == n:
                 raise DimensionMismatch(f"box needs {n} lower and upper bounds")
         bags = self._bags
-        aggs: list[list] = []
+        aggs: list[list | None] = []
         for bag in bags:
             selected = None if box is None else bag.selection(lo, hi)
             keys = bag.key_ids if selected is None else compress(bag.key_ids, selected)
@@ -570,6 +547,8 @@ class KernelLattice:
                 old = agg[key]
                 agg[key] = value if old is zero else plus(old, value)
             aggs.append(agg)
+            for c in bag.children:
+                aggs[c] = None
         return aggs
 
     def count(self, box: Box | None = None) -> int:

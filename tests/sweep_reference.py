@@ -1,11 +1,12 @@
-"""The tuple-keyed sweep that the integer-indexed sweep plan replaced, kept
-as a reference for the tests.
+"""The tuple-keyed sweep that the integer-indexed sweep plan replaced, and
+the depth-first enumeration that the list sweep replaced, kept as
+references for the tests.
 
-It reads only each bag's scope, introduced variables, separator, children
+They read only each bag's scope, introduced variables, separator, children
 and rows.  Every message is a dict keyed by separator value tuples, every
 box filter compares row values, and the minimiser keeps (key, row)
 back-pointers and rebuilds the vector top-down from the values already
-chosen.
+chosen.  The enumeration extends the values already chosen bag by bag.
 """
 
 from __future__ import annotations
@@ -87,3 +88,25 @@ def reference_minimize(L, order, box=None):
             return None
         env.update(zip(bag.scope, best[1]))
     return tuple(env[j] for j in range(n))
+
+
+def reference_iterate(L) -> list:
+    """Every represented vector, in the order of the depth-first walk: the
+    bags in preorder, each extending the values already chosen with every
+    stored row whose separator agrees with them, in stored order."""
+    n = L.num_columns
+    order = [L._bags[pos] for pos in _roots_and_preorder(L)[1]]
+    out: list = []
+
+    def extend(depth: int, env: dict) -> None:
+        if depth == len(order):
+            out.append(tuple(env[j] for j in range(n)))
+            return
+        bag = order[depth]
+        k = len(bag.intros)
+        for row in bag.rows:
+            if all(env[v] == x for v, x in zip(bag.sep, row[k:])):
+                extend(depth + 1, {**env, **dict(zip(bag.intros, row[:k]))})
+
+    extend(0, {})
+    return out

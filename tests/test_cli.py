@@ -415,6 +415,15 @@ def test_contains_accepts_a_vector_with_a_negative_first_entry(capsys, tmp_path)
         assert payload["vector"] == [-2, 1] and payload["contains"] is True
 
 
+def test_contains_parses_its_vector_before_the_build(capsys, tc_matrix, monkeypatch):
+    # a malformed vector is a usage error even when the build would fail
+    monkeypatch.setenv("TORICBASES_BUDGET", "5")
+    code, out, err = run_cli(
+        capsys, "lattice", "--matrix", tc_matrix, "--bound", "2", "contains", "1,a"
+    )
+    assert code == 2 and out == "" and "budget" not in err
+
+
 def test_lattice_vector_only_with_contains(capsys, tc_matrix):
     for argv in (
         ["--bound", "2", "count", "1,2,3,4"],

@@ -25,7 +25,7 @@ from toricbases.oracle import (
 )
 
 from conftest import TWISTED_CUBIC_GRAVER
-from sweep_reference import reference_count, reference_minimize
+from sweep_reference import reference_count, reference_iterate, reference_minimize
 
 
 def oracle_truncated(A, d):
@@ -261,12 +261,14 @@ BLOCK_DIAGONAL = SparseIntMatrix.from_dense([[1, 1, 1, 0, 0, 0], [0, 0, 0, 1, 2,
 )
 def test_minimize_decodes_edge_cases(A, kind, bound):
     # bound 0 (radix 1), a forest of several roots whose aggregates are
-    # summed, and no columns at all (an empty vector from no digits)
+    # summed, and no columns at all (an empty vector from no digits); the
+    # enumeration multiplies the same root aggregates
     n = A.num_cols
     if kind == "box":
         L, elements = build_lattice(A, bound), enumerate_kernel(A, bound)
     else:
         L, elements = build_truncated_lattice(A, bound), oracle_truncated(A, bound)
+    assert sorted(L.iterate()) == sorted(elements)
     if A is BLOCK_DIAGONAL and kind == "box":
         assert len(L._roots) >= 2
     u = tuple(j % 3 for j in range(n))
@@ -344,6 +346,8 @@ def test_sweep_plan_matches_tuple_keyed_reference(case):
     for box in (None, *boxes, empty):
         assert L.count(box) == reference_count(L, box)
         assert L.minimize(order, box) == reference_minimize(L, order, box)
+    # the list sweep enumerates in the depth-first walk's order
+    assert list(L.iterate()) == reference_iterate(L)
     if kind == "degree":
         # the root clique, the last counter alone, always folds into its
         # child, so every degree case sweeps a bag with several intros
@@ -382,7 +386,16 @@ def test_iterate_long_cycle_without_recursion():
     alt = tuple((-1) ** (a if b == a + 1 else b) for a, b in sorted(cycle_graph(n).edges))
     minus_alt = tuple(-x for x in alt)
     L = build_lattice(C, 1)
-    assert sorted(L.iterate()) == sorted([(0,) * n, alt, minus_alt])
+    # a chain's partial tuples are released level by level: only the root
+    # aggregate stays, so the peak is far below every level's lists together
+    tracemalloc.start()
+    try:
+        elements = sorted(L.iterate())
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert elements == sorted([(0,) * n, alt, minus_alt])
+    assert peak < 5 * 2**20
     assert graver_basis(C, L).elements == tuple(sorted([alt, minus_alt]))
 
 

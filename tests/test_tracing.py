@@ -22,6 +22,9 @@ L = tb.build_lattice(A, 3)
 assert len(tb.graver_basis(A, L).elements) == 10
 assert len(tb.reduced_groebner_basis(A, L, tb.MonomialOrder.grlex(4)).elements) == 3
 assert tracer.spans
+# the benchmark's lattice.iterate_s and vectors_yielded read these spans
+assert len(list(L.iterate())) == L.count()
+assert any(name == "lattice.iterate" and info for name, *_, info in tracer.spans)
 """
 
 
