@@ -65,6 +65,7 @@ def in_reduced_gb(
     from the head leaves a standard monomial (standard monomials are closed
     under division, so co-dimension-one divisors suffice).
     """
+    L.check_matrix(A)
     head, tail = binomial.head, binomial.tail
     if len(head) != A.num_cols:
         raise DimensionMismatch(f"expected length {A.num_cols}, got {len(head)}")
@@ -99,6 +100,7 @@ def reduced_groebner_basis(
     divisor is not standard.  Otherwise y- is a proper divisor of the tail,
     reached from it by the move v - y: the tail is not the normal form.
     """
+    L.check_matrix(A)
     L.check_order(order)
     graver = graver_basis(A, L)
     kept = [
@@ -116,6 +118,7 @@ def in_graver(A: SparseIntMatrix, L: KernelLattice, z: Sequence[int]) -> bool:
     zero vector and z itself must remain.  Vectors with a common factor are
     rejected outright, since their primitive part sits conformally below.
     """
+    L.check_matrix(A)
     z = as_vector(z)
     if len(z) != A.num_cols:
         raise DimensionMismatch(f"expected length {A.num_cols}, got {len(z)}")
@@ -141,6 +144,7 @@ def graver_basis(A: SparseIntMatrix, L: KernelLattice) -> BasisReport:
     vector satisfies the same box or degree bound, so it is in the lattice,
     and unless the two are equal its 1-norm is smaller, so it is seen first.
     """
+    L.check_matrix(A)
     vectors = sorted(L.iterate(), key=one_norm)
     kept: list[Vec] = []
     for z in vectors:

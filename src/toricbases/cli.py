@@ -148,6 +148,8 @@ def _cmd_lattice(args) -> int:
         raise ValueError(f"{args.action} takes no vector argument")
     vector = None if args.vector is None else _parse_vector(args.vector)  # before the build
     A = _read_matrix(args.matrix, args.drop_zero_rows)
+    if vector is not None and len(vector) != A.num_cols:
+        raise ValueError(f"contains needs a vector of length {A.num_cols}, got {len(vector)}")
     lattice = _build_from_args(args, A)
     payload = {
         "kind": lattice.kind,

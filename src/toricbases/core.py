@@ -83,12 +83,13 @@ class SparseIntMatrix:
     since they add no constraint; see :func:`matrix_from_text`.
     """
 
-    __slots__ = ("num_rows", "num_cols", "_rows", "_entries", "max_abs")
+    __slots__ = ("num_rows", "num_cols", "_rows", "max_abs")
 
     def __init__(self, num_rows: int, num_cols: int, entries: Iterable[tuple[int, int, int]]):
         if num_rows < 0 or num_cols < 0:
             raise ValueError("matrix dimensions must be nonnegative")
-        seen: dict[tuple[int, int], int] = {}
+        seen: set[tuple[int, int]] = set()
+        rows: list[list[tuple[int, int]]] = [[] for _ in range(num_rows)]
         for i, j, value in entries:
             i, j, value = int(i), int(j), int(value)
             if not (0 <= i < num_rows and 0 <= j < num_cols):
@@ -97,10 +98,7 @@ class SparseIntMatrix:
                 raise ValueError(f"explicit zero entry at ({i},{j})")
             if (i, j) in seen:
                 raise ValueError(f"duplicate entry at ({i},{j})")
-            seen[(i, j)] = value
-
-        rows: list[list[tuple[int, int]]] = [[] for _ in range(num_rows)]
-        for (i, j), value in seen.items():
+            seen.add((i, j))
             rows[i].append((j, value))
 
         self.num_rows = num_rows
@@ -108,10 +106,7 @@ class SparseIntMatrix:
         self._rows: tuple[tuple[tuple[int, int], ...], ...] = tuple(
             tuple(sorted(r)) for r in rows
         )
-        self._entries: dict[tuple[int, int], int] = {
-            (i, j): value for i, row in enumerate(self._rows) for j, value in row
-        }
-        self.max_abs = max((abs(v) for v in self._entries.values()), default=0)
+        self.max_abs = max((abs(v) for row in self._rows for _, v in row), default=0)
 
     @classmethod
     def from_dense(cls, rows: Sequence[Sequence[int]]) -> "SparseIntMatrix":
@@ -139,7 +134,9 @@ class SparseIntMatrix:
         )
 
     def entry(self, i: int, j: int) -> int:
-        return self._entries.get((i, j), 0)
+        if not (0 <= i < self.num_rows and 0 <= j < self.num_cols):
+            raise IndexError(f"entry ({i},{j}) out of range for {self.num_rows}x{self.num_cols}")
+        return dict(self._rows[i]).get(j, 0)
 
     def row(self, i: int) -> tuple[tuple[int, int], ...]:
         """Nonzero entries of row i as (column, value) pairs, column-sorted."""
@@ -167,20 +164,20 @@ class SparseIntMatrix:
             out[i][j] = value
         return out
 
+    def _key(self) -> tuple:
+        return self.num_rows, self.num_cols, self._rows
+
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, SparseIntMatrix):
             return NotImplemented
-        return (
-            self.num_rows == other.num_rows
-            and self.num_cols == other.num_cols
-            and self._entries == other._entries
-        )
+        return self._key() == other._key()
 
     def __hash__(self) -> int:
-        return hash((self.num_rows, self.num_cols, frozenset(self._entries.items())))
+        return hash(self._key())
 
     def __repr__(self) -> str:
-        return f"SparseIntMatrix({self.num_rows}x{self.num_cols}, {len(self._entries)} nonzeros)"
+        nonzeros = sum(map(len, self._rows))
+        return f"SparseIntMatrix({self.num_rows}x{self.num_cols}, {nonzeros} nonzeros)"
 
 
 def matrix_to_text(A: SparseIntMatrix, *, sparse: bool | None = None) -> str:

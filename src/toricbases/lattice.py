@@ -27,7 +27,7 @@ import operator
 import os
 import warnings
 from bisect import bisect_left, bisect_right
-from itertools import compress, count, repeat
+from itertools import combinations, compress, count, repeat
 from math import prod
 from typing import Iterator, Sequence
 
@@ -85,45 +85,15 @@ def graver_infinity_bound(A: SparseIntMatrix) -> int:
 
 
 # ---------------------------------------------------------------------------
-# constraints of the underlying network
+# constraints and bags
 
 
-class _RowZero:
-    """sum(coefs . vars) == 0."""
-
-    __slots__ = ("vars", "coefs")
-
-    def __init__(self, variables: Sequence[int], coefs: Sequence[int]):
-        self.vars = tuple(variables)
-        self.coefs = tuple(coefs)
-
-    def scope(self) -> tuple[int, ...]:
-        return self.vars
-
-
-class _Counter:
-    """out == prev + part(x), a running sum.
-
-    ``part`` is the positive or the negative part of the column value; prev
-    is None for the first counter in a chain.
-    """
-
-    __slots__ = ("prev", "x", "out", "positive")
-
-    def __init__(self, prev: int | None, x: int, out: int, positive: bool):
-        self.prev = prev
-        self.x = x
-        self.out = out
-        self.positive = positive
-
-    def scope(self) -> tuple[int, ...]:
-        if self.prev is None:
-            return (self.x, self.out)
-        return (self.prev, self.x, self.out)
-
-
-# ---------------------------------------------------------------------------
-# bags
+# A row equation sum(coefs . columns) == 0, columns sorted.
+Equation = tuple[tuple[int, ...], tuple[int, ...]]
+# A running sum (prev, x, out, positive) of the degree kind: out == prev +
+# part(x), where part is the positive or the negative part of column x and
+# prev is None for the first counter in a chain.
+Counter = tuple[int | None, int, int, bool]
 
 
 # A child's rows as its parent reads them: the child's separator, and one
@@ -261,11 +231,12 @@ _BIT_BYTES = bytes.maketrans(b"01", b"\x00\x01")
 def _enumerate_bag(
     scope: tuple[int, ...],
     domains: dict[int, range],
-    constraints: list,
+    equations: list[Equation],
+    counters: list[Counter],
     messages: list[Message],
 ) -> list[tuple[int, ...]]:
-    """All assignments to the scope satisfying the bag's constraints and
-    compatible with every child message, by depth-first search.
+    """All assignments to the scope satisfying the bag's row equations and
+    counters and compatible with every child message, by depth-first search.
 
     The scope is ordered by elimination position, and a value is derived
     rather than enumerated wherever the earlier values fix it or narrow it:
@@ -301,30 +272,23 @@ def _enumerate_bag(
     open_at: list[list[tuple[int, int, int, int]]] = [[] for _ in range(s)]
     # per depth: (depths of the key, trie level) of the messages reaching here
     indexed_at: list[list[tuple[tuple[int, ...], dict]]] = [[] for _ in range(s)]
-    num_equations = 0
 
-    for cons in constraints:
-        if isinstance(cons, _Counter):
-            inputs = (cons.x,) if cons.prev is None else (cons.prev, cons.x)
-            prev = None if cons.prev is None else index[cons.prev]
-            counters_at[depth_after(cons.out, inputs)].append(
-                (prev, index[cons.x], domains[cons.out][-1], cons.positive)
-            )
-        elif isinstance(cons, _RowZero):
-            by_depth = sorted((index[v], c) for v, c in zip(cons.vars, cons.coefs))
-            eq = num_equations
-            num_equations += 1
-            lo, hi = 0, 0
-            for k, (depth, coef) in enumerate(reversed(by_depth)):
-                if k:
-                    open_at[depth].append((eq, coef, lo, hi))
-                else:
-                    closing_at[depth].append((eq, coef))
-                dom = domains[scope[depth]]
-                lo += min(coef * dom[0], coef * dom[-1])
-                hi += max(coef * dom[0], coef * dom[-1])
-        else:  # pragma: no cover - no other kinds exist
-            raise LatticeError(f"unknown constraint {cons!r}")
+    for prev, x, out, positive in counters:
+        inputs = (x,) if prev is None else (prev, x)
+        counters_at[depth_after(out, inputs)].append(
+            (None if prev is None else index[prev], index[x], domains[out][-1], positive)
+        )
+    for eq, (columns, coefs) in enumerate(equations):
+        lo, hi = 0, 0
+        by_depth = sorted(zip(map(index.__getitem__, columns), coefs), reverse=True)
+        for k, (depth, coef) in enumerate(by_depth):
+            if k:
+                open_at[depth].append((eq, coef, lo, hi))
+            else:
+                closing_at[depth].append((eq, coef))
+            dom = domains[scope[depth]]
+            lo += min(coef * dom[0], coef * dom[-1])
+            hi += max(coef * dom[0], coef * dom[-1])
 
     for sep_vars, levels in messages:
         for k, level in enumerate(levels):
@@ -333,7 +297,7 @@ def _enumerate_bag(
                 (tuple(index[v] for v in earlier), level)
             )
 
-    partial = [0] * num_equations
+    partial = [0] * len(equations)
     rows: list[tuple[int, ...]] = []
     values = [0] * s
     nothing: tuple[int, ...] = ()
@@ -467,6 +431,13 @@ class KernelLattice:
         normal form never has a larger degree."""
         if self.kind == "degree" and not order.is_unit_weights:
             raise ValueError("degree-truncated lattices support only the graded lexicographic order")
+
+    def check_matrix(self, A: SparseIntMatrix) -> None:
+        """Raise ValueError unless A is the matrix the lattice was built
+        from, or an equal one: every answer drawn from the lattice is about
+        that matrix's kernel."""
+        if A is not self.matrix and A != self.matrix:
+            raise ValueError("the lattice was built from a different matrix")
 
     def contains(self, v: Sequence[int]) -> bool:
         """Whether v is a represented vector: the count of the box that
@@ -690,20 +661,16 @@ def _assemble(
     matrix: SparseIntMatrix,
     kind: str,
     bound: int,
-    num_vars: int,
     pi: tuple[int, ...],
     domains: dict[int, range],
-    constraints: list,
+    counters: list[Counter],
     budget: int,
 ) -> KernelLattice:
-    edges = set()
-    for cons in constraints:
-        scope = cons.scope()
-        for a in range(len(scope)):
-            for b in range(a + 1, len(scope)):
-                x, y = scope[a], scope[b]
-                edges.add((x, y) if x < y else (y, x))
-    primal = Graph.from_edges(num_vars, edges)
+    # the row equations (zero rows constrain nothing), then the counters
+    equations = [tuple(zip(*row)) for row in map(matrix.row, range(matrix.num_rows)) if row]
+    scopes = [columns for columns, _ in equations]
+    scopes += [(x, out) if prev is None else (prev, x, out) for prev, x, out, _ in counters]
+    primal = Graph.from_edges(len(domains), (e for scope in scopes for e in combinations(scope, 2)))
     elim = eliminate(primal, pi)
 
     # A clique that is exactly its first child's separator is not maximal:
@@ -754,21 +721,22 @@ def _assemble(
                 "lower the bound or provide a better ordering"
             )
 
-    by_bag: list[list] = [[] for _ in bags]
-    for cons in constraints:
-        scope = cons.scope()
-        home = min(position[v] for v in scope)
+    # each constraint goes to the bag of its first eliminated variable:
+    # (equations, counters) per bag, in the order given
+    by_bag: list[tuple[list[Equation], list[Counter]]] = [([], []) for _ in bags]
+    for i, (scope, cons) in enumerate(zip(scopes, equations + counters)):
+        home = min(map(position.__getitem__, scope))
         if not set(scope) <= elim.cliques[home]:
             raise LatticeError(
                 "constraint scope not covered by its bag; the ordering does not "
                 "come from the primal graph"
             )
-        by_bag[pos_of[home]].append(cons)
+        by_bag[pos_of[home]][i >= len(equations)].append(cons)
 
     # upward pass: enumerate each bag against its children's messages
     for bag in bags:
         messages = [bags[c].message() for c in bag.children]
-        bag.rows = tuple(_enumerate_bag(bag.scope, domains, by_bag[bag.pos], messages))
+        bag.rows = tuple(_enumerate_bag(bag.scope, domains, *by_bag[bag.pos], messages))
 
     # downward pass: drop rows without support in the parent, numbering a
     # child's separator keys in the order the parent's rows first project
@@ -802,17 +770,6 @@ def _resolve_ordering(A: SparseIntMatrix, ordering: Sequence[int] | None) -> tup
     return ordering
 
 
-def _row_constraints(A: SparseIntMatrix) -> list[_RowZero]:
-    out = []
-    for i in range(A.num_rows):
-        cols = tuple(j for j, _ in A.row(i))
-        if not cols:  # zero rows constrain nothing
-            continue
-        coefs = tuple(v for _, v in A.row(i))
-        out.append(_RowZero(cols, coefs))
-    return out
-
-
 def build_lattice(
     A: SparseIntMatrix,
     g: int | None = None,
@@ -836,18 +793,8 @@ def build_lattice(
     if g < 0:
         raise ValueError("bound must be nonnegative")
     column_ordering = _resolve_ordering(A, ordering)
-    n = A.num_cols
-    domains = dict.fromkeys(range(n), range(-g, g + 1))
-    return _assemble(
-        A,
-        "box",
-        g,
-        n,
-        column_ordering,
-        domains,
-        _row_constraints(A),
-        _resolve_budget(build_budget),
-    )
+    domains = dict.fromkeys(range(A.num_cols), range(-g, g + 1))
+    return _assemble(A, "box", g, column_ordering, domains, [], _resolve_budget(build_budget))
 
 
 def build_truncated_lattice(
@@ -870,28 +817,13 @@ def build_truncated_lattice(
         raise ValueError("degree bound must be nonnegative")
     column_ordering = _resolve_ordering(A, ordering)
     n = A.num_cols
-    num_vars = 3 * n
     domains = dict.fromkeys(range(n), range(-d, d + 1))
-    domains.update(dict.fromkeys(range(n, num_vars), range(d + 1)))
-
+    domains.update(dict.fromkeys(range(n, 3 * n), range(d + 1)))
     pi: list[int] = []
+    counters: list[Counter] = []
     for l, col in enumerate(column_ordering):
-        pi.extend((col, n + l, 2 * n + l))
-
-    constraints: list = list(_row_constraints(A))
-    for l, col in enumerate(column_ordering):
-        prev_pos = n + l - 1 if l else None
-        prev_neg = 2 * n + l - 1 if l else None
-        constraints.append(_Counter(prev_pos, col, n + l, positive=True))
-        constraints.append(_Counter(prev_neg, col, 2 * n + l, positive=False))
-
-    return _assemble(
-        A,
-        "degree",
-        d,
-        num_vars,
-        tuple(pi),
-        domains,
-        constraints,
-        _resolve_budget(build_budget),
-    )
+        pos, neg = n + l, 2 * n + l
+        pi.extend((col, pos, neg))
+        counters.append((pos - 1 if l else None, col, pos, True))
+        counters.append((neg - 1 if l else None, col, neg, False))
+    return _assemble(A, "degree", d, tuple(pi), domains, counters, _resolve_budget(build_budget))

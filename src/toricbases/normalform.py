@@ -38,6 +38,7 @@ class NormalFormResult:
 def _check_monomial(
     A: SparseIntMatrix, L: KernelLattice, order: MonomialOrder, u: Vec
 ) -> None:
+    L.check_matrix(A)
     if len(u) != A.num_cols:
         raise DimensionMismatch(f"expected length {A.num_cols}, got {len(u)}")
     if not is_nonnegative(u):

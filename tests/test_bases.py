@@ -14,6 +14,7 @@ from toricbases import (
     in_reduced_gb,
     is_standard,
     normal_form_bounded,
+    polynomial_normal_form,
     reduce_by_basis,
     reduced_groebner_basis,
 )
@@ -362,6 +363,31 @@ def test_bound_checks_raise_one_past_the_bound(twisted_cubic):
     assert in_reduced_gb(A, degree, grlex, Binomial((1, 0, 1, 0), (0, 2, 0, 0)))
     with pytest.raises(BoundExceeded):  # degree 3 on both sides
         in_reduced_gb(A, degree, grlex, Binomial.from_kernel_vector((2, -3, 0, 1)).oriented(grlex))
+
+
+def test_queries_refuse_a_lattice_of_another_matrix(twisted_cubic):
+    # a lattice answers for the matrix it was built from: another matrix is
+    # refused (it used to get a normal form outside its fiber, and the
+    # lattice's own Graver basis), and an equal copy is accepted
+    L = build_lattice(twisted_cubic, 3)
+    grlex = MonomialOrder.grlex(4)
+    u = (1, 0, 1, 0)
+    calls = (
+        lambda A: normal_form_bounded(A, L, grlex, u),
+        lambda A: is_standard(A, L, grlex, u),
+        lambda A: polynomial_normal_form(A, L, grlex, [(1, u)]),
+        lambda A: in_reduced_gb(A, L, grlex, Binomial(u, (0, 2, 0, 0))),
+        lambda A: in_graver(A, L, (2, -3, 0, 1)),
+        lambda A: graver_basis(A, L),
+        lambda A: reduced_groebner_basis(A, L, grlex),
+    )
+    other = SparseIntMatrix.from_dense([[1, 1, 1, 1], [0, 1, 1, 3]])
+    copy = SparseIntMatrix.from_dense([[1, 1, 1, 1], [0, 1, 2, 3]])
+    assert copy is not twisted_cubic
+    for call in calls:
+        with pytest.raises(ValueError, match="different matrix"):
+            call(other)
+        assert call(copy) == call(twisted_cubic)
 
 
 def test_degree_bound_covers_the_negative_part():

@@ -424,6 +424,21 @@ def test_contains_parses_its_vector_before_the_build(capsys, tc_matrix, monkeypa
     assert code == 2 and out == "" and "budget" not in err
 
 
+def test_contains_checks_the_vector_length_before_the_build(capsys, tc_matrix, monkeypatch):
+    # a vector of the wrong length is a usage error, reported before the
+    # build even when the build would fail
+    for budget in (None, "5"):
+        if budget is None:
+            monkeypatch.delenv("TORICBASES_BUDGET", raising=False)
+        else:
+            monkeypatch.setenv("TORICBASES_BUDGET", budget)
+        code, out, err = run_cli(
+            capsys, "lattice", "--matrix", tc_matrix, "--bound", "2", "contains", "1,2"
+        )
+        assert code == 2 and out == ""
+        assert "vector of length 4, got 2" in err and "budget" not in err
+
+
 def test_lattice_vector_only_with_contains(capsys, tc_matrix):
     for argv in (
         ["--bound", "2", "count", "1,2,3,4"],

@@ -143,6 +143,13 @@ def test_matrix_invariants():
     A = SparseIntMatrix.from_dense([[1, 0, -2], [0, 3, 0]])
     assert A.max_abs == 3
     assert A.entry(0, 2) == -2 and A.entry(1, 0) == 0
+    with pytest.raises(IndexError):
+        A.entry(-1, 0)
+    assert repr(A) == "SparseIntMatrix(2x3, 3 nonzeros)"
+    # one value however the entries are listed, and none for other shapes
+    B = SparseIntMatrix(2, 3, [(1, 1, 3), (0, 2, -2), (0, 0, 1)])
+    assert B == A and hash(B) == hash(A)
+    assert SparseIntMatrix(3, 3, [(1, 1, 3), (0, 2, -2), (0, 0, 1)]) != A
     assert A.apply((1, 1, 1)) == (-1, 3)
     assert A.transpose().to_dense() == [[1, 0], [0, 3], [-2, 0]]
 

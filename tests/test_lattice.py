@@ -15,7 +15,7 @@ from toricbases import (
     graver_infinity_bound,
 )
 from toricbases.core import DimensionMismatch
-from toricbases.graphs import cycle_graph
+from toricbases.graphs import Graph, cycle_graph
 from toricbases.lattice import conformal_box, shift_box
 from toricbases.oracle import (
     enumerate_kernel,
@@ -75,6 +75,26 @@ def test_single_row_antidiagonal_kernel():
 def test_twisted_cubic_matches_oracle(twisted_cubic):
     L = build_lattice(twisted_cubic, 3)
     assert frozenset(L.iterate()) == enumerate_kernel(twisted_cubic, 3)
+
+
+def test_zero_rows_constrain_nothing():
+    # vertex 2 is isolated, so its incidence row is zero; the kernel is that
+    # of the matrix without the row
+    A = incidence_matrix(Graph.from_edges(5, [(0, 1), (1, 3), (3, 4), (4, 0), (0, 3)]))
+    assert A.zero_rows() == [2]
+    rng = random.Random(5)
+    probes = set(enumerate_kernel(A, 3))
+    probes.update(tuple(rng.randint(-2, 2) for _ in range(5)) for _ in range(100))
+    for L, want in (
+        (build_lattice(A, 2), enumerate_kernel(A, 2)),
+        (build_truncated_lattice(A, 2), oracle_truncated(A, 2)),
+    ):
+        L.validate()
+        assert L.count() == len(want)
+        vectors = list(L.iterate())
+        assert len(vectors) == len(set(vectors)) and set(vectors) == want
+        for v in probes:
+            assert L.contains(v) == (v in want)
 
 
 def test_count_examples():
