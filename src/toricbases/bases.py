@@ -1,17 +1,18 @@
 """Membership tests and construction for reduced Groebner bases and Graver
 bases, driven by a kernel lattice, box-bounded or degree-truncated.
 
-Membership of a single element costs one or two dynamic-programming sweeps of
-the join tree.  The two constructions form one pipeline over the lattice's
-elements: the Graver basis is a conformal filter of the elements in 1-norm
-order, and the reduced basis is the Graver binomials that pass the
-reduced-basis membership test.
+A Graver membership test costs one dynamic-programming sweep of the join
+tree.  A reduced-basis membership test costs the jumps of the head's normal
+form plus one sweep per column in the head's support.  The two
+constructions form one pipeline over the lattice's elements: the Graver
+basis is a conformal filter of the elements in 1-norm order, and the
+reduced basis is the Graver binomials that pass the reduced-basis
+membership test.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import gcd
 from typing import Sequence
 
 from .core import (
@@ -115,8 +116,8 @@ def in_graver(A: SparseIntMatrix, L: KernelLattice, z: Sequence[int]) -> bool:
     """Whether z is a conformally minimal nonzero kernel vector.
 
     Decided by counting the kernel vectors conformally below z: exactly the
-    zero vector and z itself must remain.  Vectors with a common factor are
-    rejected outright, since their primitive part sits conformally below.
+    zero vector and z itself must remain.  A multiple k*p with k >= 2 has p
+    conformally below it, inside the same bound, so it counts at least 3.
     """
     L.check_matrix(A)
     z = as_vector(z)
@@ -127,11 +128,6 @@ def in_graver(A: SparseIntMatrix, L: KernelLattice, z: Sequence[int]) -> bool:
     if any(A.apply(z)):
         raise ValueError("not a kernel vector")
     L.check_bound(z)
-    common = 0
-    for x in z:
-        common = gcd(common, abs(x))
-    if common > 1:
-        return False
     return L.count(conformal_box(z)) == 2
 
 

@@ -74,6 +74,10 @@ def _parse_vector(text: str) -> tuple[int, ...]:
     return tuple(int(part) for part in text.split(","))
 
 
+def _no_fraction(text: str):
+    raise ValueError(f"expected an integer, got {text}")
+
+
 def _parse_order(spec: str, n: int) -> MonomialOrder:
     if spec == "lex":
         return MonomialOrder.lex(n)
@@ -87,19 +91,24 @@ def _parse_order(spec: str, n: int) -> MonomialOrder:
     raise ValueError(f"unknown order {spec!r}; use lex, grlex or weights:<csv>")
 
 
-def _auto_ordering(graph: graphs_mod.Graph) -> tuple[str, tuple[int, ...]]:
-    """The strategy ``--ordering auto`` uses and its ordering: the one of
-    smaller width, min-fill on a tie."""
-    candidates = [
-        (strategy, graphs_mod.heuristic_ordering(graph, strategy))
+def _eliminations(graph: graphs_mod.Graph) -> dict[str, graphs_mod.EliminationStructure]:
+    """Each strategy's elimination of the graph along its ordering, min-fill first."""
+    return {
+        strategy: graphs_mod.eliminate(graph, graphs_mod.heuristic_ordering(graph, strategy))
         for strategy in (graphs_mod.MIN_FILL, graphs_mod.MIN_DEGREE)
-    ]
-    return min(candidates, key=lambda c: graphs_mod.treewidth_estimate(graph, c[1]))
+    }
+
+
+def _auto_strategy(eliminations: dict[str, graphs_mod.EliminationStructure]) -> str:
+    """The strategy ``--ordering auto`` uses: the one of smaller width,
+    min-fill on a tie."""
+    return min(eliminations, key=lambda strategy: eliminations[strategy].clique_number)
 
 
 def _resolve_cli_ordering(spec: str, A: SparseIntMatrix) -> tuple[int, ...] | None:
     if spec == "auto":
-        return _auto_ordering(graphs_mod.column_graph(A))[1]
+        eliminations = _eliminations(graphs_mod.column_graph(A))
+        return eliminations[_auto_strategy(eliminations)].ordering
     if spec in (graphs_mod.MIN_FILL, graphs_mod.MIN_DEGREE):
         return graphs_mod.heuristic_ordering(graphs_mod.column_graph(A), spec)
     if spec.startswith("file:"):
@@ -128,15 +137,15 @@ def _cmd_graph_stats(args) -> int:
         ("row_graph", graphs_mod.row_graph(A)),
     ):
         stats: dict = {"vertices": graph.num_vertices, "edges": graph.num_edges()}
-        strategies = {}
-        for strategy in (graphs_mod.MIN_DEGREE, graphs_mod.MIN_FILL):
-            ordering = graphs_mod.heuristic_ordering(graph, strategy)
-            width = graphs_mod.treewidth_estimate(graph, ordering)
-            depth = graphs_mod.treedepth_estimate(graph, ordering)
-            strategies[strategy] = {"treewidth": width, "treedepth": depth}
-        stats["strategies"] = strategies
+        eliminations = _eliminations(graph)
+        # the estimates of graphs.treewidth_estimate and treedepth_estimate
+        stats["strategies"] = {
+            strategy: {"treewidth": elim.clique_number - 1, "treedepth": elim.height}
+            for strategy, elim in eliminations.items()
+        }
         payload[name] = stats
-    payload["lattice_strategy"] = _auto_ordering(graphs_mod.column_graph(A))[0]
+        if name == "column_graph":
+            payload["lattice_strategy"] = _auto_strategy(eliminations)
     _emit(payload)
     return 0
 
@@ -191,7 +200,8 @@ def _cmd_normal_form(args) -> int:
             payload["normal_form"] = list(result.normal_exponent)
             payload["standard"] = result.was_standard
     if args.polynomial:
-        terms = [(int(c), tuple(e)) for c, e in json.loads(args.polynomial)]
+        polynomial = json.loads(args.polynomial, parse_float=_no_fraction)
+        terms = [(int(c), tuple(e)) for c, e in polynomial]
         if lattice is None:
             lattice = _build_from_args(args, A)
         reduced = polynomial_normal_form(A, lattice, order, terms)
@@ -247,7 +257,7 @@ def _cmd_graver(args) -> int:
 
 
 def _load_ip(path: str) -> IntegerProgram:
-    data = json.loads(Path(path).read_text())
+    data = json.loads(Path(path).read_text(), parse_float=_no_fraction)
     matrix = SparseIntMatrix.from_dense([[int(x) for x in row] for row in data["A"]])
 
     def vec(key):
@@ -326,12 +336,10 @@ def _cmd_gen(args) -> int:
             raise ValueError("incidence needs --graph with an edge list file")
         graph = graphs_mod.edge_list_from_text(Path(args.graph).read_text())
         matrix = oracle_mod.incidence_matrix(graph)
-    elif args.kind == "random":
+    else:  # random: argparse accepts only the five kinds
         matrix = oracle_mod.random_sparse_matrix(
             args.rows, args.cols, args.max_entry, args.density, args.seed
         )
-    else:
-        raise ValueError(f"unknown generator kind {args.kind!r}")
     text = matrix_to_text(matrix)
     if args.out:
         Path(args.out).write_text(text)

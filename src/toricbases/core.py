@@ -8,6 +8,7 @@ construction and safe to share between threads.
 
 from __future__ import annotations
 
+import operator
 import warnings
 from dataclasses import dataclass
 from typing import Iterable, Iterator, Sequence
@@ -28,7 +29,8 @@ class DimensionMismatch(ToricError):
 
 
 def as_vector(coords: Iterable[int]) -> Vec:
-    return tuple(int(c) for c in coords)
+    """The entries as a tuple of ints: a float raises TypeError, not truncated."""
+    return tuple(map(operator.index, coords))
 
 
 def positive_part(v: Sequence[int]) -> Vec:
@@ -91,7 +93,7 @@ class SparseIntMatrix:
         seen: set[tuple[int, int]] = set()
         rows: list[list[tuple[int, int]]] = [[] for _ in range(num_rows)]
         for i, j, value in entries:
-            i, j, value = int(i), int(j), int(value)
+            i, j, value = operator.index(i), operator.index(j), operator.index(value)
             if not (0 <= i < num_rows and 0 <= j < num_cols):
                 raise ValueError(f"entry ({i},{j}) out of range for {num_rows}x{num_cols}")
             if value == 0:
@@ -116,7 +118,7 @@ class SparseIntMatrix:
         for i, row in enumerate(rows):
             if len(row) != n:
                 raise ValueError("ragged dense matrix")
-            for j, value in enumerate(row):
+            for j, value in enumerate(map(operator.index, row)):
                 if value:
                     entries.append((i, j, value))
         return cls(m, n, entries)
@@ -373,5 +375,5 @@ def ideal_membership(A: SparseIntMatrix, terms: Iterable[tuple[int, Sequence[int
         if not is_nonnegative(u):
             raise ValueError("exponents must be nonnegative")
         image = A.apply(u)
-        sums[image] = sums.get(image, 0) + int(coef)
+        sums[image] = sums.get(image, 0) + operator.index(coef)
     return all(s == 0 for s in sums.values())

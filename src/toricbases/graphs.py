@@ -9,6 +9,7 @@ parent relation becomes the tree.
 from __future__ import annotations
 
 import heapq
+import operator
 from dataclasses import dataclass
 from itertools import combinations
 from typing import Callable, Iterable, Sequence
@@ -27,7 +28,7 @@ class Graph:
     def from_edges(cls, num_vertices: int, edges: Iterable[tuple[int, int]]) -> "Graph":
         norm = set()
         for a, b in edges:
-            a, b = int(a), int(b)
+            a, b = operator.index(a), operator.index(b)
             if a == b:
                 raise ValueError(f"self-loop at vertex {a}")
             if not (0 <= a < num_vertices and 0 <= b < num_vertices):
@@ -104,7 +105,7 @@ def eliminate(graph: Graph, ordering: Sequence[int]) -> EliminationStructure:
     """Chordally complete the graph along the ordering and build the
     elimination tree."""
     n = graph.num_vertices
-    ordering = tuple(int(v) for v in ordering)
+    ordering = tuple(map(operator.index, ordering))
     if sorted(ordering) != list(range(n)):
         raise ValueError("ordering must be a permutation of the vertices")
     position = {v: l for l, v in enumerate(ordering)}

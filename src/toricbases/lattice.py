@@ -51,6 +51,11 @@ class LatticeError(ToricError):
     pass
 
 
+def _require(condition: bool, message: str) -> None:
+    if not condition:
+        raise LatticeError(message)
+
+
 class BoundExceeded(ToricError):
     pass
 
@@ -141,8 +146,6 @@ class _Bag:
     def __init__(
         self, pos: int, intros: tuple[int, ...], scope: tuple[int, ...], parent: int | None
     ):
-        if scope[: len(intros)] != intros:
-            raise LatticeError("the introduced variables must come first in the bag scope")
         self.pos = pos
         self.intros = intros
         self.scope = scope  # ordered by elimination position
@@ -257,12 +260,6 @@ def _enumerate_bag(
     s = len(scope)
     index = {v: i for i, v in enumerate(scope)}
 
-    def depth_after(var: int, inputs) -> int:
-        depth = index[var]
-        if any(index[v] >= depth for v in inputs):
-            raise LatticeError(f"variable {var} does not follow its inputs in the bag scope")
-        return depth
-
     # per depth: (prev depth or None, x depth, domain maximum, positive) of forcing counters
     counters_at: list[list[tuple[int | None, int, int, bool]]] = [[] for _ in range(s)]
     # per depth: (equation, coef) of the row equations whose last variable is here
@@ -274,8 +271,7 @@ def _enumerate_bag(
     indexed_at: list[list[tuple[tuple[int, ...], dict]]] = [[] for _ in range(s)]
 
     for prev, x, out, positive in counters:
-        inputs = (x,) if prev is None else (prev, x)
-        counters_at[depth_after(out, inputs)].append(
+        counters_at[index[out]].append(
             (None if prev is None else index[prev], index[x], domains[out][-1], positive)
         )
     for eq, (columns, coefs) in enumerate(equations):
@@ -292,10 +288,7 @@ def _enumerate_bag(
 
     for sep_vars, levels in messages:
         for k, level in enumerate(levels):
-            earlier = sep_vars[:k]
-            indexed_at[depth_after(sep_vars[k], earlier)].append(
-                (tuple(index[v] for v in earlier), level)
-            )
+            indexed_at[index[sep_vars[k]]].append((tuple(index[v] for v in sep_vars[:k]), level))
 
     partial = [0] * len(equations)
     rows: list[tuple[int, ...]] = []
@@ -581,10 +574,10 @@ class KernelLattice:
     # -- validation (exercised by the test suite) -------------------------------
 
     def validate(self) -> None:
-        """Assert the structural invariants: one bag per clique that is not
-        its first child's separator, running intersection, separator
-        containment, backtrack-freeness in both directions, and a sweep plan
-        that agrees with the rows."""
+        """Raise LatticeError, under -O too, unless the structural invariants
+        hold: one bag per clique that is not its first child's separator,
+        running intersection, separator containment, backtrack-freeness in
+        both directions, and a sweep plan that agrees with the rows."""
         bags = self._bags
         containing: dict[int, list[int]] = {}
         for bag in bags:
@@ -597,43 +590,43 @@ class KernelLattice:
                 walk = pos
                 while walk != top:
                     parent = bags[walk].parent
-                    assert parent is not None and parent in present, (
-                        f"running intersection violated for variable {var}"
+                    _require(
+                        parent is not None and parent in present,
+                        f"running intersection violated for variable {var}",
                     )
                     walk = parent
         for bag in bags:
             num_intros = len(bag.intros)
-            assert num_intros and bag.scope[:num_intros] == bag.intros, "intros not first"
-            assert bag.intro_values == tuple(
-                tuple(row[i] for row in bag.rows) for i in range(num_intros)
-            ), "introduced values disagree with the rows"
+            _require(num_intros > 0 and bag.scope[:num_intros] == bag.intros, "intros not first")
+            intro_values = tuple(tuple(row[i] for row in bag.rows) for i in range(num_intros))
+            _require(bag.intro_values == intro_values, "introduced values disagree with the rows")
             if bag.children:
-                assert set(bags[bag.children[0]].sep) != set(bag.scope), "clique not folded"
+                _require(set(bags[bag.children[0]].sep) != set(bag.scope), "clique not folded")
             if bag.parent is None:
-                assert set(bag.key_ids) <= {0} and bag.num_keys == 1
+                _require(set(bag.key_ids) <= {0} and bag.num_keys == 1, "root keys not one")
             else:
-                assert set(bag.sep) <= set(bags[bag.parent].scope)
-            assert bag.key_ids == sorted(bag.key_ids), "rows not grouped by key id"
+                _require(set(bag.sep) <= set(bags[bag.parent].scope), "separator not in the parent")
+            _require(bag.key_ids == sorted(bag.key_ids), "rows not grouped by key id")
             keyed = list(zip(bag.key_ids, (row[num_intros - 1 :: -1] for row in bag.rows)))
-            assert keyed == sorted(set(keyed)), "rows of a key not strictly sorted"
+            _require(keyed == sorted(set(keyed)), "rows of a key not strictly sorted")
             key_of = {}
             for k, sep in zip(bag.key_ids, (row[num_intros:] for row in bag.rows)):
-                assert key_of.setdefault(k, sep) == sep
+                _require(key_of.setdefault(k, sep) == sep, "one key id for two separator keys")
             for var, values, masks in bag.columns:
                 i = bag.scope.index(var)
                 for x, mask in zip(values, masks):
                     want = "".join("1" if row[i] >= x else "0" for row in bag.rows)
-                    assert mask == int(want, 2), "row mask disagrees with the rows"
+                    _require(mask == int(want, 2), "row mask disagrees with the rows")
             for c in bag.children:
                 child = bags[c]
                 child_keys = {}
                 for k, row in zip(child.key_ids, child.rows):
                     child_keys[k] = row[len(child.intros) :]
-                assert len(child.up) == len(bag.rows)
+                _require(len(child.up) == len(bag.rows), "child keys not one per parent row")
                 for row, k in zip(bag.rows, child.up):
                     want = tuple(row[i] for i in bag.child_extract[c])
-                    assert child_keys.get(k) == want, "parent row with no child extension"
-                assert set(child_keys) <= set(child.up), "child row with no parent support"
+                    _require(child_keys.get(k) == want, "parent row with no child extension")
+                _require(set(child_keys) <= set(child.up), "child row with no parent support")
 
     def __repr__(self) -> str:
         return (
@@ -721,16 +714,11 @@ def _assemble(
                 "lower the bound or provide a better ordering"
             )
 
-    # each constraint goes to the bag of its first eliminated variable:
-    # (equations, counters) per bag, in the order given
+    # each constraint goes to the bag of its first eliminated variable, whose
+    # clique holds the whole scope: (equations, counters) per bag, in order
     by_bag: list[tuple[list[Equation], list[Counter]]] = [([], []) for _ in bags]
     for i, (scope, cons) in enumerate(zip(scopes, equations + counters)):
         home = min(map(position.__getitem__, scope))
-        if not set(scope) <= elim.cliques[home]:
-            raise LatticeError(
-                "constraint scope not covered by its bag; the ordering does not "
-                "come from the primal graph"
-            )
         by_bag[pos_of[home]][i >= len(equations)].append(cons)
 
     # upward pass: enumerate each bag against its children's messages
@@ -764,7 +752,7 @@ def _assemble(
 def _resolve_ordering(A: SparseIntMatrix, ordering: Sequence[int] | None) -> tuple[int, ...]:
     if ordering is None:
         return min_fill_ordering(column_graph(A))
-    ordering = tuple(int(v) for v in ordering)
+    ordering = tuple(map(operator.index, ordering))
     if sorted(ordering) != list(range(A.num_cols)):
         raise ValueError("ordering must be a permutation of the columns")
     return ordering

@@ -7,6 +7,7 @@ division by an explicit Groebner basis for anything else.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
@@ -21,7 +22,7 @@ from .core import (
     is_nonnegative,
     vector_add,
 )
-from .lattice import KernelLattice, LatticeError, shift_box
+from .lattice import KernelLattice, shift_box
 
 
 @dataclass(frozen=True)
@@ -47,14 +48,6 @@ def _check_monomial(
     L.check_order(order)
 
 
-def _jump(L: KernelLattice, order: MonomialOrder, u: Vec) -> Vec:
-    """The order-smallest lattice vector v with u + v >= 0."""
-    best = L.minimize(order, shift_box(u, L.bound))
-    if best is None:
-        raise LatticeError("the zero vector is missing from the lattice")
-    return best
-
-
 def normal_form_bounded(
     A: SparseIntMatrix, L: KernelLattice, order: MonomialOrder, u: Sequence[int]
 ) -> NormalFormResult:
@@ -66,13 +59,14 @@ def normal_form_bounded(
     always finds something strictly smaller once the lattice bound dominates
     the conformal-minimality norm bound, because the difference to the fiber
     minimum splits into conformal moves that stay feasible one at a time; the
-    fixed point is then the true normal form.
+    fixed point is then the true normal form.  Points stay nonnegative, so a
+    jump always finds at least the zero vector.
     """
     u = as_vector(u)
     _check_monomial(A, L, order, u)
     current = u
     while True:
-        nxt = vector_add(current, _jump(L, order, current))
+        nxt = vector_add(current, L.minimize(order, shift_box(current, L.bound)))
         if nxt == current:
             return NormalFormResult(u, current, current == u, L.certified)
         current = nxt
@@ -89,7 +83,7 @@ def is_standard(
     """
     u = as_vector(u)
     _check_monomial(A, L, order, u)
-    return not any(_jump(L, order, u))
+    return not any(L.minimize(order, shift_box(u, L.bound)))
 
 
 class ReductionDiverged(ToricError):
@@ -147,7 +141,7 @@ def polynomial_normal_form(
     collected: dict[Vec, int] = {}
     for coef, exponent in terms:
         nf = normal_form_bounded(A, L, order, exponent).normal_exponent
-        collected[nf] = collected.get(nf, 0) + int(coef)
+        collected[nf] = collected.get(nf, 0) + operator.index(coef)
     nonzero = [(c, e) for e, c in collected.items() if c]
     nonzero.sort(key=lambda t: order.key(t[1]), reverse=True)
     return nonzero

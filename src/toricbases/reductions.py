@@ -321,7 +321,6 @@ def ip_to_normalform(ip: IntegerProgram, *, graded: bool = False) -> NormalFormR
     )
     start = (tracker,) + y_bar + z_bar
     rhs = (0,) + b + t
-    assert enlarged.apply(start) == rhs
 
     dims = 1 + 2 * n
     order = MonomialOrder.grlex(dims) if graded else MonomialOrder.lex(dims)

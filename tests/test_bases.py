@@ -115,6 +115,15 @@ def test_in_graver_basics():
         in_graver(A, L, (0, 0))
     with pytest.raises(ValueError):
         in_graver(A, L, (1, 0))  # not in the kernel
+    # on a degree lattice a multiple inside the bound is rejected too: its
+    # primitive part lies conformally below it
+    LT = build_truncated_lattice(A, 4)
+    assert in_graver(A, LT, (1, 1)) and in_graver(A, LT, (-1, -1))
+    assert not in_graver(A, LT, (2, 2)) and not in_graver(A, LT, (-2, -2))
+    B = SparseIntMatrix.from_dense([[1, 1, -2]])
+    LT = build_truncated_lattice(B, 6)
+    assert in_graver(B, LT, (1, 1, 1)) and in_graver(B, LT, (2, 0, 1))
+    assert not in_graver(B, LT, (2, 2, 2)) and not in_graver(B, LT, (-4, 0, -2))
 
 
 def test_graver_single_row():

@@ -1,14 +1,25 @@
 import json
 import os
+import random
 import subprocess
 import sys
 from pathlib import Path
 
 import pytest
 
-from toricbases.cli import main
-from toricbases.core import matrix_from_text, matrix_to_text
-from toricbases.graphs import edge_list_from_text
+from toricbases import graphs
+from toricbases.cli import _resolve_cli_ordering, main
+from toricbases.core import SparseIntMatrix, matrix_from_text, matrix_to_text
+from toricbases.graphs import (
+    MIN_DEGREE,
+    MIN_FILL,
+    column_graph,
+    edge_list_from_text,
+    heuristic_ordering,
+    row_graph,
+    treedepth_estimate,
+    treewidth_estimate,
+)
 from toricbases.oracle import incidence_matrix, nfold_product, random_sparse_matrix
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -117,6 +128,70 @@ def test_graph_stats(capsys, tc_matrix):
     assert payload["column_graph"]["vertices"] == 4
     assert payload["row_graph"]["vertices"] == 2
     assert payload["lattice_strategy"] in ("min-fill", "min-degree")
+
+
+def edge_rows(seed):
+    """A row e_a + e_b per edge of a seeded random graph, whose column graph
+    is that graph."""
+    rng = random.Random(seed)
+    n, p = rng.randint(6, 12), rng.uniform(0.2, 0.5)
+    edges = [(a, b) for a in range(n) for b in range(a + 1, n) if rng.random() < p]
+    return SparseIntMatrix(len(edges), n, [(k, v, 1) for k, e in enumerate(edges) for v in e])
+
+
+def test_graph_stats_match_the_graph_estimates(capsys, tmp_path, monkeypatch):
+    eliminate = graphs.eliminate
+    calls = []
+    monkeypatch.setattr(graphs, "eliminate", lambda *a: calls.append(1) or eliminate(*a))
+    path = tmp_path / "random.txt"
+    matrices = [
+        random_sparse_matrix(1 + seed % 4, 3 + seed % 6, 2, 0.4, seed).without_zero_rows()
+        for seed in range(20)
+    ]
+    # min-fill is strictly narrower on the first two graphs, min-degree on the last two
+    matrices += [edge_rows(seed) for seed in (0, 19, 1137, 2238)]
+    outcomes = set()
+    for A in matrices:
+        path.write_text(matrix_to_text(A))
+        calls.clear()
+        code, out, _ = run_cli(capsys, "graph-stats", "--matrix", str(path))
+        assert code == 0 and len(calls) == 4  # one elimination per graph and strategy
+        stats = json.loads(out)
+        widths = {}
+        for name, graph in (("column_graph", column_graph(A)), ("row_graph", row_graph(A))):
+            for strategy in (MIN_FILL, MIN_DEGREE):
+                ordering = heuristic_ordering(graph, strategy)
+                want = {
+                    "treewidth": treewidth_estimate(graph, ordering),
+                    "treedepth": treedepth_estimate(graph, ordering),
+                }
+                assert stats[name]["strategies"][strategy] == want, (A.to_dense(), name)
+                widths[name, strategy] = want["treewidth"]
+        fill, degree = widths["column_graph", MIN_FILL], widths["column_graph", MIN_DEGREE]
+        outcomes.add((fill > degree) - (fill < degree))
+        strategy = MIN_FILL if fill <= degree else MIN_DEGREE
+        assert stats["lattice_strategy"] == strategy, A.to_dense()
+        assert _resolve_cli_ordering("auto", A) == heuristic_ordering(column_graph(A), strategy)
+    assert outcomes == {-1, 0, 1}
+
+
+def test_json_numbers_must_be_integers(capsys, tmp_path, tc_matrix):
+    ip = {"A": [[1, 1, -1]], "b": [1], "c": [1, 2, 0], "upper": [2, 2, 2], "hint": [1, 0, 0]}
+    ip_path = tmp_path / "ip.json"
+    ip_path.write_text(json.dumps({**ip, "b": ["1"], "c": [1, "2", 0]}))
+    code, out, _ = run_cli(capsys, "solve-ip", "--ip", str(ip_path))
+    assert code == 0 and json.loads(out)["solution"] == [1, 0, 0]
+    for key, value in (("A", [[1, 1.5, -1]]), ("b", [1.0]), ("hint", [1, 0, 0.5])):
+        ip_path.write_text(json.dumps({**ip, key: value}))
+        code, out, err = run_cli(capsys, "solve-ip", "--ip", str(ip_path))
+        assert code == 2 and out == "" and "expected an integer" in err, key
+    nf = ["normal-form", "--matrix", tc_matrix, "--bound", "3", "--order", "grlex"]
+    nf += ["--monomial", "1,0,1,0", "--polynomial"]
+    code, out, _ = run_cli(capsys, *nf, '[["2", [1, 0, 1, 0]], [-1, [0, 2, 0, 0]]]')
+    assert code == 0 and json.loads(out)["polynomial"] == [[1, [0, 2, 0, 0]]]
+    for polynomial in ('[[1.5, [1, 0, 1, 0]]]', '[[1, [1, 0, 1.0, 0]]]'):
+        code, out, err = run_cli(capsys, *nf, polynomial)
+        assert code == 2 and out == "" and "expected an integer" in err, polynomial
 
 
 def test_solve_ip_and_reduce_ip(capsys, tmp_path):

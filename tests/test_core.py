@@ -1,5 +1,6 @@
 import random
 
+import numpy as np
 import pytest
 
 from toricbases import (
@@ -11,7 +12,10 @@ from toricbases import (
     matrix_from_text,
     matrix_to_text,
 )
-from toricbases.core import negative_part, positive_part
+from toricbases.core import as_vector, negative_part, positive_part
+from toricbases.graphs import Graph, eliminate, path_graph
+from toricbases.lattice import build_lattice, build_truncated_lattice
+from toricbases.normalform import normal_form_bounded, polynomial_normal_form
 from toricbases.oracle import two_by_two_minors_matrix
 
 
@@ -190,3 +194,34 @@ def test_matrix_text_parse_errors():
         matrix_from_text("2 2\n1 1\n")
     with pytest.raises(ValueError):
         matrix_from_text("sparse 2 2 1\n0 0 1\n0 1 1\n")
+
+
+def test_non_integral_inputs_raise_type_error():
+    # int() would truncate these silently: 1.9 became 1
+    A = SparseIntMatrix.from_dense([[1, 1, 1, 1], [0, 1, 2, 3]])
+    L = build_lattice(A, 2)
+    grlex = MonomialOrder.grlex(4)
+    calls = [
+        lambda: as_vector((1, 2.0)),
+        lambda: SparseIntMatrix(1, 2, [(0, 0, 1.5)]),
+        lambda: SparseIntMatrix(1, 2, [(0, 1.0, 1)]),
+        lambda: SparseIntMatrix.from_dense([[1.5, 1]]),
+        lambda: MonomialOrder((0.5, 1)),
+        lambda: Graph.from_edges(3, [(0, 1.0)]),
+        lambda: eliminate(path_graph(3), (0, 1, 2.0)),
+        lambda: build_lattice(A, 2, (0, 1, 2, 3.0)),
+        lambda: build_truncated_lattice(A, 2, (0.0, 1, 2, 3)),
+        lambda: normal_form_bounded(A, L, grlex, (1.9, 0, 1, 0)),
+        lambda: polynomial_normal_form(A, L, grlex, [(1.5, (1, 0, 1, 0))]),
+        lambda: ideal_membership(A, [(0.5, (1, 0, 0, 0)), (-0.5, (1, 0, 0, 0))]),
+    ]
+    for call in calls:
+        with pytest.raises(TypeError):
+            call()
+    # numpy integers and bools are integers
+    assert SparseIntMatrix.from_dense(np.array([[1, 2], [3, 4]])).to_dense() == [[1, 2], [3, 4]]
+    assert as_vector(np.arange(3)) == (0, 1, 2)
+    assert MonomialOrder((True, np.int64(2))).weights == (1, 2)
+    assert Graph.from_edges(2, [(np.int64(0), True)]).edges == {(0, 1)}
+    assert build_lattice(A, 2, np.arange(4)).count() == L.count()
+    assert polynomial_normal_form(A, L, grlex, [(np.int64(2), (1, 0, 1, 0))]) == [(2, (0, 2, 0, 0))]

@@ -1,5 +1,10 @@
+import os
 import random
+import subprocess
+import sys
+import textwrap
 import tracemalloc
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -429,6 +434,49 @@ def test_backtrack_free_validator_random():
         LT.validate()
         folded += any(len(bag.intros) > 1 for bag in L._bags + LT._bags)
     assert folded == 15  # the validator sees merged bags in every case
+
+
+def test_validate_raises_lattice_error_under_optimisation():
+    # python -O strips assert statements; validate's checks must survive it
+    script = textwrap.dedent(
+        """
+        from toricbases import SparseIntMatrix, build_lattice
+        from toricbases.lattice import LatticeError
+
+        def reverse_intro_values(A):
+            L = build_lattice(A, 2)
+            L._bags[0].intro_values = tuple(c[::-1] for c in L._bags[0].intro_values)
+            return L
+
+        def lengthen_up(A):
+            L = build_lattice(A, 1)
+            child = next(L._bags[bag.children[0]] for bag in L._bags if bag.children)
+            child.up = child.up + [0]
+            return L
+
+        print(__debug__)
+        cubic = SparseIntMatrix.from_dense([[1, 1, 1, 1], [0, 1, 2, 3]])
+        path = SparseIntMatrix.from_dense([[1, 1, 0, 0], [0, 1, 1, 0], [0, 0, 1, 1]])
+        for corrupt, A in ((reverse_intro_values, cubic), (lengthen_up, path)):
+            build_lattice(A, 2).validate()
+            try:
+                corrupt(A).validate()
+                print("passed")
+            except LatticeError as exc:
+                print(exc)
+        """
+    )
+    root = Path(__file__).resolve().parents[1]
+    env = {**os.environ, "PYTHONPATH": str(root / "src")}
+    proc = subprocess.run(
+        [sys.executable, "-O", "-c", script], env=env, capture_output=True, text=True, timeout=60
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines() == [
+        "False",
+        "introduced values disagree with the rows",
+        "child keys not one per parent row",
+    ]
 
 
 def test_one_bag_per_maximal_clique(twisted_cubic):
