@@ -78,6 +78,23 @@ def _no_fraction(text: str):
     raise ValueError(f"expected an integer, got {text}")
 
 
+def _json_int(value, field: str) -> int:
+    """An integer, or a decimal string, read from JSON; anything else is a
+    ValueError that names the field."""
+    if isinstance(value, (int, str)):
+        try:
+            return int(value)
+        except ValueError:
+            pass
+    raise ValueError(f"{field} must be an integer, got {json.dumps(value)}")
+
+
+def _json_ints(value, field: str) -> tuple[int, ...]:
+    if not isinstance(value, list):
+        raise ValueError(f"{field} must be a list of integers, got {json.dumps(value)}")
+    return tuple(_json_int(x, f"{field} entry") for x in value)
+
+
 def _parse_order(spec: str, n: int) -> MonomialOrder:
     if spec == "lex":
         return MonomialOrder.lex(n)
@@ -201,7 +218,14 @@ def _cmd_normal_form(args) -> int:
             payload["standard"] = result.was_standard
     if args.polynomial:
         polynomial = json.loads(args.polynomial, parse_float=_no_fraction)
-        terms = [(int(c), tuple(e)) for c, e in polynomial]
+        if not isinstance(polynomial, list) or any(
+            not isinstance(term, list) or len(term) != 2 for term in polynomial
+        ):
+            raise ValueError("--polynomial must be a list of [coefficient, exponent] pairs")
+        terms = [
+            (_json_int(c, "--polynomial coefficient"), _json_ints(e, "--polynomial exponent"))
+            for c, e in polynomial
+        ]
         if lattice is None:
             lattice = _build_from_args(args, A)
         reduced = polynomial_normal_form(A, lattice, order, terms)
@@ -258,17 +282,20 @@ def _cmd_graver(args) -> int:
 
 def _load_ip(path: str) -> IntegerProgram:
     data = json.loads(Path(path).read_text(), parse_float=_no_fraction)
-    matrix = SparseIntMatrix.from_dense([[int(x) for x in row] for row in data["A"]])
+    if not isinstance(data, dict):
+        raise ValueError("an integer program must be a JSON object")
+    rows = data.get("A")
+    if not isinstance(rows, list):
+        raise ValueError(f"A must be a list of rows, got {json.dumps(rows)}")
+    matrix = SparseIntMatrix.from_dense([_json_ints(row, "A row") for row in rows])
 
     def vec(key):
-        if key not in data or data[key] is None:
-            return None
-        return tuple(int(x) for x in data[key])
+        return None if data.get(key) is None else _json_ints(data[key], key)
 
     return IntegerProgram(
         matrix=matrix,
-        rhs=vec("b"),
-        objective=vec("c"),
+        rhs=_json_ints(data.get("b"), "b"),
+        objective=_json_ints(data.get("c"), "c"),
         lower=vec("lower"),
         upper=vec("upper"),
         feasible_hint=vec("hint"),

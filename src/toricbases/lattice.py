@@ -116,15 +116,17 @@ class _Bag:
     variable eliminated at the clique, then those of the non-maximal
     cliques folded into it, each of which was exactly the separator of the
     one before.  The rest of the scope is the separator.  The plan is fixed
-    by the downward pass.  Rows are sorted by separator key id, then by the
-    introduced variables from the last one back to the first, which is the
-    order in which the unfolded chain of bags would enumerate them;
+    by the downward pass.  The rows are stored once, column by column, as
+    ``table``: one column per scope variable, never empty, since the zero
+    vector's row survives both passes.  Rows are sorted by separator key id,
+    then by the introduced variables from the last one back to the first,
+    the order in which the unfolded chain of bags would enumerate them;
     ``key_ids[r]`` is the id of row r's separator key, and ``up[r]`` the id
     of this bag's separator key at row r of the parent.  So a child's
     message, a list indexed by key id, is read at a parent row with no
     tuple built.  Each scope column keeps its sorted distinct values and,
-    for each, the mask of the rows at or above it (bit len(rows) - 1 - r
-    for row r).
+    for each, the mask of its table column's rows at or above it (bit
+    R - 1 - r for row r of R).
     """
 
     __slots__ = (
@@ -134,9 +136,7 @@ class _Bag:
         "sep",
         "parent",
         "children",
-        "rows",
-        "intro_values",
-        "child_extract",
+        "table",
         "key_ids",
         "num_keys",
         "up",
@@ -151,26 +151,18 @@ class _Bag:
         self.scope = scope  # ordered by elimination position
         self.sep = scope[len(intros) :]
         self.parent = parent
-        self.children: tuple[int, ...] = ()
-        self.rows: tuple[tuple[int, ...], ...] = ()
-        # per introduced variable, its value in each row
-        self.intro_values: tuple[tuple[int, ...], ...] = ()
-        # child pos -> positions of the child's separator inside this scope
-        self.child_extract: dict[int, tuple[int, ...]] = {}
+        self.children: list[int] = []
+        # per scope variable, its value in each row
+        self.table: tuple[tuple[int, ...], ...] = ()
         self.key_ids: list[int] = []
         self.num_keys = 0
         self.up: list[int] = []
         # (column, sorted distinct values, masks of the rows at or above each)
         self.columns: tuple[tuple[int, tuple[int, ...], tuple[int, ...]], ...] = ()
 
-    def set_children(self, bags: "list[_Bag]", children: tuple[int, ...]) -> None:
-        self.children = children
-        index = {v: i for i, v in enumerate(self.scope)}
-        self.child_extract = {c: tuple(index[v] for v in bags[c].sep) for c in children}
-
-    def message(self) -> Message:
+    def message(self, rows: list[tuple[int, ...]]) -> Message:
         # deepest level first: each level's keys are the prefixes one shorter
-        prefixes = set(map(operator.itemgetter(slice(len(self.intros), None)), self.rows))
+        prefixes = set(map(operator.itemgetter(slice(len(self.intros), None)), rows))
         levels: list[dict[tuple[int, ...], tuple[int, ...]]] = []
         for _ in self.sep:
             grouped: dict[tuple[int, ...], list[int]] = {}
@@ -181,29 +173,31 @@ class _Bag:
         levels.reverse()
         return self.sep, levels
 
-    def settle(self, pairs: Iterator[tuple[int, tuple[int, ...]]], num_keys: int, n: int) -> None:
-        """Fix the rows, given as (key id, row) pairs, and compile the plan."""
+    def settle(self, rows: list[tuple[int, ...]], keys: Iterator, num_keys: int, n: int) -> None:
+        """Fix the rows whose key id is not None, and compile the plan.  The
+        list is emptied, so that the row tuples are freed with ``keyed``."""
         k = len(self.intros)
+        pairs = ((key, row) for key, row in zip(keys, rows) if key is not None)
         if k == 1:
             keyed = sorted(pairs)
         else:  # rows of one key differ only in their introduced variables
             keyed = sorted(pairs, key=lambda pair: (pair[0], pair[1][k - 1 :: -1]))
-        self.rows = tuple(map(operator.itemgetter(1), keyed))
+        rows.clear()
         self.key_ids = list(map(operator.itemgetter(0), keyed))
+        self.table = tuple(zip(*map(operator.itemgetter(1), keyed)))
         del keyed  # freed before the masks are built, to lower the peak
-        self.intro_values = tuple(tuple(map(operator.itemgetter(i), self.rows)) for i in range(k))
         self.num_keys = num_keys
         columns = []
-        for i, var in enumerate(self.scope):
+        for var, column in zip(self.scope, self.table):
             if var >= n:  # counters are never boxed
                 continue
             rows_at: dict[int, list[int]] = {}
-            for r, x in enumerate(map(operator.itemgetter(i), self.rows)):
+            for r, x in enumerate(column):
                 rows_at.setdefault(x, []).append(r)
             values = sorted(rows_at)
             # the binary digits of the rows at or above each value, filled in
             # from the largest value down, so that every row is marked once
-            digits = bytearray(b"0") * len(self.rows)
+            digits = bytearray(b"0") * len(column)
             masks = [0]
             for x in reversed(values):
                 for r in rows_at[x]:
@@ -224,7 +218,7 @@ class _Bag:
                 mask = m if mask is None else mask & m
         if mask is None:
             return None
-        return format(mask, f"0{len(self.rows)}b").encode().translate(_BIT_BYTES)
+        return format(mask, f"0{len(self.key_ids)}b").encode().translate(_BIT_BYTES)
 
 
 # ASCII binary digits as the bytes 0 and 1
@@ -389,7 +383,7 @@ class KernelLattice:
         self._layout = tuple(map(where.__getitem__, range(self.num_columns)))
 
     def total_rows(self) -> int:
-        return sum(len(b.rows) for b in self._bags)
+        return sum(len(b.key_ids) for b in self._bags)
 
     @property
     def certified(self) -> bool:
@@ -419,9 +413,12 @@ class KernelLattice:
             raise BoundExceeded(f"{v} lies outside the {self.kind} bound {self.bound}")
 
     def check_order(self, order: MonomialOrder) -> None:
-        """Raise ValueError unless the lattice serves the order: a degree
+        """Raise DimensionMismatch unless the order has one weight per
+        column, and ValueError unless the lattice serves it: a degree
         lattice serves only the graded lexicographic order, under which a
         normal form never has a larger degree."""
+        if order.num_vars != self.num_columns:
+            raise DimensionMismatch(f"order has {order.num_vars} weights, not {self.num_columns}")
         if self.kind == "degree" and not order.is_unit_weights:
             raise ValueError("degree-truncated lattices support only the graded lexicographic order")
 
@@ -459,7 +456,7 @@ class KernelLattice:
         preorder.  The layout maps a tuple to column order, without counters."""
 
         def leaf(bag: _Bag, selected: None) -> Iterator[list]:
-            return ([t] for t in zip(*bag.intro_values))
+            return ([t] for t in zip(*bag.table[: len(bag.intros)]))
 
         def times(acc: list, child: list) -> list:
             return [a + b for a in acc for b in child]
@@ -550,7 +547,7 @@ class KernelLattice:
         def leaf(bag: _Bag, selected: bytes | None):
             # per row that the selection keeps, c_j * x_j summed over the
             # introduced variables
-            intros, columns = bag.intros, bag.intro_values
+            intros, columns = bag.intros, bag.table
             kept = columns[0] if selected is None else compress(columns[0], selected)
             acc = map(operator.mul, kept, repeat(c[intros[0]]))
             for i in range(1, len(intros)):
@@ -579,6 +576,7 @@ class KernelLattice:
         running intersection, separator containment, backtrack-freeness in
         both directions, and a sweep plan that agrees with the rows."""
         bags = self._bags
+        rows_of = []  # each bag's rows, read from its table
         containing: dict[int, list[int]] = {}
         for bag in bags:
             for var in bag.scope:
@@ -598,8 +596,10 @@ class KernelLattice:
         for bag in bags:
             num_intros = len(bag.intros)
             _require(num_intros > 0 and bag.scope[:num_intros] == bag.intros, "intros not first")
-            intro_values = tuple(tuple(row[i] for row in bag.rows) for i in range(num_intros))
-            _require(bag.intro_values == intro_values, "introduced values disagree with the rows")
+            shape = len(bag.table), set(map(len, bag.table))
+            _require(shape == (len(bag.scope), {len(bag.key_ids)}), "table shape not scope by rows")
+            rows = list(zip(*bag.table))
+            rows_of.append(rows)
             if bag.children:
                 _require(set(bags[bag.children[0]].sep) != set(bag.scope), "clique not folded")
             if bag.parent is None:
@@ -607,24 +607,25 @@ class KernelLattice:
             else:
                 _require(set(bag.sep) <= set(bags[bag.parent].scope), "separator not in the parent")
             _require(bag.key_ids == sorted(bag.key_ids), "rows not grouped by key id")
-            keyed = list(zip(bag.key_ids, (row[num_intros - 1 :: -1] for row in bag.rows)))
+            keyed = list(zip(bag.key_ids, (row[num_intros - 1 :: -1] for row in rows)))
             _require(keyed == sorted(set(keyed)), "rows of a key not strictly sorted")
             key_of = {}
-            for k, sep in zip(bag.key_ids, (row[num_intros:] for row in bag.rows)):
+            for k, sep in zip(bag.key_ids, (row[num_intros:] for row in rows)):
                 _require(key_of.setdefault(k, sep) == sep, "one key id for two separator keys")
             for var, values, masks in bag.columns:
                 i = bag.scope.index(var)
                 for x, mask in zip(values, masks):
-                    want = "".join("1" if row[i] >= x else "0" for row in bag.rows)
+                    want = "".join("1" if row[i] >= x else "0" for row in rows)
                     _require(mask == int(want, 2), "row mask disagrees with the rows")
             for c in bag.children:
                 child = bags[c]
                 child_keys = {}
-                for k, row in zip(child.key_ids, child.rows):
+                for k, row in zip(child.key_ids, rows_of[c]):
                     child_keys[k] = row[len(child.intros) :]
-                _require(len(child.up) == len(bag.rows), "child keys not one per parent row")
-                for row, k in zip(bag.rows, child.up):
-                    want = tuple(row[i] for i in bag.child_extract[c])
+                _require(len(child.up) == len(rows), "child keys not one per parent row")
+                extract = tuple(map(bag.scope.index, child.sep))
+                for row, k in zip(rows, child.up):
+                    want = tuple(row[i] for i in extract)
                     _require(child_keys.get(k) == want, "parent row with no child extension")
                 _require(set(child_keys) <= set(child.up), "child row with no parent support")
 
@@ -697,12 +698,9 @@ def _assemble(
         )
         for p, top in enumerate(tops)
     ]
-    children: list[list[int]] = [[] for _ in bags]
     for bag in bags:
         if bag.parent is not None:
-            children[bag.parent].append(bag.pos)
-    for bag in bags:
-        bag.set_children(bags, tuple(children[bag.pos]))
+            bags[bag.parent].children.append(bag.pos)
 
     estimate = 0
     for bag in bags:
@@ -722,9 +720,10 @@ def _assemble(
         by_bag[pos_of[home]][i >= len(equations)].append(cons)
 
     # upward pass: enumerate each bag against its children's messages
+    rows: list[list[tuple[int, ...]]] = []  # per bag, emptied when it settles
     for bag in bags:
-        messages = [bags[c].message() for c in bag.children]
-        bag.rows = tuple(_enumerate_bag(bag.scope, domains, *by_bag[bag.pos], messages))
+        messages = [bags[c].message(rows[c]) for c in bag.children]
+        rows.append(_enumerate_bag(bag.scope, domains, *by_bag[bag.pos], messages))
 
     # downward pass: drop rows without support in the parent, numbering a
     # child's separator keys in the order the parent's rows first project
@@ -732,19 +731,15 @@ def _assemble(
     n = matrix.num_cols
     for bag in reversed(bags):
         if bag.parent is None:
-            bag.settle(zip(repeat(0), bag.rows), 1, n)
+            bag.settle(rows[bag.pos], repeat(0), 1, n)
+        column = dict(zip(bag.scope, bag.table))
         for c in bag.children:
             child = bags[c]
-            # a child's separator is never empty, and the parent and the
-            # child project it with getters of the same arity
-            projections = list(map(operator.itemgetter(*bag.child_extract[c]), bag.rows))
+            projections = list(zip(*(column[v] for v in child.sep)))
             ids = dict(zip(dict.fromkeys(projections), count()))
             child.up = list(map(ids.__getitem__, projections))
-            sep = operator.itemgetter(*range(len(child.intros), len(child.scope)))
-            keys = map(ids.get, map(sep, child.rows))
-            child.settle(
-                ((key, row) for key, row in zip(keys, child.rows) if key is not None), len(ids), n
-            )
+            sep = operator.itemgetter(slice(len(child.intros), None))
+            child.settle(rows[c], map(ids.get, map(sep, rows[c])), len(ids), n)
 
     return KernelLattice(matrix, kind, bound, bags, elim.clique_number)
 

@@ -136,8 +136,12 @@ def polynomial_normal_form(
     """Termwise normal form of a polynomial with exact integer coefficients.
 
     Like monomials are collected after reduction; zero coefficients drop out.
-    Terms are returned leading-first under the order.
+    Terms are returned leading-first under the order.  The lattice and the
+    order are checked before any term is read, so they are refused even for
+    an empty polynomial.
     """
+    L.check_matrix(A)
+    L.check_order(order)
     collected: dict[Vec, int] = {}
     for coef, exponent in terms:
         nf = normal_form_bounded(A, L, order, exponent).normal_exponent

@@ -3,10 +3,11 @@ the depth-first enumeration that the list sweep replaced, kept as
 references for the tests.
 
 They read only each bag's scope, introduced variables, separator, children
-and rows.  Every message is a dict keyed by separator value tuples, every
-box filter compares row values, and the minimiser keeps (key, row)
-back-pointers and rebuilds the vector top-down from the values already
-chosen.  The enumeration extends the values already chosen bag by bag.
+and rows, taken back out of its column table as tuples.  Every message is
+a dict keyed by separator value tuples, every box filter compares row
+values, and the minimiser keeps (key, row) back-pointers and rebuilds the
+vector top-down from the values already chosen.  The enumeration extends
+the values already chosen bag by bag.
 """
 
 from __future__ import annotations
@@ -24,7 +25,7 @@ def reference_sweep(L, box, leaf, times, plus) -> list[dict]:
     msgs: list[dict] = []
     for bag in bags:
         index = {v: i for i, v in enumerate(bag.scope)}
-        rows = bag.rows
+        rows = list(zip(*bag.table))
         if box is not None:
             lo, hi = box
             for i, var in enumerate(bag.scope):
@@ -104,7 +105,7 @@ def reference_iterate(L) -> list:
             return
         bag = order[depth]
         k = len(bag.intros)
-        for row in bag.rows:
+        for row in zip(*bag.table):
             if all(env[v] == x for v, x in zip(bag.sep, row[k:])):
                 extend(depth + 1, {**env, **dict(zip(bag.intros, row[:k]))})
 

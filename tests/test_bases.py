@@ -5,6 +5,7 @@ import pytest
 from toricbases import (
     Binomial,
     BoundExceeded,
+    DimensionMismatch,
     MonomialOrder,
     SparseIntMatrix,
     build_lattice,
@@ -385,6 +386,7 @@ def test_queries_refuse_a_lattice_of_another_matrix(twisted_cubic):
         lambda A: normal_form_bounded(A, L, grlex, u),
         lambda A: is_standard(A, L, grlex, u),
         lambda A: polynomial_normal_form(A, L, grlex, [(1, u)]),
+        lambda A: polynomial_normal_form(A, L, grlex, []),
         lambda A: in_reduced_gb(A, L, grlex, Binomial(u, (0, 2, 0, 0))),
         lambda A: in_graver(A, L, (2, -3, 0, 1)),
         lambda A: graver_basis(A, L),
@@ -397,6 +399,85 @@ def test_queries_refuse_a_lattice_of_another_matrix(twisted_cubic):
         with pytest.raises(ValueError, match="different matrix"):
             call(other)
         assert call(copy) == call(twisted_cubic)
+
+
+def test_queries_refuse_an_order_of_another_length(twisted_cubic):
+    # an order must weigh every column, even when there is nothing to scan:
+    # the kernel of [[1]] is {0}, whose reduced basis is empty
+    A = SparseIntMatrix.from_dense([[1]])
+    for L in (build_lattice(A, 2), build_truncated_lattice(A, 2)):
+        for order in (MonomialOrder.lex(5), MonomialOrder.grlex(5)):
+            calls = (
+                lambda: reduced_groebner_basis(A, L, order),
+                lambda: normal_form_bounded(A, L, order, (1,)),
+                lambda: is_standard(A, L, order, (1,)),
+                lambda: polynomial_normal_form(A, L, order, []),
+            )
+            for call in calls:
+                with pytest.raises(DimensionMismatch, match="order has 5 weights, not 1"):
+                    call()
+    L = build_lattice(twisted_cubic, 2)
+    with pytest.raises(DimensionMismatch):
+        reduced_groebner_basis(twisted_cubic, L, MonomialOrder.grlex(3))
+    with pytest.raises(DimensionMismatch):
+        polynomial_normal_form(twisted_cubic, L, MonomialOrder.grlex(5), [(1, (1, 0, 1, 0))])
+
+
+def _reduced_from_graver(A, L, order):
+    """The reduced basis read off the Graver binomials with no sweep: (h, t)
+    is kept when no other head lies below h, t is the least tail of h, and
+    no head lies below t.  Each condition restates a sweep of in_reduced_gb,
+    by conformal decomposition into Graver elements: (1) every h - e_k is
+    standard, (3) the tail is standard, and given (1) the first jump from h
+    lands on its least tail, so (2) and (3) say that NF(h) = t."""
+    binomials = binomials_from_vectors(graver_basis(A, L).elements, order)
+    heads = {b.head for b in binomials}
+    least_tail: dict = {}
+    for b in binomials:  # sorted by head, then tail, under the order
+        least_tail.setdefault(b.head, b.tail)
+
+    def below(h, x):
+        return all(a <= y for a, y in zip(h, x))
+
+    return [
+        b
+        for b in binomials
+        if not any(h != b.head and below(h, b.head) for h in heads)
+        and b.tail == least_tail[b.head]
+        and not any(below(h, b.tail) for h in heads)
+    ]
+
+
+def test_reduced_basis_reads_off_the_graver_basis(twisted_cubic, k23):
+    from toricbases.oracle import random_sparse_matrix
+
+    rng = random.Random(401)
+    matrices = [
+        twisted_cubic,
+        k23,
+        SparseIntMatrix.from_dense([[1, -1]]),
+        SparseIntMatrix.from_dense([[1, 1, -2]]),
+    ]
+    for _ in range(36):
+        n = rng.randint(2, 5)
+        matrices.append(random_sparse_matrix(rng.randint(1, 3), n, 2, 0.6, rng.randrange(2**30)))
+    cases = sizes = 0
+    for A in matrices:
+        n = A.num_cols
+        for bound in (1, 2, 3):
+            L = build_lattice(A, bound)
+            weights = tuple(rng.randint(0, 3) for _ in range(n))
+            for order in (MonomialOrder.lex(n), MonomialOrder.grlex(n), MonomialOrder(weights)):
+                want = reduced_groebner_basis(A, L, order).elements
+                assert _reduced_from_graver(A, L, order) == list(want), (A.to_dense(), bound)
+                cases += 1
+                sizes += len(want)
+            L = build_truncated_lattice(A, bound)
+            order = MonomialOrder.grlex(n)
+            want = reduced_groebner_basis(A, L, order).elements
+            assert _reduced_from_graver(A, L, order) == list(want), (A.to_dense(), bound)
+            cases += 1
+    assert (cases, sizes) == (480, 520)  # not a vacuous check: 520 box-basis elements
 
 
 def test_degree_bound_covers_the_negative_part():

@@ -194,6 +194,39 @@ def test_json_numbers_must_be_integers(capsys, tmp_path, tc_matrix):
         assert code == 2 and out == "" and "expected an integer" in err, polynomial
 
 
+MALFORMED_IPS = (
+    ('{"A": [[1, 1]], "b": [null], "c": [1, 1], "upper": [3, 3]}', "b entry must be an integer"),
+    ('{"b": [2], "c": [1, 1], "upper": [3, 3]}', "A must be a list of rows"),
+    ('{"A": 5, "b": [2], "c": [1, 1], "upper": [3, 3]}', "A must be a list of rows"),
+    ("[[1, 1]]", "must be a JSON object"),
+)
+MALFORMED_POLYNOMIALS = (
+    ("[[null, [1, 0, 1, 0]]]", "coefficient must be an integer"),
+    ("5", "must be a list of [coefficient, exponent] pairs"),
+)
+
+
+@pytest.mark.parametrize(
+    "kind, text, message",
+    [
+        *(("ip", text, message) for text, message in MALFORMED_IPS),
+        *(("polynomial", text, message) for text, message in MALFORMED_POLYNOMIALS),
+    ],
+)
+def test_malformed_json_is_a_usage_error(capsys, tmp_path, tc_matrix, kind, text, message):
+    # a wrong type or a missing key names the field and exits 2, with no traceback
+    if kind == "ip":
+        ip_path = tmp_path / "ip.json"
+        ip_path.write_text(text)
+        argv = ["solve-ip", "--ip", str(ip_path)]
+    else:
+        argv = ["normal-form", "--matrix", tc_matrix, "--bound", "3", "--order", "grlex"]
+        argv += ["--monomial", "1,0,1,0", "--polynomial", text]
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 2 and out == "" and "Traceback" not in err
+    assert err.startswith("error: ") and message in err, err
+
+
 def test_solve_ip_and_reduce_ip(capsys, tmp_path):
     ip_path = tmp_path / "ip.json"
     ip_path.write_text(

@@ -443,9 +443,11 @@ def test_validate_raises_lattice_error_under_optimisation():
         from toricbases import SparseIntMatrix, build_lattice
         from toricbases.lattice import LatticeError
 
-        def reverse_intro_values(A):
+        def reverse_intro_columns(A):
             L = build_lattice(A, 2)
-            L._bags[0].intro_values = tuple(c[::-1] for c in L._bags[0].intro_values)
+            bag = L._bags[0]
+            k = len(bag.intros)
+            bag.table = tuple(c[::-1] for c in bag.table[:k]) + bag.table[k:]
             return L
 
         def lengthen_up(A):
@@ -454,10 +456,16 @@ def test_validate_raises_lattice_error_under_optimisation():
             child.up = child.up + [0]
             return L
 
+        def drop_column(A):
+            L = build_lattice(A, 1)
+            L._bags[0].table = L._bags[0].table[:-1]
+            return L
+
         print(__debug__)
         cubic = SparseIntMatrix.from_dense([[1, 1, 1, 1], [0, 1, 2, 3]])
         path = SparseIntMatrix.from_dense([[1, 1, 0, 0], [0, 1, 1, 0], [0, 0, 1, 1]])
-        for corrupt, A in ((reverse_intro_values, cubic), (lengthen_up, path)):
+        corruptions = ((reverse_intro_columns, cubic), (lengthen_up, path), (drop_column, path))
+        for corrupt, A in corruptions:
             build_lattice(A, 2).validate()
             try:
                 corrupt(A).validate()
@@ -474,8 +482,9 @@ def test_validate_raises_lattice_error_under_optimisation():
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.splitlines() == [
         "False",
-        "introduced values disagree with the rows",
+        "rows of a key not strictly sorted",
         "child keys not one per parent row",
+        "table shape not scope by rows",
     ]
 
 
