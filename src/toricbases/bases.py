@@ -2,12 +2,11 @@
 bases, driven by a kernel lattice, box-bounded or degree-truncated.
 
 A Graver membership test costs one dynamic-programming sweep of the join
-tree.  A reduced-basis membership test costs the jumps of the head's normal
-form plus one sweep per column in the head's support.  The two
-constructions form one pipeline over the lattice's elements: the Graver
-basis is a conformal filter of the elements in 1-norm order, and the
-reduced basis is the Graver binomials that pass the reduced-basis
-membership test.
+tree.  The reduced-basis membership test, ``in_reduced_gb``, costs the jumps
+of the head's normal form plus one sweep per column in the head's support.
+The two constructions form one pipeline over the lattice's elements: the
+Graver basis is a conformal filter of the elements in 1-norm order, and the
+reduced basis is read off the Graver binomials with no sweep.
 """
 
 from __future__ import annotations
@@ -89,24 +88,27 @@ def in_reduced_gb(
 def reduced_groebner_basis(
     A: SparseIntMatrix, L: KernelLattice, order: MonomialOrder
 ) -> BasisReport:
-    """The oriented binomials of the lattice's Graver basis that pass the
-    reduced-basis membership test; each sign pair contributes one candidate.
+    """The oriented Graver binomials (h, t) of the lattice such that no other
+    Graver head lies below h and no Graver head lies below t; sorted by head
+    and then tail.
 
-    Only Graver elements can pass the test, at any bound, so this equals the
-    scan of every lattice vector.  Let v = head - tail pass it, and let y be
-    a kernel vector conformally below v other than 0 and v.  y and v - y
-    satisfy v's bound, so both are in the lattice, and one of them, say y,
-    has its positive part above its negative part.  If y+ is not the whole
-    head, it divides some head - e_k, from which y is an improving move: that
-    divisor is not standard.  Otherwise y- is a proper divisor of the tail,
-    reached from it by the move v - y: the tail is not the normal form.
+    These restate ``in_reduced_gb`` at every bound.  An improving move splits
+    conformally into Graver elements inside the same box or degree bound,
+    one of which improves the monomial on its own.  So the first condition
+    says every h - e_k is standard, and the second that t is standard.
+    Given the first, a least move from h is one Graver element with negative
+    part h, so the first jump from h lands on its least tail t'; and t' = t,
+    for if t' < t, the move t' - t is inside the bound and improves t.
     """
     L.check_matrix(A)
     L.check_order(order)
     graver = graver_basis(A, L)
+    binomials = binomials_from_vectors(graver.elements, order)
+    heads = {b.head for b in binomials}
     kept = [
-        b for b in binomials_from_vectors(graver.elements, order)
-        if in_reduced_gb(A, L, order, b)
+        b for b in binomials
+        if not any(conformal_leq(h, b.tail) for h in heads)
+        and not any(h != b.head and conformal_leq(h, b.head) for h in heads)
     ]
     kind = "reduced-groebner" if L.kind == "box" else "truncated-groebner"
     return BasisReport(kind, order, tuple(kept), graver.scanned, L.bound, L.certified)

@@ -198,6 +198,21 @@ def _cmd_normal_form(args) -> int:
     A = _read_matrix(args.matrix, args.drop_zero_rows)
     order = _parse_order(args.order, A.num_cols)
     monomial = _parse_vector(args.monomial)
+    terms = None
+    if args.polynomial:
+        polynomial = json.loads(args.polynomial, parse_float=_no_fraction)
+        if not isinstance(polynomial, list) or any(
+            not isinstance(term, list) or len(term) != 2 for term in polynomial
+        ):
+            raise ValueError("--polynomial must be a list of [coefficient, exponent] pairs")
+        terms = [
+            (_json_int(c, "--polynomial coefficient"), _json_ints(e, "--polynomial exponent"))
+            for c, e in polynomial
+        ]
+    exponents = [("--monomial", monomial)] + [("--polynomial exponent", e) for _, e in terms or ()]
+    for name, exponent in exponents:  # before any build
+        if len(exponent) != A.num_cols:
+            raise ValueError(f"{name} needs length {A.num_cols}, got {len(exponent)}")
     payload: dict = {"input": list(monomial), "via": args.via}
     lattice = None
     if args.via == "ip":
@@ -216,16 +231,7 @@ def _cmd_normal_form(args) -> int:
             result = normal_form_bounded(A, lattice, order, monomial)
             payload["normal_form"] = list(result.normal_exponent)
             payload["standard"] = result.was_standard
-    if args.polynomial:
-        polynomial = json.loads(args.polynomial, parse_float=_no_fraction)
-        if not isinstance(polynomial, list) or any(
-            not isinstance(term, list) or len(term) != 2 for term in polynomial
-        ):
-            raise ValueError("--polynomial must be a list of [coefficient, exponent] pairs")
-        terms = [
-            (_json_int(c, "--polynomial coefficient"), _json_ints(e, "--polynomial exponent"))
-            for c, e in polynomial
-        ]
+    if terms is not None:
         if lattice is None:
             lattice = _build_from_args(args, A)
         reduced = polynomial_normal_form(A, lattice, order, terms)

@@ -6,6 +6,7 @@ from toricbases import (
     Binomial,
     BoundExceeded,
     DimensionMismatch,
+    KernelLattice,
     MonomialOrder,
     SparseIntMatrix,
     build_lattice,
@@ -56,16 +57,41 @@ def test_reduced_gb_single_row():
     assert [(b.head, b.tail) for b in report.elements] == [((1, 0), (0, 1))]
 
 
-def test_reduced_gb_k23_is_the_three_minors(k23):
-    L = build_lattice(k23, 2)
-    report = reduced_groebner_basis(k23, L, MonomialOrder.grlex(6))
-    got = {(b.head, b.tail) for b in report.elements}
-    minors = {
+# the reduced basis of K_{2,3} under grlex: its three 2x2 minors
+K23_MINORS = frozenset(
+    {
         ((1, 0, 0, 1, 0, 0), (0, 1, 1, 0, 0, 0)),
         ((1, 0, 0, 0, 0, 1), (0, 1, 0, 0, 1, 0)),
         ((0, 0, 1, 0, 0, 1), (0, 0, 0, 1, 1, 0)),
     }
-    assert got == minors
+)
+
+
+def test_reduced_gb_k23_is_the_three_minors(k23):
+    L = build_lattice(k23, 2)
+    report = reduced_groebner_basis(k23, L, MonomialOrder.grlex(6))
+    got = {(b.head, b.tail) for b in report.elements}
+    assert got == K23_MINORS
+
+
+def test_reduced_basis_runs_no_sweep_beyond_its_scan(twisted_cubic, k23, monkeypatch):
+    # the reduced basis is read off the Graver basis: once the lattice is
+    # scanned, no minimize sweep (normal forms, is_standard) and no count
+    # sweep (in_graver) runs
+    cases = (
+        (twisted_cubic, build_lattice(twisted_cubic, 3), 4, TWISTED_CUBIC_RGB),
+        (k23, build_lattice(k23, 2), 6, K23_MINORS),
+        (k23, build_truncated_lattice(k23, 2), 6, K23_MINORS),
+    )
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("a sweep ran after the lattice scan")
+
+    monkeypatch.setattr(KernelLattice, "minimize", refuse)
+    monkeypatch.setattr(KernelLattice, "count", refuse)
+    for A, L, n, want in cases:
+        report = reduced_groebner_basis(A, L, MonomialOrder.grlex(n))
+        assert {(b.head, b.tail) for b in report.elements} == want, L.kind
 
 
 def test_reduced_gb_twisted_cubic_golden(twisted_cubic):
@@ -423,32 +449,11 @@ def test_queries_refuse_an_order_of_another_length(twisted_cubic):
         polynomial_normal_form(twisted_cubic, L, MonomialOrder.grlex(5), [(1, (1, 0, 1, 0))])
 
 
-def _reduced_from_graver(A, L, order):
-    """The reduced basis read off the Graver binomials with no sweep: (h, t)
-    is kept when no other head lies below h, t is the least tail of h, and
-    no head lies below t.  Each condition restates a sweep of in_reduced_gb,
-    by conformal decomposition into Graver elements: (1) every h - e_k is
-    standard, (3) the tail is standard, and given (1) the first jump from h
-    lands on its least tail, so (2) and (3) say that NF(h) = t."""
-    binomials = binomials_from_vectors(graver_basis(A, L).elements, order)
-    heads = {b.head for b in binomials}
-    least_tail: dict = {}
-    for b in binomials:  # sorted by head, then tail, under the order
-        least_tail.setdefault(b.head, b.tail)
-
-    def below(h, x):
-        return all(a <= y for a, y in zip(h, x))
-
-    return [
-        b
-        for b in binomials
-        if not any(h != b.head and below(h, b.head) for h in heads)
-        and b.tail == least_tail[b.head]
-        and not any(below(h, b.tail) for h in heads)
-    ]
-
-
 def test_reduced_basis_reads_off_the_graver_basis(twisted_cubic, k23):
+    # reduced_groebner_basis keeps (h, t) when no other Graver head lies
+    # below h and no Graver head lies below t; the reference is the sweep
+    # path, each Graver binomial through the single-element test
+    # in_reduced_gb
     from toricbases.oracle import random_sparse_matrix
 
     rng = random.Random(401)
@@ -465,18 +470,21 @@ def test_reduced_basis_reads_off_the_graver_basis(twisted_cubic, k23):
     for A in matrices:
         n = A.num_cols
         for bound in (1, 2, 3):
-            L = build_lattice(A, bound)
+            box = build_lattice(A, bound)
             weights = tuple(rng.randint(0, 3) for _ in range(n))
-            for order in (MonomialOrder.lex(n), MonomialOrder.grlex(n), MonomialOrder(weights)):
-                want = reduced_groebner_basis(A, L, order).elements
-                assert _reduced_from_graver(A, L, order) == list(want), (A.to_dense(), bound)
+            orders = (MonomialOrder.lex(n), MonomialOrder.grlex(n), MonomialOrder(weights))
+            runs = [(box, order) for order in orders]
+            runs.append((build_truncated_lattice(A, bound), MonomialOrder.grlex(n)))
+            for L, order in runs:
+                graver = graver_basis(A, L).elements
+                want = [
+                    b for b in binomials_from_vectors(graver, order)
+                    if in_reduced_gb(A, L, order, b)
+                ]
+                got = reduced_groebner_basis(A, L, order).elements
+                assert list(got) == want, (A.to_dense(), L.kind, bound, order)
                 cases += 1
-                sizes += len(want)
-            L = build_truncated_lattice(A, bound)
-            order = MonomialOrder.grlex(n)
-            want = reduced_groebner_basis(A, L, order).elements
-            assert _reduced_from_graver(A, L, order) == list(want), (A.to_dense(), bound)
-            cases += 1
+                sizes += len(got) if L.kind == "box" else 0
     assert (cases, sizes) == (480, 520)  # not a vacuous check: 520 box-basis elements
 
 

@@ -227,6 +227,35 @@ def test_malformed_json_is_a_usage_error(capsys, tmp_path, tc_matrix, kind, text
     assert err.startswith("error: ") and message in err, err
 
 
+@pytest.mark.parametrize(
+    "route, monomial, polynomial, budget, message",
+    [
+        (["--bound", "3"], "1,0,1", None, "5", "--monomial needs length 4, got 3"),
+        (["--bound", "3", "--via", "gb"], "1,0,1", None, "5", "--monomial needs length 4, got 3"),
+        (["--via", "ip"], "1,0,1", None, None, "--monomial needs length 4, got 3"),
+        (["--bound", "3"], "1,0,1,0", "[[1, [1, 0]]]", "5", "exponent needs length 4, got 2"),
+        (["--via", "ip", "--bound", "3"], "1,0,1,0", "[[1, [1, 0]]]", None,
+         "exponent needs length 4, got 2"),
+    ],
+    ids=["lattice", "gb", "ip", "polynomial-lattice", "polynomial-ip"],
+)
+def test_normal_form_checks_exponent_lengths_before_the_build(
+    capsys, tc_matrix, monkeypatch, route, monomial, polynomial, budget, message
+):
+    # an exponent of the wrong length is a usage error, reported before any
+    # build or solve: with a budget of 5 the build itself would fail
+    if budget is None:
+        monkeypatch.delenv("TORICBASES_BUDGET", raising=False)
+    else:
+        monkeypatch.setenv("TORICBASES_BUDGET", budget)
+    argv = ["normal-form", "--matrix", tc_matrix, "--order", "grlex", *route, "--monomial", monomial]
+    if polynomial is not None:
+        argv += ["--polynomial", polynomial]
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 2 and out == "" and err.startswith("error: ")
+    assert message in err and "budget" not in err, err
+
+
 def test_solve_ip_and_reduce_ip(capsys, tmp_path):
     ip_path = tmp_path / "ip.json"
     ip_path.write_text(

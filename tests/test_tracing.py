@@ -21,8 +21,11 @@ A = tb.SparseIntMatrix.from_dense([[1, 1, 1, 1], [0, 1, 2, 3]])
 L = tb.build_lattice(A, 3)
 assert len(tb.graver_basis(A, L).elements) == 10
 assert len(tb.reduced_groebner_basis(A, L, tb.MonomialOrder.grlex(4)).elements) == 3
+# the reduced basis is read off the Graver basis, with no sweep
+assert all(name != "lattice.minimize" for name, *_ in tracer.spans)
+tb.normal_form_bounded(A, L, tb.MonomialOrder.grlex(4), (1, 0, 1, 0))
 # the benchmark's graphs.ordering_s, graphs.eliminate_s and sweep counters
-# read these spans, which a default build and the basis scans record
+# read these spans, which a default build and a normal form record
 names = {name for name, *_ in tracer.spans}
 assert {"graphs.ordering", "graphs.eliminate", "lattice.minimize"} <= names, names
 # the benchmark's lattice.iterate_s and vectors_yielded read these spans
