@@ -25,7 +25,7 @@ from .core import (
     matrix_from_text,
     matrix_to_text,
 )
-from .lattice import build_lattice, build_truncated_lattice, graver_infinity_bound
+from .lattice import build_lattice, build_truncated_lattice, check_build_args, graver_infinity_bound
 from .normalform import normal_form_bounded, polynomial_normal_form, reduce_by_basis
 from .reductions import (
     IntegerProgram,
@@ -134,12 +134,18 @@ def _resolve_cli_ordering(spec: str, A: SparseIntMatrix) -> tuple[int, ...] | No
     raise ValueError(f"unknown ordering {spec!r}")
 
 
-def _build_from_args(args, A: SparseIntMatrix):
+def _lattice_args(args, A: SparseIntMatrix) -> tuple[str, int, tuple[int, ...] | None]:
+    """The kind, bound and column ordering that the lattice options ask for."""
     ordering = _resolve_cli_ordering(args.ordering, A)
     if args.degree is not None:
-        return build_truncated_lattice(A, args.degree, ordering)
-    bound = graver_infinity_bound(A) if args.bound is None else args.bound
-    return build_lattice(A, bound, ordering)
+        return "degree", args.degree, ordering
+    return "box", graver_infinity_bound(A) if args.bound is None else args.bound, ordering
+
+
+def _build_from_args(args, A: SparseIntMatrix):
+    kind, bound, ordering = _lattice_args(args, A)
+    build = build_truncated_lattice if kind == "degree" else build_lattice
+    return build(A, bound, ordering)
 
 
 # ---------------------------------------------------------------------------
@@ -216,6 +222,8 @@ def _cmd_normal_form(args) -> int:
     payload: dict = {"input": list(monomial), "via": args.via}
     lattice = None
     if args.via == "ip":
+        # no lattice is built, but its options are refused as a build would
+        check_build_args(A, *_lattice_args(args, A))
         program = normalform_to_ip(A, order, monomial)
         solution = solve_ip(program)
         payload["normal_form"] = list(solution)

@@ -18,7 +18,12 @@ tree (Blair & Peyton 1993): a clique that is exactly its first child's
 separator is folded into that child, whose bag then introduces several
 variables.  (A clique equal to a later child's separator keeps its own bag,
 which keeps the enumeration order.)  Two semijoin passes make every stored
-row extend to a full solution.
+row extend to a full solution.  The downward pass also amalgamates, as
+relaxed supernodes do (Ashcraft & Grimes 1989): a bag absorbs its first
+child while the joined table holds no more entries than the two tables it
+replaces, so a long chain of small bags sweeps as a few wide ones, and
+neither the stored rows nor the table entries grow.  The budget estimate
+and the realized clique number are those of the cliques, before any merge.
 """
 
 from __future__ import annotations
@@ -27,7 +32,7 @@ import operator
 import os
 import warnings
 from bisect import bisect_left, bisect_right
-from itertools import combinations, compress, count, repeat
+from itertools import accumulate, chain, combinations, compress, count, repeat
 from math import prod
 from typing import Iterator, Sequence
 
@@ -111,22 +116,25 @@ Message = tuple[tuple[int, ...], list[dict[tuple[int, ...], tuple[int, ...]]]]
 class _Bag:
     """One clique of the join tree, and after the build its sweep plan.
 
-    The scope is ordered by elimination position.  Its first entries, in
-    every row too, are the bag's introduced variables ``intros``: the
-    variable eliminated at the clique, then those of the non-maximal
-    cliques folded into it, each of which was exactly the separator of the
-    one before.  The rest of the scope is the separator.  The plan is fixed
-    by the downward pass.  The rows are stored once, column by column, as
-    ``table``: one column per scope variable, never empty, since the zero
-    vector's row survives both passes.  Rows are sorted by separator key id,
-    then by the introduced variables from the last one back to the first,
-    the order in which the unfolded chain of bags would enumerate them;
-    ``key_ids[r]`` is the id of row r's separator key, and ``up[r]`` the id
-    of this bag's separator key at row r of the parent.  So a child's
-    message, a list indexed by key id, is read at a parent row with no
-    tuple built.  Each scope column keeps its sorted distinct values and,
-    for each, the mask of its table column's rows at or above it (bit
-    R - 1 - r for row r of R).
+    The scope is ordered by elimination position until the downward pass.
+    Its first entries, in every row too, are the bag's introduced variables
+    ``intros``: the variable eliminated at the clique, then those of the
+    non-maximal cliques folded into it, each of which was exactly the
+    separator of the one before.  The rest of the scope is the separator.
+    The plan is fixed by the downward pass, which may merge the bag with
+    its first child: the child's intros then go in front of the bag's and
+    its children in front of the bag's, and the rows are the joined pairs
+    in (bag row, child row) order.  The rows are stored once, column by
+    column, as ``table``: one column per scope variable, never empty, since
+    the zero vector's row survives both passes.  Rows are sorted by
+    separator key id, then by the introduced variables from the last one
+    back to the first, the order in which the unmerged chain of bags would
+    enumerate them; ``key_ids[r]`` is the id of row r's separator key, and
+    ``up[r]`` the id of this bag's separator key at row r of the parent.
+    So a child's message, a list indexed by key id, is read at a parent row
+    with no tuple built.  Each scope column of the final table keeps its
+    sorted distinct values and, for each, the mask of its rows at or above
+    it (bit R - 1 - r for row r of R).
     """
 
     __slots__ = (
@@ -173,9 +181,9 @@ class _Bag:
         levels.reverse()
         return self.sep, levels
 
-    def settle(self, rows: list[tuple[int, ...]], keys: Iterator, num_keys: int, n: int) -> None:
-        """Fix the rows whose key id is not None, and compile the plan.  The
-        list is emptied, so that the row tuples are freed with ``keyed``."""
+    def settle(self, rows: list[tuple[int, ...]], keys: Iterator, num_keys: int) -> None:
+        """Fix the rows whose key id is not None.  The list is emptied, so
+        that the row tuples are freed with ``keyed``."""
         k = len(self.intros)
         pairs = ((key, row) for key, row in zip(keys, rows) if key is not None)
         if k == 1:
@@ -185,8 +193,10 @@ class _Bag:
         rows.clear()
         self.key_ids = list(map(operator.itemgetter(0), keyed))
         self.table = tuple(zip(*map(operator.itemgetter(1), keyed)))
-        del keyed  # freed before the masks are built, to lower the peak
         self.num_keys = num_keys
+
+    def index_columns(self, n: int) -> None:
+        """Compile the row masks of the bag's final table."""
         columns = []
         for var, column in zip(self.scope, self.table):
             if var >= n:  # counters are never boxed
@@ -546,14 +556,14 @@ class KernelLattice:
 
         def leaf(bag: _Bag, selected: bytes | None):
             # per row that the selection keeps, c_j * x_j summed over the
-            # introduced variables
-            intros, columns = bag.intros, bag.table
-            kept = columns[0] if selected is None else compress(columns[0], selected)
-            acc = map(operator.mul, kept, repeat(c[intros[0]]))
-            for i in range(1, len(intros)):
-                kept = columns[i] if selected is None else compress(columns[i], selected)
-                acc = map(operator.add, acc, map(operator.mul, kept, repeat(c[intros[i]])))
-            return acc
+            # introduced variables: one stream of products per intro, and
+            # the row's sum starting from the first, however many intros
+            columns = bag.table[: len(bag.intros)]
+            if selected is not None:
+                columns = map(compress, columns, repeat(selected))
+            weights = map(repeat, map(c.__getitem__, bag.intros))
+            first, *rest = map(map, repeat(operator.mul), columns, weights)
+            return map(sum, zip(*rest), first) if rest else first
 
         aggs = self._sweep(box, leaf, operator.add, min, 2 * limit + 1)
         total = 0
@@ -572,9 +582,11 @@ class KernelLattice:
 
     def validate(self) -> None:
         """Raise LatticeError, under -O too, unless the structural invariants
-        hold: one bag per clique that is not its first child's separator,
-        running intersection, separator containment, backtrack-freeness in
-        both directions, and a sweep plan that agrees with the rows."""
+        hold: no bag whose clique is its first child's separator, merges
+        that are maximal (no bag's first child passes the entries rule of
+        the amalgamation), running intersection, separator containment,
+        backtrack-freeness in both directions, and a sweep plan that agrees
+        with the rows."""
         bags = self._bags
         rows_of = []  # each bag's rows, read from its table
         containing: dict[int, list[int]] = {}
@@ -619,15 +631,21 @@ class KernelLattice:
                     _require(mask == int(want, 2), "row mask disagrees with the rows")
             for c in bag.children:
                 child = bags[c]
-                child_keys = {}
+                child_keys: dict[int, tuple[int, ...]] = {}
+                sizes: dict[int, int] = {}  # the child's rows per key id
                 for k, row in zip(child.key_ids, rows_of[c]):
                     child_keys[k] = row[len(child.intros) :]
+                    sizes[k] = sizes.get(k, 0) + 1
                 _require(len(child.up) == len(rows), "child keys not one per parent row")
                 extract = tuple(map(bag.scope.index, child.sep))
                 for row, k in zip(rows, child.up):
                     want = tuple(row[i] for i in extract)
                     _require(child_keys.get(k) == want, "parent row with no child extension")
                 _require(set(child_keys) <= set(child.up), "child row with no parent support")
+                _require(set(child.up) == set(range(child.num_keys)), "key ids not numbered densely")
+                if c == bag.children[0]:  # merges are maximal: the join stores more
+                    join = sum(map(sizes.__getitem__, child.up))
+                    _require(not _absorbs(len(bag.scope), len(rows), child, join), "first child not absorbed")
 
     def __repr__(self) -> str:
         return (
@@ -669,7 +687,7 @@ def _assemble(
 
     # A clique that is exactly its first child's separator is not maximal:
     # it folds into that child, whose bag takes the clique's step and adds
-    # its variable to the introduced ones.  chain[l] lists the steps folded
+    # its variable to the introduced ones.  folds[l] lists the steps folded
     # together up to step l, bottom first.
     position = elim.position
     steps = range(len(pi))
@@ -678,22 +696,22 @@ def _assemble(
     for l in steps:
         if parent[l] is not None:
             kids[parent[l]].append(l)
-    chain: list[list[int]] = []
+    folds: list[list[int]] = []
     absorbed = set()
     for l in steps:
         first = kids[l][0] if kids[l] else None
         if first is not None and elim.cliques[first] - {pi[first]} == elim.cliques[l]:
-            chain.append(chain[first] + [l])
+            folds.append(folds[first] + [l])
             absorbed.add(first)
         else:
-            chain.append([l])
+            folds.append([l])
     tops = [l for l in steps if l not in absorbed]
-    pos_of = {l: p for p, top in enumerate(tops) for l in chain[top]}
+    pos_of = {l: p for p, top in enumerate(tops) for l in folds[top]}
     bags = [
         _Bag(
             p,
-            tuple(pi[l] for l in chain[top]),
-            tuple(sorted(elim.cliques[chain[top][0]], key=position.__getitem__)),
+            tuple(pi[l] for l in folds[top]),
+            tuple(sorted(elim.cliques[folds[top][0]], key=position.__getitem__)),
             None if parent[top] is None else pos_of[parent[top]],
         )
         for p, top in enumerate(tops)
@@ -728,23 +746,107 @@ def _assemble(
     # downward pass: drop rows without support in the parent, numbering a
     # child's separator keys in the order the parent's rows first project
     # onto them; parents come first, so their rows are settled
+    def settle_child(column: dict[int, tuple[int, ...]], c: int) -> _Bag:
+        child = bags[c]
+        projections = list(zip(*map(column.__getitem__, child.sep)))
+        ids = dict(zip(dict.fromkeys(projections), count()))
+        child.up = list(map(ids.__getitem__, projections))
+        sep = operator.itemgetter(slice(len(child.intros), None))
+        child.settle(rows[c], map(ids.get, map(sep, rows[c])), len(ids))
+        return child
+
     n = matrix.num_cols
     for bag in reversed(bags):
+        if bag is None:  # absorbed
+            continue
         if bag.parent is None:
-            bag.settle(rows[bag.pos], repeat(0), 1, n)
+            bag.settle(rows[bag.pos], repeat(0), 1)
+        # Relaxed amalgamation (Ashcraft & Grimes 1989): the bag absorbs its
+        # settled first child while the joined table holds no more entries
+        # than the two it replaces.  The joined rows are the child's rows of
+        # each parent row's key, in (parent row, child row) order; the
+        # child's intros go in front of the bag's, and its children in front
+        # of the bag's.  Scope and table are kept reversed meanwhile, so
+        # that an absorption appends the child's columns to them.
+        scope, table = list(reversed(bag.scope)), list(reversed(bag.table))
+        key_ids = bag.key_ids
         column = dict(zip(bag.scope, bag.table))
-        for c in bag.children:
-            child = bags[c]
-            projections = list(zip(*(column[v] for v in child.sep)))
-            ids = dict(zip(dict.fromkeys(projections), count()))
-            child.up = list(map(ids.__getitem__, projections))
-            sep = operator.itemgetter(slice(len(child.intros), None))
-            child.settle(rows[c], map(ids.get, map(sep, rows[c])), len(ids), n)
+        bag.table = ()  # held by table and column only, so an expansion frees them
+        while bag.children:
+            child = settle_child(column, bag.children[0])
+            sizes = _key_sizes(child)
+            join = sum(map(sizes.__getitem__, child.up))
+            if not _absorbs(len(scope), len(key_ids), child, join):
+                break
+            intro_columns = child.table[len(child.intros) - 1 :: -1]
+            scope += child.intros[::-1]
+            if join == len(key_ids):
+                # one row per key id, so the child row's index is its key id,
+                # and the bag's columns stay as they are
+                picked = [tuple(map(col.__getitem__, child.up)) for col in intro_columns]
+                table += picked
+                column.update(zip(child.intros[::-1], picked))
+            else:
+                # each bag value repeated once per child row of its row, and
+                # each child value in the slice of its key's rows
+                counts = list(map(sizes.__getitem__, child.up))
+                column.clear()  # each old column is freed once it is expanded
+                for i, col in enumerate(table):
+                    table[i] = tuple(chain.from_iterable(map(repeat, col, counts)))
+                key_ids = list(chain.from_iterable(map(repeat, key_ids, counts)))
+                groups = list(map(slice, accumulate(sizes, initial=0), accumulate(sizes)))
+                for col in intro_columns:
+                    slices = list(map(col.__getitem__, groups))
+                    table.append(tuple(chain.from_iterable(map(slices.__getitem__, child.up))))
+                column.update(zip(scope, table))
+            bag.children[:1] = child.children
+            for c in child.children:
+                bags[c].parent = bag.pos
+            bags[child.pos] = None  # its table is freed
+        for c in bag.children[1:]:
+            settle_child(column, c)
+        bag.scope, bag.table, bag.key_ids = tuple(reversed(scope)), tuple(reversed(table)), key_ids
+        bag.intros = bag.scope[: len(scope) - len(bag.sep)]
+        bag.index_columns(n)
 
+    # drop the absorbed bags and renumber the rest, children still first
+    bags = [bag for bag in bags if bag is not None]
+    renumber = {bag.pos: p for p, bag in enumerate(bags)}
+    for bag in bags:
+        bag.pos = renumber[bag.pos]
+        bag.parent = None if bag.parent is None else renumber[bag.parent]
+        bag.children = list(map(renumber.__getitem__, bag.children))
     return KernelLattice(matrix, kind, bound, bags, elim.clique_number)
 
 
-def _resolve_ordering(A: SparseIntMatrix, ordering: Sequence[int] | None) -> tuple[int, ...]:
+def _key_sizes(child: _Bag) -> list[int]:
+    """The number of the child's rows of each key id."""
+    if len(child.key_ids) == child.num_keys:  # every key id has one row
+        return [1] * child.num_keys
+    sizes = [0] * child.num_keys
+    for key in child.key_ids:
+        sizes[key] += 1
+    return sizes
+
+
+def _absorbs(parent_width: int, parent_rows: int, child: _Bag, join: int) -> bool:
+    """Whether a bag of the given scope size and row count absorbs its first
+    child, whose key groups sum to ``join`` over the bag's rows: the joined
+    table, one column per parent scope variable and child intro, holds no
+    more entries than the bag's table and the child's together."""
+    entries = parent_rows * parent_width + len(child.key_ids) * len(child.scope)
+    return join * (parent_width + len(child.intros)) <= entries
+
+
+def check_build_args(
+    A: SparseIntMatrix, kind: str, bound: int, ordering: Sequence[int] | None
+) -> tuple[int, ...]:
+    """The column ordering of a build of the kind and bound, after the checks
+    every build makes on its arguments: ValueError for a negative bound or
+    an ordering that is not a permutation of the columns.  The default is
+    the min-fill ordering."""
+    if bound < 0:
+        raise ValueError("bound must be nonnegative" if kind == "box" else "degree bound must be nonnegative")
     if ordering is None:
         return min_fill_ordering(column_graph(A))
     ordering = tuple(map(operator.index, ordering))
@@ -773,9 +875,7 @@ def build_lattice(
                 f"default bound {g} is very large; pass an explicit bound",
                 stacklevel=2,
             )
-    if g < 0:
-        raise ValueError("bound must be nonnegative")
-    column_ordering = _resolve_ordering(A, ordering)
+    column_ordering = check_build_args(A, "box", g, ordering)
     domains = dict.fromkeys(range(A.num_cols), range(-g, g + 1))
     return _assemble(A, "box", g, column_ordering, domains, [], _resolve_budget(build_budget))
 
@@ -796,9 +896,7 @@ def build_truncated_lattice(
     counter's domain is the whole bound: a branch whose sum passes d ends
     there.
     """
-    if d < 0:
-        raise ValueError("degree bound must be nonnegative")
-    column_ordering = _resolve_ordering(A, ordering)
+    column_ordering = check_build_args(A, "degree", d, ordering)
     n = A.num_cols
     domains = dict.fromkeys(range(n), range(-d, d + 1))
     domains.update(dict.fromkeys(range(n, 3 * n), range(d + 1)))

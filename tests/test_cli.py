@@ -68,6 +68,29 @@ def test_normal_form_routes_agree(capsys, tc_matrix):
     assert outputs[0] == outputs[1] == outputs[2]
 
 
+def test_normal_form_ip_route_checks_the_lattice_options(capsys, tc_matrix, tmp_path):
+    # the IP route builds no lattice, yet refuses what a build refuses
+    short = tmp_path / "short.txt"
+    short.write_text("0 1 2")
+    common = ("normal-form", "--matrix", tc_matrix, "--order", "grlex", "--monomial", "1,1,0,2")
+    for extra, message in (
+        (("--ordering", "nonsense"), "unknown ordering 'nonsense'"),
+        (("--ordering", f"file:{short}"), "ordering must be a permutation of the columns"),
+        (("--bound", "-1"), "bound must be nonnegative"),
+        (("--degree", "-1"), "degree bound must be nonnegative"),
+    ):
+        for via in ("lattice", "ip"):
+            code, out, err = run_cli(capsys, *common, *extra, "--via", via)
+            assert (code, out) == (2, ""), (extra, via)
+            assert err == f"error: {message}\n", (extra, via)
+    forms = []
+    for via in ("lattice", "ip"):
+        code, out, _ = run_cli(capsys, *common, "--ordering", "min-degree", "--degree", "4", "--via", via)
+        assert code == 0
+        forms.append(json.loads(out)["normal_form"])
+    assert forms[0] == forms[1] == [0, 1, 3, 0]
+
+
 def test_normal_form_polynomial(capsys, tc_matrix):
     code, out, _ = run_cli(
         capsys, "normal-form", "--matrix", tc_matrix, "--order", "grlex",
@@ -602,7 +625,7 @@ def test_lattice_list_output_is_pinned(capsys, tc_matrix, tmp_path):
             ("--matrix", tc_matrix, "--degree", "2"),
             '{"bound": 2, "clique_number": 6, "elements": [[0, 0, 0, 0], [-1, 1, 1, -1], [0, -1,'
             ' 2, -1], [-1, 2, -1, 0], [1, -2, 1, 0], [0, 1, -2, 1], [1, -1, -1, 1]], "kind":'
-            ' "degree", "stored_rows": 43}',
+            ' "degree", "stored_rows": 7}',
         ),
         (
             ("--matrix", str(tie), "--degree", "2", "--ordering", "min-fill"),
@@ -619,7 +642,7 @@ def test_lattice_list_output_is_pinned(capsys, tc_matrix, tmp_path):
             ' 0, 0, 0, 0, 1, 0, 0], [0, 2, 0, 0, 0, 0, -2, 0, 0], [0, 1, 1, 0, -1, 0, -1, 0, 0],'
             ' [0, 1, -1, 0, 1, 0, -1, 0, 0], [0, 0, 2, 0, -2, 0, 0, 0, 0], [0, 0, -2, 0, 2, 0, 0,'
             ' 0, 0], [0, -1, 1, 0, -1, 0, 1, 0, 0], [0, -1, -1, 0, 1, 0, 1, 0, 0], [0, -2, 0, 0,'
-            ' 0, 0, 2, 0, 0]], "kind": "degree", "stored_rows": 202}',
+            ' 0, 0, 2, 0, 0]], "kind": "degree", "stored_rows": 50}',
         ),
     ]
     for args, want in cases:

@@ -18,10 +18,12 @@ from toricbases import (
     build_truncated_lattice,
     graver_basis,
     graver_infinity_bound,
+    normal_form_bounded,
 )
+from toricbases import lattice as lattice_module
 from toricbases.core import DimensionMismatch
 from toricbases.graphs import Graph, cycle_graph
-from toricbases.lattice import conformal_box, shift_box
+from toricbases.lattice import LatticeError, conformal_box, shift_box
 from toricbases.oracle import (
     enumerate_kernel,
     incidence_matrix,
@@ -359,24 +361,32 @@ def test_box_queries_match_oracle(case):
         check_box_queries(L, everything, order, box)
 
 
-@settings(max_examples=150, deadline=None, derandomize=True, database=None)
-@given(lattice_cases())
-def test_sweep_plan_matches_tuple_keyed_reference(case):
+def test_sweep_plan_matches_tuple_keyed_reference():
     # the integer-indexed sweep against the tuple-keyed one it replaced, with
     # no box, a shift box, a conformal box, an arbitrary box and an empty one
-    A, kind, bound, order, boxes = case
-    L = build_lattice(A, bound) if kind == "box" else build_truncated_lattice(A, bound)
-    n = A.num_cols
-    empty = ((bound,) + (-bound,) * (n - 1), (-bound,) * n)
-    for box in (None, *boxes, empty):
-        assert L.count(box) == reference_count(L, box)
-        assert L.minimize(order, box) == reference_minimize(L, order, box)
-    # the list sweep enumerates in the depth-first walk's order
-    assert list(L.iterate()) == reference_iterate(L)
-    if kind == "degree":
-        # the root clique, the last counter alone, always folds into its
-        # child, so every degree case sweeps a bag with several intros
-        assert len(L._bags[-1].intros) > 1
+    widening = []  # per case, whether a parent row joins several child rows
+
+    @settings(max_examples=150, deadline=None, derandomize=True, database=None)
+    @given(lattice_cases())
+    def check(case):
+        A, kind, bound, order, boxes = case
+        L = build_lattice(A, bound) if kind == "box" else build_truncated_lattice(A, bound)
+        n = A.num_cols
+        empty = ((bound,) + (-bound,) * (n - 1), (-bound,) * n)
+        for box in (None, *boxes, empty):
+            assert L.count(box) == reference_count(L, box)
+            assert L.minimize(order, box) == reference_minimize(L, order, box)
+        # the list sweep enumerates in the depth-first walk's order
+        assert list(L.iterate()) == reference_iterate(L)
+        if kind == "degree":
+            # the root clique, the last counter alone, always folds into its
+            # child, so every degree case sweeps a bag with several intros
+            assert len(L._bags[-1].intros) > 1
+        # a child with more rows than keys gives some parent row several
+        widening.append(any(len(b.key_ids) > b.num_keys for b in L._bags if b.parent is not None))
+
+    check()
+    assert any(widening)
 
 
 @st.composite
@@ -424,6 +434,78 @@ def test_iterate_long_cycle_without_recursion():
     assert graver_basis(C, L).elements == tuple(sorted([alt, minus_alt]))
 
 
+def test_long_cycle_sweeps_as_one_bag():
+    # each bag of the 1000-cycle holds the three rows of 0 and +-alt, so
+    # every absorption keeps three rows and the chain becomes one bag
+    n = 1000
+    C = incidence_matrix(cycle_graph(n))
+    alt = tuple((-1) ** (a if b == a + 1 else b) for a, b in sorted(cycle_graph(n).edges))
+    L = build_lattice(C, 1)
+    L.validate()
+    assert (len(L._bags), L.total_rows(), len(L._bags[0].intros)) == (1, 3, n)
+    assert L.realized_clique_number == 3
+    rng = random.Random(83)
+    for _ in range(10):
+        u = tuple(rng.randint(0, 1) for _ in range(n))
+        order = MonomialOrder(tuple(rng.randint(0, 3) for _ in range(n)))
+        # the fiber of u is {u + t*alt >= 0}, and t lies in [-1, 1]
+        fiber = [tuple(x + t * a for x, a in zip(u, alt)) for t in (-1, 0, 1)]
+        want = min((w for w in fiber if min(w) >= 0), key=order.key)
+        assert normal_form_bounded(C, L, order, u).normal_exponent == want
+
+
+def test_validate_requires_maximal_merges(monkeypatch):
+    # a build that skips every merge leaves first children the entries rule
+    # admits: the chain of the 6-cycle stores three rows in each bag
+    C = incidence_matrix(cycle_graph(6))
+    monkeypatch.setattr(lattice_module, "_absorbs", lambda *args: False)
+    L = build_lattice(C, 1)
+    monkeypatch.undo()
+    assert len(L._bags) > 1
+    with pytest.raises(LatticeError, match="first child not absorbed"):
+        L.validate()
+    build_lattice(C, 1).validate()
+
+
+def test_merges_keep_the_unmerged_answers(monkeypatch):
+    # the same lattices built with no merge: every merge keeps the order of
+    # the vectors, and neither the stored rows nor the table entries grow
+    def entries(L):
+        return sum(len(bag.scope) * len(bag.key_ids) for bag in L._bags)
+
+    rng = random.Random(89)
+    cases = []
+    for A in random_instances(40, seed=89, max_m=4, max_n=7):
+        bound = rng.randint(1, 2)
+        ordering = tuple(rng.sample(range(A.num_cols), A.num_cols))
+        cases += [(build_lattice, A, bound, ordering), (build_truncated_lattice, A, bound, None)]
+    # a root with three children: the first fails the entries rule, and the
+    # last, whose key groups hold several rows, would pass it; absorbing a
+    # child other than the first would reorder the vectors
+    branching = SparseIntMatrix.from_dense(
+        [
+            [0, 0, -1, 0, 0, 0, 0, 0, 0],
+            [0, 1, 0, 0, -1, 0, -1, -1, 0],
+            [-1, 0, 0, 0, 0, 1, 1, 0, 0],
+            [0, 0, 0, 1, 0, 0, 1, 0, 0],
+        ]
+    )
+    cases.append((build_lattice, branching, 1, (0, 3, 2, 5, 4, 8, 7, 6, 1)))
+    cases.append((build_lattice, two_by_two_minors_matrix(3, 4), 2, None))
+    merged = [build(A, bound, ordering) for build, A, bound, ordering in cases]
+    monkeypatch.setattr(lattice_module, "_absorbs", lambda *args: False)
+    unmerged = [build(A, bound, ordering) for build, A, bound, ordering in cases]
+    monkeypatch.undo()
+    fewer = 0
+    for L, U in zip(merged, unmerged):
+        L.validate()
+        assert list(L.iterate()) == list(U.iterate())
+        assert L.total_rows() <= U.total_rows() and entries(L) <= entries(U)
+        assert L.realized_clique_number == U.realized_clique_number
+        fewer += len(L._bags) < len(U._bags)
+    assert fewer > len(cases) // 2
+
+
 def test_backtrack_free_validator_random():
     rng = random.Random(71)
     folded = 0
@@ -464,7 +546,9 @@ def test_validate_raises_lattice_error_under_optimisation():
         print(__debug__)
         cubic = SparseIntMatrix.from_dense([[1, 1, 1, 1], [0, 1, 2, 3]])
         path = SparseIntMatrix.from_dense([[1, 1, 0, 0], [0, 1, 1, 0], [0, 0, 1, 1]])
-        corruptions = ((reverse_intro_columns, cubic), (lengthen_up, path), (drop_column, path))
+        # a chain of three bags at g=1 that absorbs no child
+        star = SparseIntMatrix.from_dense([[1, 1, 1, 0, 0], [0, 1, 0, 1, 0], [0, 0, 1, 0, 1]])
+        corruptions = ((reverse_intro_columns, cubic), (lengthen_up, star), (drop_column, path))
         for corrupt, A in corruptions:
             build_lattice(A, 2).validate()
             try:
@@ -490,11 +574,14 @@ def test_validate_raises_lattice_error_under_optimisation():
 
 def test_one_bag_per_maximal_clique(twisted_cubic):
     # K_{3,4} at g=2 has 12 elimination cliques, 5 of them maximal, and a
-    # folded clique stores no rows of its own
+    # folded clique stores no rows of its own; the root's bag then absorbs
+    # its first two children, whose joins store fewer entries (5 bags and
+    # 5,483 rows before)
     L = build_lattice(two_by_two_minors_matrix(3, 4), 2)
     L.validate()
-    assert (len(L._bags), L.total_rows()) == (5, 5483)
-    assert [len(bag.intros) for bag in L._bags] == [1, 1, 1, 2, 7]
+    assert (len(L._bags), L.total_rows()) == (3, 3917)
+    assert [len(bag.intros) for bag in L._bags] == [1, 1, 10]
+    assert [len(bag.key_ids) for bag in L._bags] == [329, 329, 3259]
     # the twisted cubic's column graph is complete: one bag, one row per vector
     L = build_lattice(twisted_cubic, 2)
     assert (len(L._bags), L.total_rows()) == (1, 9)
