@@ -32,6 +32,7 @@ import operator
 import os
 import warnings
 from bisect import bisect_left, bisect_right
+from functools import cached_property, reduce
 from itertools import accumulate, chain, combinations, compress, count, repeat
 from math import prod
 from typing import Iterator, Sequence
@@ -47,7 +48,6 @@ from .core import (
     negative_part,
     one_norm,
     positive_part,
-    weight_vector,
 )
 from .graphs import Graph, column_graph, eliminate, min_fill_ordering
 
@@ -134,7 +134,9 @@ class _Bag:
     So a child's message, a list indexed by key id, is read at a parent row
     with no tuple built.  Each scope column of the final table keeps its
     sorted distinct values and, for each, the mask of its rows at or above
-    it (bit R - 1 - r for row r of R).
+    it (bit R - 1 - r for row r of R).  A box ANDs the masks into the set of
+    rows it keeps, and a sweep gathers each per-row sequence (table columns,
+    key ids, children's ``up`` ids) through one picker of those rows.
     """
 
     __slots__ = (
@@ -217,9 +219,11 @@ class _Bag:
             columns.append((var, tuple(values), tuple(masks)))
         self.columns = tuple(columns)
 
-    def selection(self, lo: Vec, hi: Vec) -> bytes | None:
-        """One byte per row, nonzero for the rows inside the box, or None
-        when the box keeps every row."""
+    def selection(self, lo: Vec, hi: Vec, numbers: tuple[int, ...]) -> operator.itemgetter | None:
+        """A picker of the rows inside the box, in row order, or None when
+        the box keeps every row.  ``numbers`` counts 0, 1, ... up to at least
+        the bag's row count.  A run of consecutive rows, one row or none is
+        picked by one slice; any other set by its row numbers."""
         mask = None
         for var, values, masks in self.columns:
             l, h = lo[var], hi[var]
@@ -228,7 +232,12 @@ class _Bag:
                 mask = m if mask is None else mask & m
         if mask is None:
             return None
-        return format(mask, f"0{len(self.key_ids)}b").encode().translate(_BIT_BYTES)
+        rows = len(self.key_ids)
+        if not mask & (mask + (mask & -mask)):  # one run of set bits, or none
+            start = rows - mask.bit_length()
+            return operator.itemgetter(slice(start, start + mask.bit_count()))
+        bits = format(mask, f"0{rows}b").encode().translate(_BIT_BYTES)
+        return operator.itemgetter(*compress(numbers, bits))
 
 
 # ASCII binary digits as the bytes 0 and 1
@@ -344,6 +353,7 @@ def _enumerate_bag(
                     partial[eq] -= coef * value
 
     descend(0)
+    del descend  # the closure refers to itself: free its tables now
     return rows
 
 
@@ -391,6 +401,8 @@ class KernelLattice:
         self._num_vars = len(intros)
         where = {var: i for i, var in enumerate(intros)}
         self._layout = tuple(map(where.__getitem__, range(self.num_columns)))
+        # the row numbers of the largest bag, from which a box picks its rows
+        self._row_numbers = tuple(range(max((len(b.key_ids) for b in bags), default=0)))
 
     def total_rows(self) -> int:
         return sum(len(b.key_ids) for b in self._bags)
@@ -490,14 +502,19 @@ class KernelLattice:
         is a list indexed by separator key id: ``plus`` over the bag's rows
         inside the box with that key, in row order, of the row's leaf value
         ``times`` the children's messages at the row in child order,
-        ``zero`` where no row contributes.  ``leaf(bag, selected)`` yields
-        the leaf values of the rows that the selection bytes keep (all rows
-        when None).  ``zero`` must absorb under ``times``, because the
-        passes over the rows (``compress`` and ``map``) cannot skip a row;
-        only the fold into the aggregates runs a Python loop.  ``leaf`` and
-        ``times`` make fresh values, so ``plus`` may extend its left operand
-        in place.  A child's aggregate is released (set to None) once its
-        parent has read it; only the roots' aggregates are returned.
+        ``zero`` where no row contributes.  The box picks the rows once per
+        bag (see ``_Bag.selection``), and every per-row stream, the leaf's
+        columns, each child's ``up`` ids and the key ids, is gathered through
+        that picker, so a sweep reads only the rows the box keeps.
+        ``leaf(bag, pick)`` returns an iterator over the leaf values of the
+        picked rows (every row when ``pick`` is None).  A bag with one key
+        id, every root among them, folds its values with one ``reduce``;
+        only a bag with several runs a Python loop.  ``zero`` must absorb
+        under ``times``, because no picked row is skipped: one whose child
+        message is ``zero`` is combined and folded like the others.  ``leaf``
+        and ``times`` make fresh values, so ``plus`` may extend its left
+        operand in place.  A child's aggregate is released (set to None) once
+        its parent has read it; only the roots' aggregates are returned.
         """
         n = self.num_columns
         if box is not None:
@@ -507,16 +524,20 @@ class KernelLattice:
         bags = self._bags
         aggs: list[list | None] = []
         for bag in bags:
-            selected = None if box is None else bag.selection(lo, hi)
-            keys = bag.key_ids if selected is None else compress(bag.key_ids, selected)
-            acc = leaf(bag, selected)
+            pick = None if box is None else bag.selection(lo, hi, self._row_numbers)
+            acc = leaf(bag, pick)
             for c in bag.children:
-                up = bags[c].up if selected is None else compress(bags[c].up, selected)
+                up = bags[c].up if pick is None else pick(bags[c].up)
                 acc = map(times, acc, map(aggs[c].__getitem__, up))
-            agg = [zero] * bag.num_keys
-            for key, value in zip(keys, acc):
-                old = agg[key]
-                agg[key] = value if old is zero else plus(old, value)
+            if bag.num_keys == 1:
+                first = next(acc, zero)
+                agg = [reduce(plus, acc, first)]
+            else:
+                keys = bag.key_ids if pick is None else pick(bag.key_ids)
+                agg = [zero] * bag.num_keys
+                for key, value in zip(keys, acc):
+                    old = agg[key]
+                    agg[key] = value if old is zero else plus(old, value)
             aggs.append(agg)
             for c in bag.children:
                 aggs[c] = None
@@ -525,42 +546,58 @@ class KernelLattice:
     def count(self, box: Box | None = None) -> int:
         """Exact number of represented vectors inside the box, without
         enumeration: the (+, x) sweep."""
-        aggs = self._sweep(box, lambda bag, selected: repeat(1), operator.mul, operator.add, 0)
+
+        def leaf(bag: _Bag, pick: operator.itemgetter | None) -> Iterator[int]:
+            return repeat(1, len(bag.key_ids if pick is None else pick(bag.key_ids)))
+
+        aggs = self._sweep(box, leaf, operator.mul, operator.add, 0)
         total = 1
         for root in self._roots:
             total *= aggs[root][0]
         return total
 
+    @cached_property
+    def _radix(self) -> tuple[int, tuple[int, ...], int]:
+        """The order-independent constants of ``minimize``'s radix r = 2*bound
+        + 1 over n columns: r^n, the powers (r^0, ..., r^(n-1)) and their sum."""
+        r, n = 2 * self.bound + 1, self.num_columns
+        *powers, scale = accumulate(repeat(r, n), operator.mul, initial=1)
+        return scale, tuple(powers), sum(powers)
+
     def minimize(self, order: MonomialOrder, box: Box | None = None) -> Vec | None:
         """The represented vector inside the box that is smallest under the
-        order, or None when there is none: the (min, +) sweep, then O(n)
-        arithmetic.
+        order, or None when there is none: the (min, +) sweep, then a
+        decode of its digits.
 
         The order's key (w.v, v_1, ..., v_n) becomes the single integer c.v
-        with c = weight_vector(w, r, n) and r = 2*bound + 1; any two
-        represented vectors differ by at most 2*bound in every column, so c.v
-        orders them exactly as the key does.  Every partial key lies in
-        [-M, M] for M = bound * sum c_j (c is positive), so 2M + 1 absorbs
-        under + and loses every min: it is the zero.  The root aggregates sum
-        to c.v = r^n (w.v) + sum_j v_j r^(n-1-j) for the minimiser v, and as
-        every |v_j| <= bound the last sum holds v as its balanced base-r
-        digits: adding (r^n - 1) / 2, the digits all equal to bound, and
-        reducing modulo r^n leaves the digits v_j + bound.  So the vector is
+        with c = weight_vector(w, r, n) and r = 2*bound + 1, that is c_j =
+        r^n w_j + r^(n-1-j); any two represented vectors differ by at most
+        2*bound in every column, so c.v orders them exactly as the key does.
+        Every partial key lies in [-M, M] for M = bound * sum c_j (c is
+        positive), so 2M + 1 absorbs under + and loses every min: it is the
+        zero.  The root aggregates sum to c.v = r^n (w.v) + sum_j v_j
+        r^(n-1-j) for the minimiser v, and as every |v_j| <= bound the last
+        sum holds v as its balanced base-r digits: adding (r^n - 1) / 2, the
+        digits all equal to bound, and reducing modulo r^n leaves the digits
+        v_j + bound, which are split off by halving.  So the vector is
         decoded, not searched for top-down.
         """
         n = self.num_columns
-        r = 2 * self.bound + 1
-        c = weight_vector(order.weights, r, n)
-        limit = sum(c) * self.bound
+        w = order.weights
+        if len(w) != n:
+            raise DimensionMismatch(f"weights length {len(w)}, expected {n}")
+        scale, powers, powers_sum = self._radix
+        c = tuple(map(operator.add, map(scale.__mul__, w), reversed(powers)))
+        limit = (scale * sum(w) + powers_sum) * self.bound
         c += (0,) * (self._num_vars - n)  # counters carry no weight
 
-        def leaf(bag: _Bag, selected: bytes | None):
-            # per row that the selection keeps, c_j * x_j summed over the
-            # introduced variables: one stream of products per intro, and
-            # the row's sum starting from the first, however many intros
+        def leaf(bag: _Bag, pick: operator.itemgetter | None) -> Iterator[int]:
+            # per picked row, c_j * x_j summed over the introduced variables:
+            # one stream of products per intro, and the row's sum starting
+            # from the first, however many intros
             columns = bag.table[: len(bag.intros)]
-            if selected is not None:
-                columns = map(compress, columns, repeat(selected))
+            if pick is not None:
+                columns = map(pick, columns)
             weights = map(repeat, map(c.__getitem__, bag.intros))
             first, *rest = map(map, repeat(operator.mul), columns, weights)
             return map(sum, zip(*rest), first) if rest else first
@@ -571,12 +608,8 @@ class KernelLattice:
             if aggs[root][0] > limit:
                 return None
             total += aggs[root][0]
-        rest = (total + (r**n - 1) // 2) % r**n
-        v = [0] * n
-        for j in reversed(range(n)):
-            rest, digit = divmod(rest, r)
-            v[j] = digit - self.bound
-        return tuple(v)
+        digits = _digits((total + (scale - 1) // 2) % scale, n, powers)
+        return tuple(map(self.bound.__rsub__, digits))
 
     # -- validation (exercised by the test suite) -------------------------------
 
@@ -652,6 +685,24 @@ class KernelLattice:
             f"KernelLattice(kind={self.kind!r}, bound={self.bound}, "
             f"cols={self.num_columns}, rows={self.total_rows()})"
         )
+
+
+def _digits(x: int, k: int, powers: tuple[int, ...]) -> list[int]:
+    """The k base-r digits of x < r^k, most significant first, where
+    powers[i] = r^i.  x is split at r^(k/2), and each part the same way down
+    to 16 digits, which are divided off one by one: a division by r never
+    runs over more than 16 digits, where k divisions of x would run over up
+    to k each."""
+    if k > 16:
+        h = k // 2
+        high, low = divmod(x, powers[k - h])
+        return _digits(high, h, powers) + _digits(low, k - h, powers)
+    digits = [0] * k
+    for j in range(k - 1, 0, -1):
+        x, digits[j] = divmod(x, powers[1])
+    if k:
+        digits[0] = x
+    return digits
 
 
 def shift_box(u: Sequence[int], g: int) -> Box:

@@ -61,14 +61,22 @@ def normal_form_bounded(
     minimum splits into conformal moves that stay feasible one at a time; the
     fixed point is then the true normal form.  Points stay nonnegative, so a
     jump always finds at least the zero vector.
+
+    On a degree-d lattice the first jump lands on the normal form nf.  The
+    order is graded, so nf <= u gives deg(nf) <= deg(u) <= d.  The positive
+    part of nf - u lies below nf and its negative part below u, so both have
+    1-norm at most d: nf - u is in the lattice, and inside u's shift box
+    since u + (nf - u) = nf >= 0 and every entry of nf is at most deg(nf).
+    The jump's minimiser v gives u + v <= nf, and u + v is congruent to u and
+    nonnegative, so u + v = nf.  The loop returns after that one sweep.
     """
     u = as_vector(u)
     _check_monomial(A, L, order, u)
     current = u
     while True:
         nxt = vector_add(current, L.minimize(order, shift_box(current, L.bound)))
-        if nxt == current:
-            return NormalFormResult(u, current, current == u, L.certified)
+        if nxt == current or L.kind == "degree":
+            return NormalFormResult(u, nxt, nxt == u, L.certified)
         current = nxt
 
 

@@ -352,13 +352,17 @@ def test_gen_subcommands(capsys, tmp_path):
 
 
 def test_cli_import_leaves_numpy_unloaded():
-    # only `gen` needs the oracle, which loads numpy, and imports it when it runs
+    # only `gen` needs the oracle, which loads numpy, and imports it when it
+    # runs; every CLI call imports the library afresh, so a stray import of
+    # either would add its load time to each call
     env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
-    script = "import sys, toricbases.cli; sys.exit('numpy' in sys.modules)"
-    proc = subprocess.run(
-        [sys.executable, "-c", script], cwd=ROOT, env=env, capture_output=True, text=True, timeout=60
-    )
-    assert proc.returncode == 0, proc.stderr or "toricbases.cli imported numpy"
+    for module in ("toricbases", "toricbases.cli"):
+        loaded = "sorted({'numpy', 'toricbases.oracle'} & set(sys.modules))"
+        script = f"import sys, {module}; sys.exit({loaded} or None)"
+        proc = subprocess.run(
+            [sys.executable, "-c", script], cwd=ROOT, env=env, capture_output=True, text=True, timeout=60
+        )
+        assert proc.returncode == 0, f"{module} imported {proc.stderr}"
 
 
 def test_ordering_from_file_and_strategies(capsys, tc_matrix, tmp_path):

@@ -1,3 +1,4 @@
+import gc
 import os
 import random
 import subprocess
@@ -5,6 +6,7 @@ import sys
 import textwrap
 import tracemalloc
 from pathlib import Path
+from types import FunctionType
 
 import pytest
 from hypothesis import given, settings
@@ -389,6 +391,96 @@ def test_sweep_plan_matches_tuple_keyed_reference():
     assert any(widening)
 
 
+# two bags: a child of 19 rows under 5 separator keys, and a root of 19 rows
+TWO_BAGS = SparseIntMatrix.from_dense([[1, -1, 1, 0, 0, 0], [0, 1, -1, 1, 0, 0], [0, 0, 0, 1, -1, 1]])
+
+
+def pinned_box(L, pins):
+    """The box that fixes the columns in ``pins`` and leaves the others free."""
+    lo, hi = [-L.bound] * L.num_columns, [L.bound] * L.num_columns
+    for var, (l, h) in pins.items():
+        lo[var], hi[var] = l, h
+    return tuple(lo), tuple(hi)
+
+
+def picked_rows(L, bag, box):
+    pick = bag.selection(*box, L._row_numbers)
+    return None if pick is None else list(pick(range(len(bag.key_ids))))
+
+
+def test_box_picks_the_rows_it_keeps():
+    # each bag under boxes that keep no row, its first row, its last row, a
+    # run of rows, scattered rows and every row; the queries against the
+    # tuple-keyed sweep, which filters row by row
+    L = build_lattice(TWO_BAGS, 2)
+    child, root = L._bags
+    assert (child.num_keys, root.num_keys, root.children) == (5, 1, [0])
+    orders = (MonomialOrder.lex(6), MonomialOrder.grlex(6), MonomialOrder((2, 0, 1, 3, 0, 1)))
+    for bag in (child, root):
+        rows = list(zip(*bag.table))
+        # a child's rows of one key are a run, and so are a root's rows of
+        # one value of its last intro, which sorts them first
+        run_var = bag.sep[0] if bag.sep else bag.intros[-1]
+
+        def run(kept):
+            return len(kept) > 1 and kept[-1] - kept[0] == len(kept) - 1
+
+        cases = [
+            ({bag.intros[0]: (2, -2)}, lambda kept: kept == []),
+            (dict(zip(bag.scope, zip(rows[0], rows[0]))), lambda kept: kept == [0]),
+            (dict(zip(bag.scope, zip(rows[-1], rows[-1]))), lambda kept: kept == [len(rows) - 1]),
+            ({run_var: (0, 0)}, run),
+            ({bag.intros[1]: (0, 0)}, lambda kept: len(kept) > 1 and not run(kept)),
+            ({}, lambda kept: len(kept) == len(rows)),
+        ]
+        for pins, shape in cases:
+            box = pinned_box(L, pins)
+            lo, hi = box
+            kept = [
+                r for r, row in enumerate(rows) if all(lo[v] <= x <= hi[v] for v, x in zip(bag.scope, row))
+            ]
+            assert shape(kept)
+            # no picker when the box keeps every row
+            assert picked_rows(L, bag, box) == (None if len(kept) == len(rows) else kept)
+            for order in orders:
+                assert L.count(box) == reference_count(L, box)
+                assert L.minimize(order, box) == reference_minimize(L, order, box)
+            if not kept:  # every row of a bag dropped: nothing is represented
+                assert L.count(box) == 0 and L.minimize(orders[0], box) is None
+
+
+def test_count_under_a_box_on_a_leaf_bag():
+    # one bag with no children, the root: its count is the rows the box keeps
+    L = build_lattice(two_by_two_minors_matrix(2, 3), 2)
+    (bag,) = L._bags
+    assert not bag.children and len(bag.key_ids) == 19
+    u = (1, 0, 2, 0, 1, 1)
+    boxes = [shift_box(u, 2), conformal_box((1, -1, 0, -1, 1, 0)), pinned_box(L, {0: (2, -2)})]
+    for box in boxes:
+        rows = picked_rows(L, bag, box)
+        assert L.count(box) == len(rows) == reference_count(L, box)
+    assert L.count(pinned_box(L, {})) == 19 == L.count()
+
+
+@pytest.mark.parametrize("bound", [1, 2])
+def test_minimize_decodes_many_columns(bound):
+    # 200 columns: the decode splits the digits by halving, down to parts of
+    # at most 16 digits; no box, shift boxes and conformal boxes
+    n = 200
+    C = incidence_matrix(cycle_graph(n))
+    L = build_lattice(C, bound)
+    rng = random.Random(211 + bound)
+    for _ in range(4):
+        order = MonomialOrder(tuple(rng.randint(0, 3) for _ in range(n)))
+        u = tuple(rng.randint(0, bound) for _ in range(n))
+        z = tuple(rng.randint(-bound, bound) for _ in range(n))
+        for box in (None, shift_box(u, bound), conformal_box(z)):
+            want = reference_minimize(L, order, box)
+            assert L.minimize(order, box) == want
+        # one of +-alt, no zero digit, beats 0 under every order
+        assert 0 not in L.minimize(order)
+
+
 @st.composite
 def ordered_cases(draw):
     m = draw(st.integers(1, 3))
@@ -452,6 +544,25 @@ def test_long_cycle_sweeps_as_one_bag():
         fiber = [tuple(x + t * a for x, a in zip(u, alt)) for t in (-1, 0, 1)]
         want = min((w for w in fiber if min(w) >= 0), key=order.key)
         assert normal_form_bounded(C, L, order, u).normal_exponent == want
+
+
+def test_build_leaves_no_reference_cycle_of_the_enumerator():
+    # the bag enumerator's recursive closure must not keep itself, and with
+    # it the bag's tables, alive until the cyclic collector runs
+    gc.collect()
+    enabled = gc.isenabled()
+    gc.disable()
+    gc.set_debug(gc.DEBUG_SAVEALL)
+    try:
+        build_lattice(two_by_two_minors_matrix(3, 4), 2)
+        gc.collect()
+        leaked = [f for f in gc.garbage if isinstance(f, FunctionType) and f.__name__ == "descend"]
+    finally:
+        gc.set_debug(0)
+        gc.garbage.clear()
+        if enabled:
+            gc.enable()
+    assert leaked == []
 
 
 def test_validate_requires_maximal_merges(monkeypatch):

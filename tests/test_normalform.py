@@ -191,6 +191,19 @@ def test_uncertified_bound_is_reported(twisted_cubic):
     assert normal_form_bounded(A, degree, MonomialOrder.grlex(2), (1, 0)).certified
 
 
+def count_minimize_calls(L):
+    """The arguments of every later ``L.minimize`` call, one entry per call."""
+    calls = []
+    minimize = L.minimize
+
+    def counted(*args):
+        calls.append(args)
+        return minimize(*args)
+
+    L.minimize = counted
+    return calls
+
+
 @st.composite
 def degree_cases(draw):
     # entries in [-1, 1] and at most two rows: graver_infinity_bound is at most 25
@@ -211,12 +224,30 @@ def degree_cases(draw):
 def test_degree_normal_form_matches_bruteforce(case):
     # the degree route's certified flag: the grlex normal form of a monomial
     # of degree at most d is reached by a move inside the degree-d lattice
+    # in one jump: one sweep per normal form
     A, d, u = case
     grlex = MonomialOrder.grlex(A.num_cols)
-    result = normal_form_bounded(A, build_truncated_lattice(A, d), grlex, u)
+    L = build_truncated_lattice(A, d)
+    sweeps = count_minimize_calls(L)
+    result = normal_form_bounded(A, L, grlex, u)
     assert result.certified
     want = normal_form_bruteforce(A, grlex.weights, u, graver_infinity_bound(A))
     assert result.normal_exponent == want
+    assert result.was_standard == (want == u)
+    assert len(sweeps) == 1
+
+
+def test_box_lattice_jumps_to_the_fixed_point(twisted_cubic):
+    # the move to the normal form, (0, -2, 4, -2), leaves the box g=2: the
+    # first jump stops at (0, 1, 2, 1), a second reaches (0, 0, 4, 0), and a
+    # third finds nothing smaller
+    L = build_lattice(twisted_cubic, 2)
+    sweeps = count_minimize_calls(L)
+    order = MonomialOrder.lex(4)
+    u = (0, 2, 0, 2)
+    result = normal_form_bounded(twisted_cubic, L, order, u)
+    assert result.normal_exponent == (0, 0, 4, 0) == normal_form_bruteforce(twisted_cubic, order.weights, u, 4)
+    assert len(sweeps) == 3
 
 
 def test_bound_checks(twisted_cubic):
