@@ -359,9 +359,28 @@ def _cmd_vertex_cover(args) -> int:
     return 0
 
 
+# the options of each kind of ``gen`` and their defaults; ``--out`` is common
+_GEN_OPTIONS = {
+    "minors": {"blocks": 2, "copies": 2},
+    "threeway": {"l": 2, "m": 2, "n": 2},
+    "nfold": {"a1": None, "a2": None, "copies": 2},
+    "incidence": {"graph": None},
+    "random": {"rows": 3, "cols": 6, "max_entry": 2, "density": 0.5, "seed": 0},
+}
+
+
 def _cmd_gen(args) -> int:
     from . import oracle as oracle_mod  # imported here: it loads numpy
 
+    options = _GEN_OPTIONS[args.kind]
+    names = dict.fromkeys(name for kind in _GEN_OPTIONS.values() for name in kind)
+    foreign = [name for name in names if name not in options and getattr(args, name) is not None]
+    if foreign:
+        given = ", ".join("--" + name.replace("_", "-") for name in foreign)
+        raise ValueError(f"--kind {args.kind} does not take {given}")
+    for name, default in options.items():
+        if getattr(args, name) is None:
+            setattr(args, name, default)
     if args.kind == "minors":
         matrix = oracle_mod.two_by_two_minors_matrix(args.blocks, args.copies)
     elif args.kind == "threeway":
@@ -476,19 +495,20 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("gen", help="generate instance matrices")
     p.add_argument("--kind", required=True, choices=["nfold", "minors", "threeway", "incidence", "random"])
-    p.add_argument("--blocks", type=int, default=2, help="identity size for minors")
-    p.add_argument("--copies", type=int, default=2, help="fold count")
-    p.add_argument("--l", type=int, default=2)
-    p.add_argument("--m", type=int, default=2)
-    p.add_argument("--n", type=int, default=2)
+    # each kind reads only its own options (see _GEN_OPTIONS for the defaults)
+    p.add_argument("--blocks", type=int, help="identity size for minors")
+    p.add_argument("--copies", type=int, help="fold count for minors and nfold")
+    p.add_argument("--l", type=int)
+    p.add_argument("--m", type=int)
+    p.add_argument("--n", type=int)
     p.add_argument("--a1", help="top block matrix file")
     p.add_argument("--a2", help="diagonal block matrix file")
     p.add_argument("--graph", help="edge list file")
-    p.add_argument("--rows", type=int, default=3)
-    p.add_argument("--cols", type=int, default=6)
-    p.add_argument("--max-entry", type=int, default=2)
-    p.add_argument("--density", type=float, default=0.5)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--rows", type=int)
+    p.add_argument("--cols", type=int)
+    p.add_argument("--max-entry", type=int)
+    p.add_argument("--density", type=float)
+    p.add_argument("--seed", type=int)
     p.add_argument("--out", default=None)
     p.set_defaults(func=_cmd_gen)
 

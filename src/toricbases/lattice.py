@@ -12,18 +12,20 @@ primal graph is the column graph of the matrix (plus, for the degree kind,
 two chains of running-sum counters interleaved along the elimination
 ordering).  Every bound is a variable's domain: [-g, g] for a column of the
 box kind, [-d, d] for a column and 0..d for a counter of the degree kind.
-Bags are the cliques of the chordal completion under the chosen ordering,
-arranged along the elimination tree, one per maximal clique as in a clique
-tree (Blair & Peyton 1993): a clique that is exactly its first child's
-separator is folded into that child, whose bag then introduces several
-variables.  (A clique equal to a later child's separator keeps its own bag,
-which keeps the enumeration order.)  Two semijoin passes make every stored
-row extend to a full solution.  The downward pass also amalgamates, as
-relaxed supernodes do (Ashcraft & Grimes 1989): a bag absorbs its first
-child while the joined table holds no more entries than the two tables it
-replaces, so a long chain of small bags sweeps as a few wide ones, and
-neither the stored rows nor the table entries grow.  The budget estimate
-and the realized clique number are those of the cliques, before any merge.
+Bags start as the cliques of the chordal completion under the chosen
+ordering, one per elimination step, along the elimination tree.  One merge
+shapes the tree: a bag absorbs its first child, whose introduced variables
+and children go in front of its own, which keeps the enumeration order.
+Before enumeration, a clique that is exactly its first child's separator is
+folded in this way, leaving one bag per maximal clique as in a clique tree
+(Blair & Peyton 1993); a clique equal to a later child's separator keeps its
+bag.  Two semijoin passes make every stored row extend to a full solution,
+and the downward pass amalgamates, as relaxed supernodes do (Ashcraft &
+Grimes 1989): a bag absorbs its first child while the joined table holds no
+more entries than the two it replaces, so a long chain of small bags sweeps
+as a few wide ones.  A fold is the certain case of that rule, taken early.
+The budget estimate is taken after the folds and before the amalgamation;
+the realized clique number is that of the cliques.
 """
 
 from __future__ import annotations
@@ -118,18 +120,18 @@ class _Bag:
 
     The scope is ordered by elimination position until the downward pass.
     Its first entries, in every row too, are the bag's introduced variables
-    ``intros``: the variable eliminated at the clique, then those of the
-    non-maximal cliques folded into it, each of which was exactly the
-    separator of the one before.  The rest of the scope is the separator.
-    The plan is fixed by the downward pass, which may merge the bag with
-    its first child: the child's intros then go in front of the bag's and
-    its children in front of the bag's, and the rows are the joined pairs
-    in (bag row, child row) order.  The rows are stored once, column by
-    column, as ``table``: one column per scope variable, never empty, since
-    the zero vector's row survives both passes.  Rows are sorted by
-    separator key id, then by the introduced variables from the last one
-    back to the first, the order in which the unmerged chain of bags would
-    enumerate them; ``key_ids[r]`` is the id of row r's separator key, and
+    ``intros``; the rest of the scope is the separator.  A bag starts as the
+    clique of one elimination step, introducing that step's variable, and
+    grows by absorbing its first child (``_absorb``): the child's intros go
+    in front of the bag's, and its children in front of the bag's.  The
+    folds do so before enumeration, and the downward pass, which fixes the
+    plan, may do so again; the rows are then the joined pairs in (bag row,
+    child row) order.  The rows are stored once, column by column, as
+    ``table``: one column per scope variable, never empty, since the zero
+    vector's row survives both passes.  Rows are sorted by separator key
+    id, then by the introduced variables from the last one back to the
+    first, the order in which the unmerged chain of bags would enumerate
+    them; ``key_ids[r]`` is the id of row r's separator key, and
     ``up[r]`` the id of this bag's separator key at row r of the parent.
     So a child's message, a list indexed by key id, is read at a parent row
     with no tuple built.  Each scope column of the final table keeps its
@@ -407,7 +409,7 @@ class KernelLattice:
     def total_rows(self) -> int:
         return sum(len(b.key_ids) for b in self._bags)
 
-    @property
+    @cached_property
     def certified(self) -> bool:
         """Whether the normal forms and bases computed from the lattice are
         exact.  A box lattice must hold every Graver element of its matrix:
@@ -615,11 +617,10 @@ class KernelLattice:
 
     def validate(self) -> None:
         """Raise LatticeError, under -O too, unless the structural invariants
-        hold: no bag whose clique is its first child's separator, merges
-        that are maximal (no bag's first child passes the entries rule of
-        the amalgamation), running intersection, separator containment,
-        backtrack-freeness in both directions, and a sweep plan that agrees
-        with the rows."""
+        hold: merges that are maximal (no bag's first child passes the
+        build's rules, ``_folds`` or ``_absorbs``), running intersection,
+        separator containment, backtrack-freeness in both directions, and a
+        sweep plan that agrees with the rows."""
         bags = self._bags
         rows_of = []  # each bag's rows, read from its table
         containing: dict[int, list[int]] = {}
@@ -646,7 +647,7 @@ class KernelLattice:
             rows = list(zip(*bag.table))
             rows_of.append(rows)
             if bag.children:
-                _require(set(bags[bag.children[0]].sep) != set(bag.scope), "clique not folded")
+                _require(not _folds(bag, bags[bag.children[0]]), "clique not folded")
             if bag.parent is None:
                 _require(set(bag.key_ids) <= {0} and bag.num_keys == 1, "root keys not one")
             else:
@@ -736,40 +737,21 @@ def _assemble(
     primal = Graph.from_edges(len(domains), (e for scope in scopes for e in combinations(scope, 2)))
     elim = eliminate(primal, pi)
 
-    # A clique that is exactly its first child's separator is not maximal:
-    # it folds into that child, whose bag takes the clique's step and adds
-    # its variable to the introduced ones.  folds[l] lists the steps folded
-    # together up to step l, bottom first.
+    # one bag per elimination step; a clique that is exactly its first
+    # child's separator folds into that child.  Children have earlier steps,
+    # so a bag's children are all listed, in step order, when it is reached.
     position = elim.position
-    steps = range(len(pi))
     parent = [None if elim.parent[v] is None else position[elim.parent[v]] for v in pi]
-    kids: list[list[int]] = [[] for _ in steps]
-    for l in steps:
-        if parent[l] is not None:
-            kids[parent[l]].append(l)
-    folds: list[list[int]] = []
-    absorbed = set()
-    for l in steps:
-        first = kids[l][0] if kids[l] else None
-        if first is not None and elim.cliques[first] - {pi[first]} == elim.cliques[l]:
-            folds.append(folds[first] + [l])
-            absorbed.add(first)
-        else:
-            folds.append([l])
-    tops = [l for l in steps if l not in absorbed]
-    pos_of = {l: p for p, top in enumerate(tops) for l in folds[top]}
     bags = [
-        _Bag(
-            p,
-            tuple(pi[l] for l in folds[top]),
-            tuple(sorted(elim.cliques[folds[top][0]], key=position.__getitem__)),
-            None if parent[top] is None else pos_of[parent[top]],
-        )
-        for p, top in enumerate(tops)
+        _Bag(l, (v,), tuple(sorted(elim.cliques[l], key=position.__getitem__)), parent[l])
+        for l, v in enumerate(pi)
     ]
     for bag in bags:
+        if bag.children and _folds(bag, bags[bag.children[0]]):
+            _absorb(bags, bag, bags[bag.children[0]])
         if bag.parent is not None:
             bags[bag.parent].children.append(bag.pos)
+    bags = _renumber(bags)
 
     estimate = 0
     for bag in bags:
@@ -783,10 +765,10 @@ def _assemble(
 
     # each constraint goes to the bag of its first eliminated variable, whose
     # clique holds the whole scope: (equations, counters) per bag, in order
+    home = {position[v]: bag.pos for bag in bags for v in bag.intros}
     by_bag: list[tuple[list[Equation], list[Counter]]] = [([], []) for _ in bags]
     for i, (scope, cons) in enumerate(zip(scopes, equations + counters)):
-        home = min(map(position.__getitem__, scope))
-        by_bag[pos_of[home]][i >= len(equations)].append(cons)
+        by_bag[home[min(map(position.__getitem__, scope))]][i >= len(equations)].append(cons)
 
     # upward pass: enumerate each bag against its children's messages
     rows: list[list[tuple[int, ...]]] = []  # per bag, emptied when it settles
@@ -807,36 +789,28 @@ def _assemble(
         return child
 
     n = matrix.num_cols
-    for bag in reversed(bags):
-        if bag is None:  # absorbed
-            continue
+    for bag in filter(None, reversed(bags)):  # an absorbed bag's slot is None
         if bag.parent is None:
             bag.settle(rows[bag.pos], repeat(0), 1)
         # Relaxed amalgamation (Ashcraft & Grimes 1989): the bag absorbs its
         # settled first child while the joined table holds no more entries
         # than the two it replaces.  The joined rows are the child's rows of
-        # each parent row's key, in (parent row, child row) order; the
-        # child's intros go in front of the bag's, and its children in front
-        # of the bag's.  Scope and table are kept reversed meanwhile, so
-        # that an absorption appends the child's columns to them.
-        scope, table = list(reversed(bag.scope)), list(reversed(bag.table))
-        key_ids = bag.key_ids
-        column = dict(zip(bag.scope, bag.table))
+        # each parent row's key, in (parent row, child row) order.
+        table, key_ids = list(bag.table), bag.key_ids
+        column = dict(zip(bag.scope, table))
         bag.table = ()  # held by table and column only, so an expansion frees them
         while bag.children:
             child = settle_child(column, bag.children[0])
             sizes = _key_sizes(child)
             join = sum(map(sizes.__getitem__, child.up))
-            if not _absorbs(len(scope), len(key_ids), child, join):
+            if not _absorbs(len(bag.scope), len(key_ids), child, join):
                 break
-            intro_columns = child.table[len(child.intros) - 1 :: -1]
-            scope += child.intros[::-1]
+            intro_columns = child.table[: len(child.intros)]
             if join == len(key_ids):
                 # one row per key id, so the child row's index is its key id,
                 # and the bag's columns stay as they are
                 picked = [tuple(map(col.__getitem__, child.up)) for col in intro_columns]
-                table += picked
-                column.update(zip(child.intros[::-1], picked))
+                column.update(zip(child.intros, picked))
             else:
                 # each bag value repeated once per child row of its row, and
                 # each child value in the slice of its key's rows
@@ -846,28 +820,50 @@ def _assemble(
                     table[i] = tuple(chain.from_iterable(map(repeat, col, counts)))
                 key_ids = list(chain.from_iterable(map(repeat, key_ids, counts)))
                 groups = list(map(slice, accumulate(sizes, initial=0), accumulate(sizes)))
-                for col in intro_columns:
-                    slices = list(map(col.__getitem__, groups))
-                    table.append(tuple(chain.from_iterable(map(slices.__getitem__, child.up))))
-                column.update(zip(scope, table))
-            bag.children[:1] = child.children
-            for c in child.children:
-                bags[c].parent = bag.pos
-            bags[child.pos] = None  # its table is freed
+                slices = [list(map(col.__getitem__, groups)) for col in intro_columns]
+                picked = [tuple(chain.from_iterable(map(s.__getitem__, child.up))) for s in slices]
+                column.update(zip(child.intros + bag.scope, picked + table))
+            table[:0] = picked
+            _absorb(bags, bag, child)  # its table is freed
         for c in bag.children[1:]:
             settle_child(column, c)
-        bag.scope, bag.table, bag.key_ids = tuple(reversed(scope)), tuple(reversed(table)), key_ids
-        bag.intros = bag.scope[: len(scope) - len(bag.sep)]
+        bag.table, bag.key_ids = tuple(table), key_ids
         bag.index_columns(n)
+    return KernelLattice(matrix, kind, bound, _renumber(bags), elim.clique_number)
 
-    # drop the absorbed bags and renumber the rest, children still first
+
+def _folds(bag: _Bag, child: _Bag) -> bool:
+    """Whether the bag's clique is exactly its first child's separator, so
+    that the clique is not maximal and folds into the child.  Then the join
+    keeps each child row once, and ``_absorbs`` always holds: the fold is
+    the amalgamation's certain case, taken before any row is enumerated.
+    Taken early, it can change later merges, as the entries rule then sees
+    the folded child as one wider bag."""
+    return set(child.sep) == set(bag.scope)
+
+
+def _absorb(bags: list[_Bag | None], bag: _Bag, child: _Bag) -> None:
+    """Merge the bag's first child into it: the child's intros go in front
+    of the bag's, in the scope too, and its children, all of earlier steps,
+    in front of the bag's, which keeps them in step order.  The child's slot
+    is blanked until ``_renumber``."""
+    bag.intros = child.intros + bag.intros
+    bag.scope = child.intros + bag.scope
+    bag.children[:1] = child.children
+    for c in child.children:
+        bags[c].parent = bag.pos
+    bags[child.pos] = None
+
+
+def _renumber(bags: list[_Bag | None]) -> list[_Bag]:
+    """The bags left after merges, numbered in order, children still first."""
     bags = [bag for bag in bags if bag is not None]
     renumber = {bag.pos: p for p, bag in enumerate(bags)}
     for bag in bags:
         bag.pos = renumber[bag.pos]
         bag.parent = None if bag.parent is None else renumber[bag.parent]
         bag.children = list(map(renumber.__getitem__, bag.children))
-    return KernelLattice(matrix, kind, bound, bags, elim.clique_number)
+    return bags
 
 
 def _key_sizes(child: _Bag) -> list[int]:

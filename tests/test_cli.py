@@ -20,7 +20,12 @@ from toricbases.graphs import (
     treedepth_estimate,
     treewidth_estimate,
 )
-from toricbases.oracle import incidence_matrix, nfold_product, random_sparse_matrix
+from toricbases.oracle import (
+    incidence_matrix,
+    nfold_product,
+    random_sparse_matrix,
+    two_by_two_minors_matrix,
+)
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -349,6 +354,26 @@ def test_gen_subcommands(capsys, tmp_path):
     assert out == matrix_to_text(want)
     code, _, err = run_cli(capsys, "gen", "--kind", "nfold", "--a1", str(a1))
     assert code == 2 and "--a2" in err
+
+
+def test_gen_refuses_the_options_of_other_kinds(capsys, tmp_path):
+    # an option of another kind is a usage error, not silently ignored, even
+    # when it holds a path that does not exist
+    code, out, err = run_cli(
+        capsys, "gen", "--kind", "minors", "--blocks", "2", "--copies", "2", "--seed", "99",
+        "--rows", "7", "--density", "0.9", "--a1", str(tmp_path / "missing.txt"),
+    )
+    assert (code, out) == (2, "")
+    assert err == "error: --kind minors does not take --a1, --rows, --density, --seed\n"
+    code, out, err = run_cli(capsys, "gen", "--kind", "random", "--copies", "2")
+    assert (code, out, err) == (2, "", "error: --kind random does not take --copies\n")
+    # a kind's own options, --out and the defaults are unchanged
+    code, out, _ = run_cli(capsys, "gen", "--kind", "random")
+    assert code == 0 and out == matrix_to_text(random_sparse_matrix(3, 6, 2, 0.5, 0))
+    out_path = tmp_path / "minors.txt"
+    code, out, _ = run_cli(capsys, "gen", "--kind", "minors", "--out", str(out_path))
+    assert (code, out) == (0, "")
+    assert out_path.read_text() == matrix_to_text(two_by_two_minors_matrix(2, 2))
 
 
 def test_cli_import_leaves_numpy_unloaded():

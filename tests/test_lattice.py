@@ -32,6 +32,7 @@ from toricbases.oracle import (
     random_sparse_matrix,
     two_by_two_minors_matrix,
 )
+from toricbases.reductions import ip_to_normalform, vertex_cover_ip
 
 from conftest import TWISTED_CUBIC_GRAVER
 from sweep_reference import reference_count, reference_iterate, reference_minimize
@@ -580,9 +581,17 @@ def test_validate_requires_maximal_merges(monkeypatch):
 
 def test_merges_keep_the_unmerged_answers(monkeypatch):
     # the same lattices built with no merge: every merge keeps the order of
-    # the vectors, and neither the stored rows nor the table entries grow
+    # the vectors, and neither the stored rows nor the table entries grow.
+    # Built with no fold, the amalgamation takes every fold itself, from a
+    # larger budget estimate: the same order, and on these box lattices the
+    # same bags and rows.  (A folded child meets the entries rule as one
+    # bag wider than each step it joins, so later merges can differ: 9 of
+    # the 40 degree lattices here store more rows folded, and fewer entries.)
     def entries(L):
         return sum(len(bag.scope) * len(bag.key_ids) for bag in L._bags)
+
+    def bags(L):
+        return [(b.intros, b.scope, b.parent, b.children, b.table, b.key_ids, b.up) for b in L._bags]
 
     rng = random.Random(89)
     cases = []
@@ -607,10 +616,16 @@ def test_merges_keep_the_unmerged_answers(monkeypatch):
     monkeypatch.setattr(lattice_module, "_absorbs", lambda *args: False)
     unmerged = [build(A, bound, ordering) for build, A, bound, ordering in cases]
     monkeypatch.undo()
+    monkeypatch.setattr(lattice_module, "_folds", lambda *args: False)
+    unfolded = [build(A, bound, ordering) for build, A, bound, ordering in cases]
+    with pytest.raises(BudgetExceeded):  # its estimate is 613,280 unfolded
+        build_lattice(two_by_two_minors_matrix(3, 4), 2, build_budget=515_625)
+    monkeypatch.undo()
     fewer = 0
-    for L, U in zip(merged, unmerged):
+    for L, U, F in zip(merged, unmerged, unfolded):
         L.validate()
-        assert list(L.iterate()) == list(U.iterate())
+        assert list(L.iterate()) == list(U.iterate()) == list(F.iterate())
+        assert L.kind == "degree" or bags(L) == bags(F)
         assert L.total_rows() <= U.total_rows() and entries(L) <= entries(U)
         assert L.realized_clique_number == U.realized_clique_number
         fewer += len(L._bags) < len(U._bags)
@@ -756,6 +771,22 @@ def test_budget_covers_only_the_table_estimate():
     assert L.count(shift_box((5, 0), 2100)) == 6
     assert L.minimize(MonomialOrder.lex(2), shift_box((5, 0), 2100)) == (-5, 5)
     assert L.minimize(MonomialOrder.lex(2), ((-7, -3000), (-7, 3000))) == (-7, 7)
+
+
+def test_budget_estimate_is_taken_after_the_folds():
+    # a clique that is exactly its first child's separator folds into the
+    # child before anything is enumerated, and adds nothing to the estimate
+    # (unfolded, these would read 613,280, 1,956,581 and 2,192,277)
+    cover = ip_to_normalform(vertex_cover_ip(cycle_graph(5))).matrix
+    cases = [
+        (build_lattice, two_by_two_minors_matrix(3, 4), 2, 515_625),
+        (build_lattice, cover, 5, 1_795_519),
+        (build_truncated_lattice, two_by_two_minors_matrix(3, 3), 2, 2_016_495),
+    ]
+    for build, A, bound, estimate in cases:
+        build(A, bound, build_budget=estimate)
+        with pytest.raises(BudgetExceeded, match=f"work {estimate} exceeds budget {estimate - 1};"):
+            build(A, bound, build_budget=estimate - 1)
 
 
 def test_ordering_validation(twisted_cubic):
