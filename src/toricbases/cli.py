@@ -219,34 +219,29 @@ def _cmd_normal_form(args) -> int:
     for name, exponent in exponents:  # before any build
         if len(exponent) != A.num_cols:
             raise ValueError(f"{name} needs length {A.num_cols}, got {len(exponent)}")
-    payload: dict = {"input": list(monomial), "via": args.via}
-    lattice = None
+    if terms is not None and args.via != "lattice":
+        # the polynomial is reduced over a lattice, so only that route reads it
+        raise ValueError(f"--polynomial needs --via lattice, not --via {args.via}")
     if args.via == "ip":
         # no lattice is built, but its options are refused as a build would
         check_build_args(A, *_lattice_args(args, A))
-        program = normalform_to_ip(A, order, monomial)
-        solution = solve_ip(program)
-        payload["normal_form"] = list(solution)
-        payload["standard"] = solution == monomial
+        nf, certified = solve_ip(normalform_to_ip(A, order, monomial)), True
     else:
         lattice = _build_from_args(args, A)
-        if args.via == "gb":
-            report = bases_mod.reduced_groebner_basis(A, lattice, order)
-            nf = reduce_by_basis(report.elements, order, monomial)
-            payload["normal_form"] = list(nf)
-            payload["standard"] = nf == monomial
+        certified = lattice.certified
+        if args.via == "lattice":
+            nf = normal_form_bounded(A, lattice, order, monomial).normal_exponent
         else:
-            result = normal_form_bounded(A, lattice, order, monomial)
-            payload["normal_form"] = list(result.normal_exponent)
-            payload["standard"] = result.was_standard
+            if lattice.kind == "degree":  # a truncated basis divides exactly only within its degree
+                lattice.check_bound(monomial)
+            basis = bases_mod.reduced_groebner_basis(A, lattice, order).elements
+            nf = reduce_by_basis(basis, order, monomial)
+    payload = {"input": list(monomial), "via": args.via}
+    payload.update(normal_form=list(nf), standard=nf == monomial, certified=certified)
     if terms is not None:
-        if lattice is None:
-            lattice = _build_from_args(args, A)
         reduced = polynomial_normal_form(A, lattice, order, terms)
         payload["polynomial"] = [[c, list(e)] for c, e in reduced]
-    # the IP route is exact; every lattice route rests on the lattice's bound
-    payload["certified"] = lattice is None or lattice.certified
-    _warn_unless_certified(payload["certified"])
+    _warn_unless_certified(certified)
     _emit(payload)
     return 0
 

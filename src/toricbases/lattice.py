@@ -418,7 +418,9 @@ class KernelLattice:
         degree at most d, whose normal form has no larger degree, so the
         move to it has both parts of degree at most d and lies in the
         lattice; and its bases are by definition the elements of degree at
-        most d."""
+        most d.  That degree is a precondition every caller must check, with
+        check_bound, before it relies on the flag: past degree d, division by
+        a degree-d basis can stop at a monomial that is not the normal form."""
         return self.kind == "degree" or self.bound >= graver_infinity_bound(self.matrix)
 
     # -- membership -------------------------------------------------------

@@ -146,7 +146,9 @@ def polynomial_normal_form(
     Like monomials are collected after reduction; zero coefficients drop out.
     Terms are returned leading-first under the order.  The lattice and the
     order are checked before any term is read, so they are refused even for
-    an empty polynomial.
+    an empty polynomial.  The answer is exact only when ``L.certified``.
+    Unlike a :class:`NormalFormResult`, the returned list does not carry that
+    flag, so the caller reads it off the lattice.
     """
     L.check_matrix(A)
     L.check_order(order)

@@ -1,3 +1,4 @@
+import itertools
 import random
 
 import pytest
@@ -494,3 +495,38 @@ def test_degree_bound_covers_the_negative_part():
     with pytest.raises(BoundExceeded):
         in_graver(A, build_truncated_lattice(A, 1), (-2, 1))
     assert in_graver(A, build_truncated_lattice(A, 2), (-2, 1))
+
+
+def test_truncated_basis_divides_exactly_within_its_degree():
+    # division by the reduced basis of a degree-d lattice gives the normal
+    # form of every monomial of degree at most d, and may not beyond it:
+    # so the CLI's gb route refuses a monomial outside a degree lattice's bound
+    from toricbases.oracle import random_sparse_matrix
+    from toricbases.reductions import normalform_to_ip, solve_ip
+
+    rng = random.Random(1809)
+    quartic = SparseIntMatrix.from_dense([[1, 1, 1, 1], [0, 1, 3, 4]])
+    matrices = [quartic]
+    for _ in range(10):  # under a row of ones, so the ideal is homogeneous, as the quartic's
+        n = rng.randint(4, 5)
+        rows = random_sparse_matrix(rng.randint(1, 2), n, 2, 0.7, rng.randrange(2**30)).to_dense()
+        matrices.append(SparseIntMatrix.from_dense([[1] * n, *rows]))
+    checked = 0
+    for A in matrices:
+        grlex = MonomialOrder.grlex(A.num_cols)
+        for d in (2, 3):
+            basis = reduced_groebner_basis(A, build_truncated_lattice(A, d), grlex).elements
+            for u in itertools.product(range(d + 1), repeat=A.num_cols):
+                if sum(u) > d:
+                    continue
+                want = solve_ip(normalform_to_ip(A, grlex, u))
+                assert reduce_by_basis(basis, grlex, u) == want, (A.to_dense(), d, u)
+                checked += 1
+    assert checked == 712
+    grlex = MonomialOrder.grlex(4)
+    basis = reduced_groebner_basis(quartic, build_truncated_lattice(quartic, 2), grlex).elements
+    wrong = [
+        u for u in itertools.product(range(4), repeat=4) if sum(u) == 3
+        and reduce_by_basis(basis, grlex, u) != solve_ip(normalform_to_ip(quartic, grlex, u))
+    ]
+    assert wrong == [(0, 1, 0, 2), (1, 0, 2, 0), (2, 0, 1, 0)]

@@ -106,6 +106,68 @@ def test_normal_form_polynomial(capsys, tc_matrix):
     assert json.loads(out)["polynomial"] == []
 
 
+def test_normal_form_polynomial_output_is_pinned(capsys, tc_matrix):
+    # three terms: x1x3 and x2^2 collect, x1^2x4 reduces to x2^3
+    code, out, err = run_cli(
+        capsys, "normal-form", "--matrix", tc_matrix, "--order", "grlex", "--bound", "3",
+        "--via", "lattice", "--monomial", "1,0,1,0",
+        "--polynomial", "[[2, [1,0,1,0]], [3, [0,2,0,0]], [-1, [2,0,0,1]]]",
+    )
+    assert code == 0 and "not certified" in err
+    assert out == (
+        '{"certified": false, "input": [1, 0, 1, 0], "normal_form": [0, 2, 0, 0], '
+        '"polynomial": [[-1, [0, 3, 0, 0]], [5, [0, 2, 0, 0]]], "standard": false, "via": "lattice"}\n'
+    )
+
+
+@pytest.mark.parametrize("via", ["gb", "ip"])
+def test_normal_form_polynomial_is_read_by_the_lattice_route_only(capsys, tc_matrix, monkeypatch, via):
+    # the polynomial is reduced over a lattice, so another route refuses it
+    # before any build or solve: with a budget of 5 a build would fail
+    monkeypatch.setenv("TORICBASES_BUDGET", "5")
+    code, out, err = run_cli(
+        capsys, "normal-form", "--matrix", tc_matrix, "--order", "grlex", "--bound", "3",
+        "--via", via, "--monomial", "1,0,1,0", "--polynomial", "[[1, [1,0,1,0]]]",
+    )
+    assert (code, out) == (2, "")
+    assert err == f"error: --polynomial needs --via lattice, not --via {via}\n"
+
+
+def test_normal_form_ip_route_builds_nothing(capsys, tc_matrix, monkeypatch):
+    # with a budget of 5 any build of the twisted cubic's lattice would fail
+    monkeypatch.setenv("TORICBASES_BUDGET", "5")
+    code, out, err = run_cli(
+        capsys, "normal-form", "--matrix", tc_matrix, "--order", "grlex",
+        "--monomial", "1,0,1,0", "--via", "ip",
+    )
+    assert (code, err) == (0, "")
+    payload = json.loads(out)
+    assert payload["normal_form"] == [0, 2, 0, 0] and payload["certified"] is True
+
+
+def test_normal_form_gb_route_keeps_a_degree_lattice_bound(capsys, tmp_path, tc_matrix):
+    # a truncated basis divides exactly only within its degree, so the gb
+    # route refuses what the lattice route refuses, with the same message
+    quartic = tmp_path / "quartic.txt"
+    quartic.write_text("2 4\n1 1 1 1\n0 1 3 4\n")
+    argv = ["normal-form", "--matrix", str(quartic), "--order", "grlex", "--degree", "2"]
+    outside = {via: run_cli(capsys, *argv, "--monomial", "2,0,1,0", "--via", via) for via in ("lattice", "gb")}
+    assert outside["gb"] == outside["lattice"]
+    assert outside["gb"] == (1, "", "error: (2, 0, 1, 0) lies outside the degree bound 2\n")
+    forms = []
+    for via in ("lattice", "gb", "ip"):
+        code, out, err = run_cli(capsys, *argv, "--monomial", "1,0,0,1", "--via", via)
+        assert (code, err) == (0, "")
+        forms.append(json.loads(out)["normal_form"])
+    assert forms == [[0, 1, 1, 0]] * 3
+    # a box lattice answers any monomial, and says when it is not certified
+    code, out, err = run_cli(
+        capsys, "normal-form", "--matrix", tc_matrix, "--order", "grlex", "--bound", "1",
+        "--via", "gb", "--monomial", "3,0,3,0",
+    )
+    assert code == 0 and json.loads(out)["certified"] is False and "not certified" in err
+
+
 def test_graver_subcommand_json_and_text(capsys, tc_matrix):
     code, out, _ = run_cli(capsys, "graver", "--matrix", tc_matrix, "--bound", "3")
     assert code == 0
