@@ -63,7 +63,9 @@ def in_reduced_gb(
     initial ideal, each paired with the normal form of its head.  So the test
     is: the tail is the head's normal form, and removing any single variable
     from the head leaves a standard monomial (standard monomials are closed
-    under division, so co-dimension-one divisors suffice).
+    under division, so co-dimension-one divisors suffice).  The answer is
+    exact only when ``L.certified``; a bool cannot carry that flag, so the
+    caller reads it off the lattice.
     """
     L.check_matrix(A)
     head, tail = binomial.head, binomial.tail
@@ -157,15 +159,7 @@ def binomials_from_vectors(vectors: Sequence[Vec], order: MonomialOrder) -> list
     """Oriented, deduplicated binomials of a set of kernel vectors, sorted by
     head and then tail: the candidates of the reduced basis, and a
     division basis when the vectors are a Graver basis."""
-    seen: set[tuple[Vec, Vec]] = set()
-    out: list[Binomial] = []
-    for v in vectors:
-        if not any(v):
-            continue
-        b = Binomial.from_kernel_vector(v).oriented(order)
-        key = (b.head, b.tail)
-        if key not in seen:
-            seen.add(key)
-            out.append(b)
-    out.sort(key=lambda b: (order.key(b.head), order.key(b.tail)))
-    return out
+    return sorted(
+        {Binomial.from_kernel_vector(v).oriented(order) for v in vectors if any(v)},
+        key=lambda b: (order.key(b.head), order.key(b.tail)),
+    )

@@ -109,10 +109,10 @@ Counter = tuple[int | None, int, int, bool]
 
 
 # A child's rows as its parent reads them: the child's separator, and one
-# trie level per separator variable, mapping the values of the variables
-# before it to its allowed values.  Tuples, not sets: a variable has only
-# its few domain values, and a set per trie node raised the peak memory.
-Message = tuple[tuple[int, ...], list[dict[tuple[int, ...], tuple[int, ...]]]]
+# dict mapping each prefix of separator values, of any length, to the allowed
+# values of the next separator variable.  Tuples, not sets: a variable has
+# only its few domain values, and a set per trie node raised the peak memory.
+Message = tuple[tuple[int, ...], dict[tuple[int, ...], tuple[int, ...]]]
 
 
 class _Bag:
@@ -175,33 +175,32 @@ class _Bag:
     def message(self, rows: list[tuple[int, ...]]) -> Message:
         # deepest level first: each level's keys are the prefixes one shorter
         prefixes = set(map(operator.itemgetter(slice(len(self.intros), None)), rows))
-        levels: list[dict[tuple[int, ...], tuple[int, ...]]] = []
+        trie: dict[tuple[int, ...], tuple[int, ...]] = {}
         for _ in self.sep:
             grouped: dict[tuple[int, ...], list[int]] = {}
             for prefix in prefixes:
                 grouped.setdefault(prefix[:-1], []).append(prefix[-1])
-            levels.append({head: tuple(values) for head, values in grouped.items()})
+            trie.update(zip(grouped, map(tuple, grouped.values())))
             prefixes = grouped.keys()
-        levels.reverse()
-        return self.sep, levels
+        return self.sep, trie
 
     def settle(self, rows: list[tuple[int, ...]], keys: Iterator, num_keys: int) -> None:
         """Fix the rows whose key id is not None.  The list is emptied, so
-        that the row tuples are freed with ``keyed``."""
-        k = len(self.intros)
-        pairs = ((key, row) for key, row in zip(keys, rows) if key is not None)
-        if k == 1:
-            keyed = sorted(pairs)
-        else:  # rows of one key differ only in their introduced variables
-            keyed = sorted(pairs, key=lambda pair: (pair[0], pair[1][k - 1 :: -1]))
+        that the row tuples are freed with ``keyed``.  Rows of one key id
+        share their separator values, so they differ only in their intros."""
+        intros_reversed = operator.itemgetter(slice(len(self.intros) - 1, None, -1))
+        keyed = sorted(
+            (key, intros_reversed(row), row) for key, row in zip(keys, rows) if key is not None
+        )
         rows.clear()
         self.key_ids = list(map(operator.itemgetter(0), keyed))
-        self.table = tuple(zip(*map(operator.itemgetter(1), keyed)))
+        self.table = tuple(zip(*map(operator.itemgetter(2), keyed)))
         self.num_keys = num_keys
 
     def index_columns(self, n: int) -> None:
         """Compile the row masks of the bag's final table."""
         columns = []
+        # separators too: a child's box then drops rows its parent never reads
         for var, column in zip(self.scope, self.table):
             if var >= n:  # counters are never boxed
                 continue
@@ -232,7 +231,7 @@ class _Bag:
             if l > values[0] or h < values[-1]:
                 m = masks[bisect_left(values, l)] & ~masks[bisect_right(values, h)]
                 mask = m if mask is None else mask & m
-        if mask is None:
+        if mask is None:  # no picker: a sweep reads the stored sequences as they are
             return None
         rows = len(self.key_ids)
         if not mask & (mask + (mask & -mask)):  # one run of set bits, or none
@@ -282,7 +281,7 @@ def _enumerate_bag(
     # per depth: (equation, coef, lo, hi) of the row equations with later
     # variables, whose later terms can sum to anything in [lo, hi]
     open_at: list[list[tuple[int, int, int, int]]] = [[] for _ in range(s)]
-    # per depth: (depths of the key, trie level) of the messages reaching here
+    # per depth: (depths of the key, trie) of the messages reaching here
     indexed_at: list[list[tuple[tuple[int, ...], dict]]] = [[] for _ in range(s)]
 
     for prev, x, out, positive in counters:
@@ -301,9 +300,9 @@ def _enumerate_bag(
             lo += min(coef * dom[0], coef * dom[-1])
             hi += max(coef * dom[0], coef * dom[-1])
 
-    for sep_vars, levels in messages:
-        for k, level in enumerate(levels):
-            indexed_at[index[sep_vars[k]]].append((tuple(index[v] for v in sep_vars[:k]), level))
+    for sep_vars, trie in messages:
+        for k, var in enumerate(sep_vars):
+            indexed_at[index[var]].append((tuple(index[v] for v in sep_vars[:k]), trie))
 
     partial = [0] * len(equations)
     rows: list[tuple[int, ...]] = []
@@ -318,7 +317,7 @@ def _enumerate_bag(
         for prev, x, top, positive in counters_at[depth]:
             part = values[x] if positive else -values[x]
             out = (0 if prev is None else values[prev]) + (part if part > 0 else 0)
-            if out > top or (fixed is not None and out != fixed):
+            if out > top:  # one counter forces each output
                 return
             fixed = out
         for eq, coef in closing_at[depth]:
@@ -328,7 +327,7 @@ def _enumerate_bag(
             fixed = forced
         indexed = indexed_at[depth]
         if indexed:
-            allowed = [level.get(tuple([values[i] for i in key]), nothing) for key, level in indexed]
+            allowed = [trie.get(tuple([values[i] for i in key]), nothing) for key, trie in indexed]
             allowed.sort(key=len)
         else:
             allowed = indexed
@@ -533,7 +532,7 @@ class KernelLattice:
             for c in bag.children:
                 up = bags[c].up if pick is None else pick(bags[c].up)
                 acc = map(times, acc, map(aggs[c].__getitem__, up))
-            if bag.num_keys == 1:
+            if bag.num_keys == 1:  # one reduce, not a Python loop over the rows
                 first = next(acc, zero)
                 agg = [reduce(plus, acc, first)]
             else:
@@ -598,7 +597,8 @@ class KernelLattice:
         def leaf(bag: _Bag, pick: operator.itemgetter | None) -> Iterator[int]:
             # per picked row, c_j * x_j summed over the introduced variables:
             # one stream of products per intro, and the row's sum starting
-            # from the first, however many intros
+            # from the first; a lone intro's stream is the sums, with no tuple
+            # and no sum call per row
             columns = bag.table[: len(bag.intros)]
             if pick is not None:
                 columns = map(pick, columns)
@@ -668,10 +668,8 @@ class KernelLattice:
             for c in bag.children:
                 child = bags[c]
                 child_keys: dict[int, tuple[int, ...]] = {}
-                sizes: dict[int, int] = {}  # the child's rows per key id
                 for k, row in zip(child.key_ids, rows_of[c]):
                     child_keys[k] = row[len(child.intros) :]
-                    sizes[k] = sizes.get(k, 0) + 1
                 _require(len(child.up) == len(rows), "child keys not one per parent row")
                 extract = tuple(map(bag.scope.index, child.sep))
                 for row, k in zip(rows, child.up):
@@ -680,7 +678,7 @@ class KernelLattice:
                 _require(set(child_keys) <= set(child.up), "child row with no parent support")
                 _require(set(child.up) == set(range(child.num_keys)), "key ids not numbered densely")
                 if c == bag.children[0]:  # merges are maximal: the join stores more
-                    join = sum(map(sizes.__getitem__, child.up))
+                    join = sum(map(_key_sizes(child).__getitem__, child.up))
                     _require(not _absorbs(len(bag.scope), len(rows), child, join), "first child not absorbed")
 
     def __repr__(self) -> str:
@@ -807,24 +805,21 @@ def _assemble(
             join = sum(map(sizes.__getitem__, child.up))
             if not _absorbs(len(bag.scope), len(key_ids), child, join):
                 break
-            intro_columns = child.table[: len(child.intros)]
-            if join == len(key_ids):
-                # one row per key id, so the child row's index is its key id,
-                # and the bag's columns stay as they are
-                picked = [tuple(map(col.__getitem__, child.up)) for col in intro_columns]
-                column.update(zip(child.intros, picked))
-            else:
-                # each bag value repeated once per child row of its row, and
-                # each child value in the slice of its key's rows
+            # each bag value repeated once per child row of its row; the columns
+            # are kept when each bag row joins one, so a chain's absorptions copy none
+            if join > len(key_ids):
                 counts = list(map(sizes.__getitem__, child.up))
                 column.clear()  # each old column is freed once it is expanded
                 for i, col in enumerate(table):
                     table[i] = tuple(chain.from_iterable(map(repeat, col, counts)))
                 key_ids = list(chain.from_iterable(map(repeat, key_ids, counts)))
-                groups = list(map(slice, accumulate(sizes, initial=0), accumulate(sizes)))
-                slices = [list(map(col.__getitem__, groups)) for col in intro_columns]
-                picked = [tuple(chain.from_iterable(map(s.__getitem__, child.up))) for s in slices]
-                column.update(zip(child.intros + bag.scope, picked + table))
+                column.update(zip(bag.scope, table))
+            # the child's rows of each bag row's key, which are consecutive
+            groups = list(map(range, accumulate(sizes, initial=0), accumulate(sizes)))
+            joined = list(chain.from_iterable(map(groups.__getitem__, child.up)))
+            intro_columns = child.table[: len(child.intros)]
+            picked = [tuple(map(col.__getitem__, joined)) for col in intro_columns]
+            column.update(zip(child.intros, picked))
             table[:0] = picked
             _absorb(bags, bag, child)  # its table is freed
         for c in bag.children[1:]:
@@ -870,8 +865,6 @@ def _renumber(bags: list[_Bag | None]) -> list[_Bag]:
 
 def _key_sizes(child: _Bag) -> list[int]:
     """The number of the child's rows of each key id."""
-    if len(child.key_ids) == child.num_keys:  # every key id has one row
-        return [1] * child.num_keys
     sizes = [0] * child.num_keys
     for key in child.key_ids:
         sizes[key] += 1

@@ -87,7 +87,8 @@ def is_standard(
 
     One jump decides: a monomial with any smaller congruent neighbour admits
     a single improving lattice move, so u is standard exactly when the first
-    jump goes nowhere.
+    jump goes nowhere.  The answer is exact only when ``L.certified``; a
+    bool cannot carry that flag, so the caller reads it off the lattice.
     """
     u = as_vector(u)
     _check_monomial(A, L, order, u)

@@ -51,6 +51,19 @@ def test_in_reduced_gb_validation():
         in_reduced_gb(A, L, lex, Binomial((0, 1), (1, 0)))  # misoriented
 
 
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda A, L, grlex: in_graver(A, L, (1, -1)),
+        lambda A, L, grlex: in_reduced_gb(A, L, grlex, Binomial((1, 0), (0, 1))),
+    ],
+    ids=["in-graver", "in-reduced-gb"],
+)
+def test_bases_refuse_a_vector_of_another_length(twisted_cubic, call):
+    with pytest.raises(DimensionMismatch, match="^expected length 4, got 2$"):
+        call(twisted_cubic, build_lattice(twisted_cubic, 1), MonomialOrder.grlex(4))
+
+
 def test_reduced_gb_single_row():
     A = SparseIntMatrix.from_dense([[1, 1]])
     L = build_lattice(A, 2)

@@ -317,6 +317,17 @@ def test_malformed_json_is_a_usage_error(capsys, tmp_path, tc_matrix, kind, text
     assert err.startswith("error: ") and message in err, err
 
 
+@pytest.mark.parametrize("missing", ["b", "c"])
+def test_solve_ip_names_a_missing_field(capsys, tmp_path, missing):
+    # the README promises a missing A, b or c names the field, exit 2
+    program = {"A": [[1, 1]], "b": [2], "c": [1, 1], "upper": [3, 3]}
+    del program[missing]
+    ip_path = tmp_path / "ip.json"
+    ip_path.write_text(json.dumps(program))
+    code, out, err = run_cli(capsys, "solve-ip", "--ip", str(ip_path))
+    assert (code, out, err) == (2, "", f"error: {missing} must be a list of integers, got null\n")
+
+
 @pytest.mark.parametrize(
     "route, monomial, polynomial, budget, message",
     [

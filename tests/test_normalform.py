@@ -6,6 +6,7 @@ from hypothesis import strategies as st
 
 from toricbases import (
     Binomial,
+    DimensionMismatch,
     MonomialOrder,
     SparseIntMatrix,
     build_lattice,
@@ -189,6 +190,43 @@ def test_uncertified_bound_is_reported(twisted_cubic):
     assert not normal_form_bounded(A, build_lattice(A, 2), MonomialOrder.lex(2), (1, 0)).certified
     degree = build_truncated_lattice(A, 3)
     assert normal_form_bounded(A, degree, MonomialOrder.grlex(2), (1, 0)).certified
+
+
+def test_is_standard_is_exact_only_when_certified(twisted_cubic):
+    # a bool cannot carry the flag: at g=1 the lattice is not certified, and
+    # is_standard passes four monomials whose normal forms lie a move of
+    # infinity-norm 2 or 3 away
+    A, grlex = twisted_cubic, MonomialOrder.grlex(4)
+    L = build_lattice(A, 1)
+    assert L.certified is False
+    reduced = {
+        (0, 1, 0, 1): (0, 0, 2, 0),
+        (0, 1, 1, 1): (0, 0, 3, 0),
+        (1, 0, 1, 0): (0, 2, 0, 0),
+        (1, 1, 1, 0): (0, 3, 0, 0),
+    }
+    for u, nf in reduced.items():
+        assert is_standard(A, L, grlex, u)
+        assert normal_form_bruteforce(A, (1, 1, 1, 1), u, 3) == nf
+    assert max(abs(a - b) for a, b in zip((0, 1, 0, 1), (0, 0, 2, 0))) == 2
+
+
+@pytest.mark.parametrize(
+    "call, error, message",
+    [
+        (lambda A, L, grlex: normal_form_bounded(A, L, grlex, (1, 0)),
+         DimensionMismatch, "expected length 4, got 2"),
+        (lambda A, L, grlex: reduce_by_basis([], grlex, (1, -1, 0, 0)),
+         ValueError, "monomial exponents must be nonnegative"),
+        (lambda A, L, grlex: reduce_by_basis([Binomial((1, 0, 1, 0), (0, 2, 0, 0))], grlex, (1, 0)),
+         DimensionMismatch, "basis and monomial dimensions differ"),
+    ],
+    ids=["normal-form-length", "reduce-negative", "reduce-length"],
+)
+def test_normalform_refusals(twisted_cubic, call, error, message):
+    with pytest.raises(error) as info:
+        call(twisted_cubic, build_lattice(twisted_cubic, 1), MonomialOrder.grlex(4))
+    assert type(info.value) is error and str(info.value) == message
 
 
 def count_minimize_calls(L):

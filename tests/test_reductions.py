@@ -4,6 +4,7 @@ import random
 import pytest
 
 from toricbases import (
+    DimensionMismatch,
     InfeasibleError,
     IntegerProgram,
     MonomialOrder,
@@ -92,6 +93,40 @@ def test_hint_validation():
     A = SparseIntMatrix.from_dense([[1, 1]])
     with pytest.raises(ValueError):
         IntegerProgram(A, (3,), (1, 1), upper=(3, 3), feasible_hint=(1, 1))
+
+
+ROW = SparseIntMatrix.from_dense([[1, 1]])
+
+
+@pytest.mark.parametrize(
+    "call, error, message",
+    [
+        (lambda: IntegerProgram(ROW, (2, 2), (1, 1)), DimensionMismatch, "rhs length 2, expected 1"),
+        (lambda: IntegerProgram(ROW, (2,), (1,)), DimensionMismatch, "objective length 1, expected 2"),
+        (lambda: IntegerProgram(ROW, (2,), (1, 1), lower=(0,)), DimensionMismatch, "lower length 1, expected 2"),
+        (lambda: IntegerProgram(ROW, (2,), (1, 1), upper=(3,)), DimensionMismatch, "upper length 1, expected 2"),
+        (lambda: IntegerProgram(ROW, (2,), (1, 1), feasible_hint=(2,)),
+         DimensionMismatch, "feasible_hint length 1, expected 2"),
+        (lambda: IntegerProgram(ROW, (2,), (1, 1), feasible_hint=(-1, 3)),
+         ValueError, "feasible hint violates a lower bound"),
+        (lambda: IntegerProgram(ROW, (2,), (1, 1), upper=(1, 1), feasible_hint=(2, 0)),
+         ValueError, "feasible hint violates an upper bound"),
+        (lambda: solve_ip(IntegerProgram(ROW, (2,), (1, 1), lower=(2, 0), upper=(1, 3))),
+         InfeasibleError, "empty box"),
+        (lambda: normalform_to_ip(ROW, MonomialOrder.lex(2), (1, -1)),
+         ValueError, "monomial exponents must be nonnegative"),
+        (lambda: normalform_to_ip(ROW, MonomialOrder.lex(2), (1, 0, 0)),
+         DimensionMismatch, "dimension mismatch between matrix, order and monomial"),
+        (lambda: ip_to_normalform(IntegerProgram(ROW, (2,), (1, 1), upper=(2, 2), feasible_hint=(1, 1)))
+         .extract_solution((0,)), DimensionMismatch, "expected length 5, got 1"),
+    ],
+    ids=["rhs", "objective", "lower", "upper", "hint-length", "hint-below", "hint-above", "empty-box",
+         "nf-negative", "nf-length", "extract-length"],
+)
+def test_reductions_refusals(call, error, message):
+    with pytest.raises(error) as info:
+        call()
+    assert type(info.value) is error and str(info.value) == message
 
 
 def test_solve_ip_matches_enumeration_random():
