@@ -79,9 +79,9 @@ def _no_fraction(text: str):
 
 
 def _json_int(value, field: str) -> int:
-    """An integer, or a decimal string, read from JSON; anything else is a
-    ValueError that names the field."""
-    if isinstance(value, (int, str)):
+    """An integer, or a decimal string, read from JSON; anything else, a
+    boolean too, is a ValueError that names the field."""
+    if isinstance(value, (int, str)) and not isinstance(value, bool):
         try:
             return int(value)
         except ValueError:

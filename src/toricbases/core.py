@@ -211,7 +211,8 @@ def matrix_from_text(text: str, *, drop_zero_rows: bool = False) -> SparseIntMat
     Zero rows are rejected at parse time (they carry no constraint); pass
     ``drop_zero_rows=True`` to remove them with a warning instead.
     """
-    tokens_by_line = [ln.split() for ln in text.splitlines() if ln.strip() and not ln.startswith("#")]
+    # blank lines and comment lines, indented or not, as edge_list_from_text skips them
+    tokens_by_line = [t for t in map(str.split, text.splitlines()) if t and not t[0].startswith("#")]
     if not tokens_by_line:
         raise ValueError("empty matrix file")
     head = tokens_by_line[0]

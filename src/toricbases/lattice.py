@@ -133,12 +133,13 @@ class _Bag:
     first, the order in which the unmerged chain of bags would enumerate
     them; ``key_ids[r]`` is the id of row r's separator key, and
     ``up[r]`` the id of this bag's separator key at row r of the parent.
-    So a child's message, a list indexed by key id, is read at a parent row
-    with no tuple built.  Each scope column of the final table keeps its
-    sorted distinct values and, for each, the mask of its rows at or above
-    it (bit R - 1 - r for row r of R).  A box ANDs the masks into the set of
-    rows it keeps, and a sweep gathers each per-row sequence (table columns,
-    key ids, children's ``up`` ids) through one picker of those rows.
+    Both are tuples, like the table columns.  So a child's message, a list
+    indexed by key id, is read at a parent row with no tuple built.  Each
+    scope column of the final table keeps its sorted distinct values and,
+    for each, the mask of its rows at or above it (bit R - 1 - r for row r
+    of R).  A box ANDs the masks into the set of rows it keeps, and a sweep
+    gathers each per-row sequence (table columns, key ids, children's
+    ``up`` ids) through one picker of those rows, whatever the box.
     """
 
     __slots__ = (
@@ -166,9 +167,9 @@ class _Bag:
         self.children: list[int] = []
         # per scope variable, its value in each row
         self.table: tuple[tuple[int, ...], ...] = ()
-        self.key_ids: list[int] = []
+        self.key_ids: tuple[int, ...] = ()
         self.num_keys = 0
-        self.up: list[int] = []
+        self.up: tuple[int, ...] = ()
         # (column, sorted distinct values, masks of the rows at or above each)
         self.columns: tuple[tuple[int, tuple[int, ...], tuple[int, ...]], ...] = ()
 
@@ -193,7 +194,7 @@ class _Bag:
             (key, intros_reversed(row), row) for key, row in zip(keys, rows) if key is not None
         )
         rows.clear()
-        self.key_ids = list(map(operator.itemgetter(0), keyed))
+        self.key_ids = tuple(map(operator.itemgetter(0), keyed))
         self.table = tuple(zip(*map(operator.itemgetter(2), keyed)))
         self.num_keys = num_keys
 
@@ -220,20 +221,19 @@ class _Bag:
             columns.append((var, tuple(values), tuple(masks)))
         self.columns = tuple(columns)
 
-    def selection(self, lo: Vec, hi: Vec, numbers: tuple[int, ...]) -> operator.itemgetter | None:
-        """A picker of the rows inside the box, in row order, or None when
-        the box keeps every row.  ``numbers`` counts 0, 1, ... up to at least
-        the bag's row count.  A run of consecutive rows, one row or none is
-        picked by one slice; any other set by its row numbers."""
-        mask = None
+    def selection(self, lo: Vec, hi: Vec, numbers: tuple[int, ...]) -> operator.itemgetter:
+        """A picker of the rows inside the box, in row order.  ``numbers``
+        counts 0, 1, ... up to at least the bag's row count.  A run of
+        consecutive rows, one row, none or every row is picked by one slice;
+        any other set by its row numbers.  Every per-row sequence is a
+        tuple, and a slice over all of a tuple returns the tuple itself, so
+        a box that keeps every row copies nothing."""
+        rows = len(self.key_ids)
+        mask = (1 << rows) - 1
         for var, values, masks in self.columns:
             l, h = lo[var], hi[var]
             if l > values[0] or h < values[-1]:
-                m = masks[bisect_left(values, l)] & ~masks[bisect_right(values, h)]
-                mask = m if mask is None else mask & m
-        if mask is None:  # no picker: a sweep reads the stored sequences as they are
-            return None
-        rows = len(self.key_ids)
+                mask &= masks[bisect_left(values, l)] & ~masks[bisect_right(values, h)]
         if not mask & (mask + (mask & -mask)):  # one run of set bits, or none
             start = rows - mask.bit_length()
             return operator.itemgetter(slice(start, start + mask.bit_count()))
@@ -480,17 +480,13 @@ class KernelLattice:
         along the tree gives them: lexicographic in one row per bag, bags in
         preorder.  The layout maps a tuple to column order, without counters."""
 
-        def leaf(bag: _Bag, selected: None) -> Iterator[list]:
-            return ([t] for t in zip(*bag.table[: len(bag.intros)]))
+        def leaf(bag: _Bag, pick: operator.itemgetter) -> Iterator[list]:
+            return ([t] for t in zip(*map(pick, bag.table[: len(bag.intros)])))
 
         def times(acc: list, child: list) -> list:
             return [a + b for a in acc for b in child]
 
-        aggs = self._sweep(None, leaf, times, operator.iadd, [])
-        tuples: list[tuple[int, ...]] = [()]
-        for root in self._roots:
-            tuples = times(tuples, aggs[root][0])
-        for t in tuples:
+        for t in self._sweep(None, leaf, times, operator.iadd, [], [()]):
             yield tuple(map(t.__getitem__, self._layout))
 
     def __iter__(self) -> Iterator[Vec]:
@@ -498,8 +494,9 @@ class KernelLattice:
 
     # -- sweeps -------------------------------------------------------------
 
-    def _sweep(self, box: Box | None, leaf, times, plus, zero) -> list[list | None]:
-        """One bottom-up pass of a semiring over the join tree.
+    def _sweep(self, box: Box | None, leaf, times, plus, zero, one):
+        """One bottom-up pass of a semiring over the join tree, and its
+        answer: the roots' aggregates folded by ``times`` from ``one``.
 
         Children precede their parent in position order.  A bag's aggregate
         is a list indexed by separator key id: ``plus`` over the bag's rows
@@ -508,56 +505,51 @@ class KernelLattice:
         ``zero`` where no row contributes.  The box picks the rows once per
         bag (see ``_Bag.selection``), and every per-row stream, the leaf's
         columns, each child's ``up`` ids and the key ids, is gathered through
-        that picker, so a sweep reads only the rows the box keeps.
-        ``leaf(bag, pick)`` returns an iterator over the leaf values of the
-        picked rows (every row when ``pick`` is None).  A bag with one key
-        id, every root among them, folds its values with one ``reduce``;
-        only a bag with several runs a Python loop.  ``zero`` must absorb
-        under ``times``, because no picked row is skipped: one whose child
-        message is ``zero`` is combined and folded like the others.  ``leaf``
-        and ``times`` make fresh values, so ``plus`` may extend its left
-        operand in place.  A child's aggregate is released (set to None) once
-        its parent has read it; only the roots' aggregates are returned.
+        that picker, so a sweep reads only the rows the box keeps.  No box
+        is the lattice's bound box, [-bound, bound] in every column, which
+        keeps every stored row of either kind: its picker returns each
+        stored tuple itself.  ``leaf(bag, pick)`` returns an iterator over
+        the leaf values of the picked rows.  A bag with one key id, every
+        root among them, folds its values with one ``reduce``; only a bag
+        with several runs a Python loop.  ``zero`` must absorb under
+        ``times``, because no picked row is skipped: one whose child message
+        is ``zero`` is combined and folded like the others.  ``leaf`` and
+        ``times`` make fresh values, so ``plus`` may extend its left operand
+        in place.  A child's aggregate is released (set to None) once its
+        parent has read it.
         """
         n = self.num_columns
-        if box is not None:
-            lo, hi = box
-            if not len(lo) == len(hi) == n:
-                raise DimensionMismatch(f"box needs {n} lower and upper bounds")
+        lo, hi = ((-self.bound,) * n, (self.bound,) * n) if box is None else box
+        if not len(lo) == len(hi) == n:
+            raise DimensionMismatch(f"box needs {n} lower and upper bounds")
         bags = self._bags
         aggs: list[list | None] = []
         for bag in bags:
-            pick = None if box is None else bag.selection(lo, hi, self._row_numbers)
+            pick = bag.selection(lo, hi, self._row_numbers)
             acc = leaf(bag, pick)
             for c in bag.children:
-                up = bags[c].up if pick is None else pick(bags[c].up)
-                acc = map(times, acc, map(aggs[c].__getitem__, up))
+                acc = map(times, acc, map(aggs[c].__getitem__, pick(bags[c].up)))
             if bag.num_keys == 1:  # one reduce, not a Python loop over the rows
                 first = next(acc, zero)
                 agg = [reduce(plus, acc, first)]
             else:
-                keys = bag.key_ids if pick is None else pick(bag.key_ids)
                 agg = [zero] * bag.num_keys
-                for key, value in zip(keys, acc):
+                for key, value in zip(pick(bag.key_ids), acc):
                     old = agg[key]
                     agg[key] = value if old is zero else plus(old, value)
             aggs.append(agg)
             for c in bag.children:
                 aggs[c] = None
-        return aggs
+        return reduce(times, (aggs[root][0] for root in self._roots), one)
 
     def count(self, box: Box | None = None) -> int:
         """Exact number of represented vectors inside the box, without
         enumeration: the (+, x) sweep."""
 
-        def leaf(bag: _Bag, pick: operator.itemgetter | None) -> Iterator[int]:
-            return repeat(1, len(bag.key_ids if pick is None else pick(bag.key_ids)))
+        def leaf(bag: _Bag, pick: operator.itemgetter) -> Iterator[int]:
+            return repeat(1, len(pick(bag.key_ids)))
 
-        aggs = self._sweep(box, leaf, operator.mul, operator.add, 0)
-        total = 1
-        for root in self._roots:
-            total *= aggs[root][0]
-        return total
+        return self._sweep(box, leaf, operator.mul, operator.add, 0, 1)
 
     @cached_property
     def _radix(self) -> tuple[int, tuple[int, ...], int]:
@@ -578,12 +570,14 @@ class KernelLattice:
         2*bound in every column, so c.v orders them exactly as the key does.
         Every partial key lies in [-M, M] for M = bound * sum c_j (c is
         positive), so 2M + 1 absorbs under + and loses every min: it is the
-        zero.  The root aggregates sum to c.v = r^n (w.v) + sum_j v_j
-        r^(n-1-j) for the minimiser v, and as every |v_j| <= bound the last
-        sum holds v as its balanced base-r digits: adding (r^n - 1) / 2, the
-        digits all equal to bound, and reducing modulo r^n leaves the digits
-        v_j + bound, which are split off by halving.  So the vector is
-        decoded, not searched for top-down.
+        zero.  The roots cover disjoint columns, so one check of their sum
+        tells an empty box: a root that keeps no row makes the sum at least
+        2M + 1 - M > M, and otherwise it is at most M.  That sum is c.v =
+        r^n (w.v) + sum_j v_j r^(n-1-j) for the minimiser v, and as every
+        |v_j| <= bound the last sum holds v as its balanced base-r digits:
+        adding (r^n - 1) / 2, the digits all equal to bound, and reducing
+        modulo r^n leaves the digits v_j + bound, which are split off by
+        halving.  So the vector is decoded, not searched for top-down.
         """
         n = self.num_columns
         w = order.weights
@@ -594,24 +588,19 @@ class KernelLattice:
         limit = (scale * sum(w) + powers_sum) * self.bound
         c += (0,) * (self._num_vars - n)  # counters carry no weight
 
-        def leaf(bag: _Bag, pick: operator.itemgetter | None) -> Iterator[int]:
+        def leaf(bag: _Bag, pick: operator.itemgetter) -> Iterator[int]:
             # per picked row, c_j * x_j summed over the introduced variables:
             # one stream of products per intro, and the row's sum starting
             # from the first; a lone intro's stream is the sums, with no tuple
             # and no sum call per row
-            columns = bag.table[: len(bag.intros)]
-            if pick is not None:
-                columns = map(pick, columns)
+            columns = map(pick, bag.table[: len(bag.intros)])
             weights = map(repeat, map(c.__getitem__, bag.intros))
             first, *rest = map(map, repeat(operator.mul), columns, weights)
             return map(sum, zip(*rest), first) if rest else first
 
-        aggs = self._sweep(box, leaf, operator.add, min, 2 * limit + 1)
-        total = 0
-        for root in self._roots:
-            if aggs[root][0] > limit:
-                return None
-            total += aggs[root][0]
+        total = self._sweep(box, leaf, operator.add, min, 2 * limit + 1, 0)
+        if total > limit:
+            return None
         digits = _digits((total + (scale - 1) // 2) % scale, n, powers)
         return tuple(map(self.bound.__rsub__, digits))
 
@@ -654,7 +643,7 @@ class KernelLattice:
                 _require(set(bag.key_ids) <= {0} and bag.num_keys == 1, "root keys not one")
             else:
                 _require(set(bag.sep) <= set(bags[bag.parent].scope), "separator not in the parent")
-            _require(bag.key_ids == sorted(bag.key_ids), "rows not grouped by key id")
+            _require(bag.key_ids == tuple(sorted(bag.key_ids)), "rows not grouped by key id")
             keyed = list(zip(bag.key_ids, (row[num_intros - 1 :: -1] for row in rows)))
             _require(keyed == sorted(set(keyed)), "rows of a key not strictly sorted")
             key_of = {}
@@ -783,7 +772,7 @@ def _assemble(
         child = bags[c]
         projections = list(zip(*map(column.__getitem__, child.sep)))
         ids = dict(zip(dict.fromkeys(projections), count()))
-        child.up = list(map(ids.__getitem__, projections))
+        child.up = tuple(map(ids.__getitem__, projections))
         sep = operator.itemgetter(slice(len(child.intros), None))
         child.settle(rows[c], map(ids.get, map(sep, rows[c])), len(ids))
         return child
@@ -812,7 +801,7 @@ def _assemble(
                 column.clear()  # each old column is freed once it is expanded
                 for i, col in enumerate(table):
                     table[i] = tuple(chain.from_iterable(map(repeat, col, counts)))
-                key_ids = list(chain.from_iterable(map(repeat, key_ids, counts)))
+                key_ids = tuple(chain.from_iterable(map(repeat, key_ids, counts)))
                 column.update(zip(bag.scope, table))
             # the child's rows of each bag row's key, which are consecutive
             groups = list(map(range, accumulate(sizes, initial=0), accumulate(sizes)))

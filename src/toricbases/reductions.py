@@ -42,9 +42,10 @@ class NoBoxError(ToricError):
 class IntegerProgram:
     """min objective . z  subject to  matrix . z = rhs and box bounds.
 
-    ``lower`` defaults to all zeros.  ``upper`` may be None, but the solver
-    requires finite upper bounds.  A feasible point may be attached as a hint;
-    it is validated on construction and used to seed the incumbent.
+    ``lower`` defaults to all zeros, which are stored, so it is never None
+    after construction.  ``upper`` may be None, but the solver requires
+    finite upper bounds.  A feasible point may be attached as a hint; it is
+    validated on construction and used to seed the incumbent.
     """
 
     matrix: SparseIntMatrix
@@ -62,6 +63,8 @@ class IntegerProgram:
             raise DimensionMismatch(f"rhs length {len(self.rhs)}, expected {m}")
         if len(self.objective) != n:
             raise DimensionMismatch(f"objective length {len(self.objective)}, expected {n}")
+        if self.lower is None:
+            object.__setattr__(self, "lower", (0,) * n)
         for name in ("lower", "upper", "feasible_hint"):
             value = getattr(self, name)
             if value is not None:
@@ -73,8 +76,7 @@ class IntegerProgram:
             hint = self.feasible_hint
             if self.matrix.apply(hint) != self.rhs:
                 raise ValueError("feasible hint violates the equality constraints")
-            lo = self.lower if self.lower is not None else (0,) * n
-            if any(x < l for x, l in zip(hint, lo)):
+            if any(x < l for x, l in zip(hint, self.lower)):
                 raise ValueError("feasible hint violates a lower bound")
             if self.upper is not None and any(x > u for x, u in zip(hint, self.upper)):
                 raise ValueError("feasible hint violates an upper bound")
@@ -96,7 +98,7 @@ def solve_ip(ip: IntegerProgram) -> Vec:
     """
     A, b, c = ip.matrix, ip.rhs, ip.objective
     n = A.num_cols
-    lo = list(ip.lower) if ip.lower is not None else [0] * n
+    lo = list(ip.lower)
     if ip.upper is None:
         raise NoBoxError("finite upper bounds are required; none were supplied")
     hi = list(ip.upper)
@@ -293,8 +295,7 @@ def ip_to_normalform(ip: IntegerProgram, *, graded: bool = False) -> NormalFormR
         raise NoBoxError("the reduction needs finite upper bounds")
     if ip.feasible_hint is None:
         raise ValueError("the reduction needs a feasible point")
-    lower = ip.lower if ip.lower is not None else (0,) * ip.matrix.num_cols
-    if any(lower):
+    if any(ip.lower):
         raise ValueError("the reduction requires all-zero lower bounds")
 
     A, b, c, t = ip.matrix, ip.rhs, ip.objective, ip.upper

@@ -1,0 +1,139 @@
+"""Answers of a fixed, seeded set of lattices, pinned by digest.
+
+For each lattice the digest covers the bag count and each bag's stored
+rows, the ``iterate`` order, ``count()``, and ``count`` and ``minimize``
+under no box, shift boxes and conformal boxes for lex, grlex and one weight
+order.  The digests were computed before the sweep read every bag through
+one row picker; a change that alters any answer, or the order of the
+enumeration, fails here with the lattice's name.
+"""
+
+import hashlib
+import random
+
+import pytest
+
+from toricbases import MonomialOrder, SparseIntMatrix, build_lattice, build_truncated_lattice
+from toricbases.graphs import cycle_graph
+from toricbases.lattice import conformal_box, shift_box
+from toricbases.oracle import incidence_matrix, random_sparse_matrix, two_by_two_minors_matrix
+
+
+def _random_cases() -> dict:
+    rng = random.Random(2020)
+    cases = {}
+    for i in range(18):
+        m, n = rng.randint(2, 4), rng.randint(4, 8)
+        A = random_sparse_matrix(m, n, 2, 0.25 + 0.3 * rng.random(), rng.randrange(2**30))
+        ordering = rng.sample(range(n), n) if i % 3 == 0 else None
+        cases[f"random-{i:02d}-box-g1"] = (A, "box", 1, ordering)
+        cases[f"random-{i:02d}-box-g2"] = (A, "box", 2, ordering)
+        cases[f"random-{i:02d}-degree-d2"] = (A, "degree", 2, ordering)
+    return cases
+
+
+CASES = {
+    **_random_cases(),
+    "k34-box-g1": (two_by_two_minors_matrix(3, 4), "box", 1, None),
+    "twisted-cubic-box-g3": (SparseIntMatrix.from_dense([[1, 1, 1, 1], [0, 1, 2, 3]]), "box", 3, None),
+    "block-diagonal-box-g2": (
+        SparseIntMatrix.from_dense([[1, 1, 1, 0, 0, 0], [0, 0, 0, 1, 2, -1]]), "box", 2, None,
+    ),
+    "block-diagonal-degree-d2": (
+        SparseIntMatrix.from_dense([[1, 1, 1, 0, 0, 0], [0, 0, 0, 1, 2, -1]]), "degree", 2, None,
+    ),
+    "cycle-50-box-g1": (incidence_matrix(cycle_graph(50)), "box", 1, None),
+}
+
+
+def answers_digest(name: str) -> str:
+    """The digest of the named lattice's stored rows and answers."""
+    A, kind, bound, ordering = CASES[name]
+    build = build_lattice if kind == "box" else build_truncated_lattice
+    L = build(A, bound, ordering)
+    n = A.num_cols
+    rng = random.Random(name)
+    orders = (
+        MonomialOrder.lex(n),
+        MonomialOrder.grlex(n),
+        MonomialOrder(tuple(rng.randint(0, 3) for _ in range(n))),
+    )
+    boxes = [None]
+    boxes += [shift_box(tuple(rng.randint(0, bound) for _ in range(n)), bound) for _ in range(3)]
+    boxes += [conformal_box(tuple(rng.randint(-bound, bound) for _ in range(n))) for _ in range(2)]
+    answers = [
+        len(L._bags),
+        [(bag.scope, bag.table) for bag in L._bags],
+        list(L.iterate()),
+        L.count(),
+        [(L.count(box), [L.minimize(order, box) for order in orders]) for box in boxes],
+    ]
+    return hashlib.sha256(repr(answers).encode()).hexdigest()[:16]
+
+
+DIGESTS = {
+    "random-00-box-g1": "535fa1fd6b082c50",
+    "random-00-box-g2": "171b95851b07912e",
+    "random-00-degree-d2": "b5825bd392fe61a5",
+    "random-01-box-g1": "dd543950daff00b9",
+    "random-01-box-g2": "1689b360284ad3d4",
+    "random-01-degree-d2": "cab8640e7a65be66",
+    "random-02-box-g1": "6054e6cb28926d71",
+    "random-02-box-g2": "a1d5dccc38688628",
+    "random-02-degree-d2": "ac37ff43a83b1a91",
+    "random-03-box-g1": "f3690b3a44cfe0ed",
+    "random-03-box-g2": "9d43ba772b082d94",
+    "random-03-degree-d2": "c8e6552a7a9016f7",
+    "random-04-box-g1": "77ff8626fcd502f6",
+    "random-04-box-g2": "679a889fbca7987a",
+    "random-04-degree-d2": "1d0c977b5072cb7b",
+    "random-05-box-g1": "6ba2963fab8b9783",
+    "random-05-box-g2": "522aae1238eb7680",
+    "random-05-degree-d2": "66a92f3b914a6234",
+    "random-06-box-g1": "55e781b964dc1fb4",
+    "random-06-box-g2": "32559dd3bbb0f906",
+    "random-06-degree-d2": "bd2b077fe4bd2607",
+    "random-07-box-g1": "5616147b7b4fef1f",
+    "random-07-box-g2": "6bf0234ae8b66279",
+    "random-07-degree-d2": "833220aab43b461c",
+    "random-08-box-g1": "81bc75466ad1df3a",
+    "random-08-box-g2": "207e954d1d8de9eb",
+    "random-08-degree-d2": "4bdd697e99b34b34",
+    "random-09-box-g1": "056df41719c687b3",
+    "random-09-box-g2": "499ef0a70ecbf248",
+    "random-09-degree-d2": "20bc36503f75b83e",
+    "random-10-box-g1": "32cac25ff9d0e6a8",
+    "random-10-box-g2": "f90de47452037ca4",
+    "random-10-degree-d2": "db59c2a369be176e",
+    "random-11-box-g1": "cc3bc2f1bb92b59c",
+    "random-11-box-g2": "1c51837ad66ac35e",
+    "random-11-degree-d2": "9583a2458803a33e",
+    "random-12-box-g1": "fb87194307d52db1",
+    "random-12-box-g2": "cd586923a1de3006",
+    "random-12-degree-d2": "a840199190c6ad01",
+    "random-13-box-g1": "977f0ec2a1f08e40",
+    "random-13-box-g2": "156e68d06ee9ba7e",
+    "random-13-degree-d2": "9b0010c6fc920896",
+    "random-14-box-g1": "e64c21832ae53d82",
+    "random-14-box-g2": "c0571e146ab82260",
+    "random-14-degree-d2": "89726d4bc3b51c65",
+    "random-15-box-g1": "53d1036b7fbb131f",
+    "random-15-box-g2": "d3f8cce248e6f7ad",
+    "random-15-degree-d2": "b2f5538df500ef43",
+    "random-16-box-g1": "e90bd4916896eeb5",
+    "random-16-box-g2": "6e8b358532f2113a",
+    "random-16-degree-d2": "780009092ab7b84a",
+    "random-17-box-g1": "82e53fc4a56cab7b",
+    "random-17-box-g2": "769d3070f53d0fa9",
+    "random-17-degree-d2": "396ee3879c343173",
+    "k34-box-g1": "2d6e84d790960b22",
+    "twisted-cubic-box-g3": "c3435dd29798f0a7",
+    "block-diagonal-box-g2": "6cb6ac84aa7398a0",
+    "block-diagonal-degree-d2": "c9fdd7595cbcf0cc",
+    "cycle-50-box-g1": "68fcb04b4cd8317f",
+}
+
+
+@pytest.mark.parametrize("name", list(CASES))
+def test_answers_match_their_digest(name):
+    assert answers_digest(name) == DIGESTS[name], f"{name}: answers changed"

@@ -329,6 +329,41 @@ def test_solve_ip_names_a_missing_field(capsys, tmp_path, missing):
 
 
 @pytest.mark.parametrize(
+    "field, program",
+    [
+        ("b entry", {"A": [[1, 1]], "b": [True], "c": [1, 1], "upper": [1, 1]}),
+        ("A row entry", {"A": [[True, 1]], "b": [1], "c": [1, 1], "upper": [1, 1]}),
+        ("c entry", {"A": [[1, 1]], "b": [1], "c": [1, False], "upper": [1, 1]}),
+        ("upper entry", {"A": [[1, 1]], "b": [1], "c": [1, 1], "upper": [True, 1]}),
+    ],
+    ids=["b", "A", "c", "upper"],
+)
+def test_solve_ip_refuses_json_booleans(capsys, tmp_path, field, program):
+    # a JSON boolean is not an integer, though Python's bool is an int
+    ip_path = tmp_path / "ip.json"
+    ip_path.write_text(json.dumps(program))
+    code, out, err = run_cli(capsys, "solve-ip", "--ip", str(ip_path))
+    bad = "false" if field == "c entry" else "true"
+    assert (code, out, err) == (2, "", f"error: {field} must be an integer, got {bad}\n")
+
+
+@pytest.mark.parametrize(
+    "polynomial, field",
+    [
+        ("[[true, [1, 0, 0, 0]]]", "--polynomial coefficient"),
+        ("[[1, [true, 0, 0, 0]]]", "--polynomial exponent entry"),
+    ],
+    ids=["coefficient", "exponent"],
+)
+def test_normal_form_refuses_json_booleans(capsys, tc_matrix, polynomial, field):
+    code, out, err = run_cli(
+        capsys, "normal-form", "--matrix", tc_matrix, "--order", "grlex", "--bound", "3",
+        "--monomial", "1,0,0,0", "--polynomial", polynomial,
+    )
+    assert (code, out, err) == (2, "", f"error: {field} must be an integer, got true\n")
+
+
+@pytest.mark.parametrize(
     "route, monomial, polynomial, budget, message",
     [
         (["--bound", "3"], "1,0,1", None, "5", "--monomial needs length 4, got 3"),

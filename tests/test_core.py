@@ -13,7 +13,7 @@ from toricbases import (
     matrix_to_text,
 )
 from toricbases.core import as_vector, negative_part, positive_part
-from toricbases.graphs import Graph, eliminate, path_graph
+from toricbases.graphs import Graph, edge_list_from_text, eliminate, path_graph
 from toricbases.lattice import build_lattice, build_truncated_lattice
 from toricbases.normalform import normal_form_bounded, polynomial_normal_form
 from toricbases.oracle import two_by_two_minors_matrix
@@ -185,6 +185,17 @@ def test_matrix_text_round_trip_dense_and_sparse():
     for sparse in (False, True, None):
         text = matrix_to_text(A, sparse=sparse)
         assert matrix_from_text(text) == A
+
+
+def test_matrix_and_edge_list_skip_the_same_comment_lines():
+    # a comment line may be indented, in either text form and in an edge list
+    comments = "# a comment\n  # indented\n\t#tab\n\n"
+    dense = "2 3\n" + comments + "1 1 1\n   # between rows\n0 1 2\n"
+    sparse = comments + "sparse 2 3 4\n0 0 1\n  # c\n0 1 1\n0 2 1\n1 1 1\n"
+    want = SparseIntMatrix.from_dense([[1, 1, 1], [0, 1, 2]])
+    assert matrix_from_text(dense) == want
+    assert matrix_from_text(sparse) == SparseIntMatrix.from_dense([[1, 1, 1], [0, 1, 0]])
+    assert edge_list_from_text(comments + "0 1\n  # c\n1 2\n").edges == {(0, 1), (1, 2)}
 
 
 def test_matrix_text_parse_errors():

@@ -405,8 +405,7 @@ def pinned_box(L, pins):
 
 
 def picked_rows(L, bag, box):
-    pick = bag.selection(*box, L._row_numbers)
-    return None if pick is None else list(pick(range(len(bag.key_ids))))
+    return list(bag.selection(*box, L._row_numbers)(range(len(bag.key_ids))))
 
 
 def test_box_picks_the_rows_it_keeps():
@@ -441,8 +440,7 @@ def test_box_picks_the_rows_it_keeps():
                 r for r, row in enumerate(rows) if all(lo[v] <= x <= hi[v] for v, x in zip(bag.scope, row))
             ]
             assert shape(kept)
-            # no picker when the box keeps every row
-            assert picked_rows(L, bag, box) == (None if len(kept) == len(rows) else kept)
+            assert picked_rows(L, bag, box) == kept
             for order in orders:
                 assert L.count(box) == reference_count(L, box)
                 assert L.minimize(order, box) == reference_minimize(L, order, box)
@@ -461,6 +459,60 @@ def test_count_under_a_box_on_a_leaf_bag():
         rows = picked_rows(L, bag, box)
         assert L.count(box) == len(rows) == reference_count(L, box)
     assert L.count(pinned_box(L, {})) == 19 == L.count()
+
+
+def test_a_root_that_keeps_no_row_empties_the_box():
+    # BLOCK_DIAGONAL's two blocks are two root bags.  Pinning two columns of
+    # one block to 2 forces its third out of range, so that root keeps no
+    # row, while the other keeps every row.  The other block's lex minimum
+    # has a negative key, so the sum of the root aggregates lies in (M, 2M]:
+    # only a check of the whole sum against M finds the box empty
+    L = build_lattice(BLOCK_DIAGONAL, 2)
+    blocks = [bag.intros for bag in L._bags]
+    assert blocks == [(0, 1, 2), (3, 4, 5)] and L._roots == (0, 1)
+    orders = (MonomialOrder.lex(6), MonomialOrder.grlex(6), MonomialOrder((0, 1, 2, 0, 3, 1)))
+    for dropped, kept in ((0, 1), (1, 0)):
+        box = pinned_box(L, dict.fromkeys(blocks[dropped][:2], (2, 2)))
+        assert picked_rows(L, L._bags[dropped], box) == []
+        assert len(picked_rows(L, L._bags[kept], box)) == len(L._bags[kept].key_ids)
+        assert L.count(box) == 0 == reference_count(L, box)
+        for order in orders:
+            assert L.minimize(order, box) is None
+        # the kept block alone: its lex minimum's first nonzero entry is negative
+        alone = pinned_box(L, dict.fromkeys(blocks[dropped], (0, 0)))
+        least = L.minimize(orders[0], alone)
+        assert next(x for x in least if x) < 0
+
+
+def test_a_box_that_keeps_every_row_picks_the_stored_tuples(monkeypatch):
+    # no box is the bound box, and it, like any box that keeps every row,
+    # reads each stored per-row tuple itself, with no copy
+    lattices = [
+        build_lattice(TWO_BAGS, 2),
+        build_lattice(BLOCK_DIAGONAL, 2),
+        build_truncated_lattice(BLOCK_DIAGONAL, 2),
+        build_truncated_lattice(TWISTED_CUBIC, 3),
+    ]
+    picks = []
+    selection = lattice_module._Bag.selection
+
+    def recorded(bag, lo, hi, numbers):
+        pick = selection(bag, lo, hi, numbers)
+        picks.append((bag, pick))
+        return pick
+
+    monkeypatch.setattr(lattice_module._Bag, "selection", recorded)
+    for L in lattices:
+        wide = ((-L.bound - 1,) * L.num_columns, (L.bound + 1,) * L.num_columns)
+        everything = len(list(L.iterate()))
+        for query in (L.count, lambda: L.count(pinned_box(L, {})), lambda: L.count(wide)):
+            picks.clear()
+            assert query() == everything
+            assert [bag for bag, _ in picks] == L._bags
+            for bag, pick in picks:
+                children = [L._bags[c].up for c in bag.children]
+                for seq in (bag.key_ids, *bag.table, *children):
+                    assert type(seq) is tuple and pick(seq) is seq
 
 
 @pytest.mark.parametrize("bound", [1, 2])
@@ -661,7 +713,7 @@ def test_validate_raises_lattice_error_under_optimisation():
         def lengthen_up(A):
             L = build_lattice(A, 1)
             child = next(L._bags[bag.children[0]] for bag in L._bags if bag.children)
-            child.up = child.up + [0]
+            child.up = child.up + (0,)
             return L
 
         def drop_column(A):

@@ -77,6 +77,16 @@ def test_solve_ip_simple():
     assert solve_ip(ip) == (0, 3)  # objective ties broken lexicographically
 
 
+def test_integer_program_stores_its_default_lower_bounds():
+    # one representation: an omitted lower bound is stored as zeros
+    A = SparseIntMatrix.from_dense([[1, 1, 1]])
+    ip = IntegerProgram(A, (2,), (1, 2, 0), upper=(2, 2, 2), feasible_hint=(0, 0, 2))
+    assert ip.lower == (0, 0, 0)
+    assert ip == IntegerProgram(A, (2,), (1, 2, 0), lower=[0, 0, 0], upper=(2, 2, 2), feasible_hint=(0, 0, 2))
+    assert solve_ip(ip) == (0, 0, 2)
+    ip_to_normalform(ip)  # all-zero lower bounds, as the reduction requires
+
+
 def test_solve_ip_infeasible():
     A = SparseIntMatrix.from_dense([[1]])
     with pytest.raises(InfeasibleError):
