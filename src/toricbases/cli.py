@@ -79,12 +79,16 @@ def _no_fraction(text: str):
 
 
 def _json_int(value, field: str) -> int:
-    """An integer, or a decimal string, read from JSON; anything else, a
-    boolean too, is a ValueError that names the field."""
-    if isinstance(value, (int, str)) and not isinstance(value, bool):
+    """An integer, or a decimal string of ASCII digits with an optional
+    leading minus, read from JSON; anything else, a boolean, a sign, a space,
+    an underscore or another script's digits too, is a ValueError that names
+    the field."""
+    if isinstance(value, int) and not isinstance(value, bool):
+        return value
+    if isinstance(value, str) and re.fullmatch(r"-?[0-9]+", value):
         try:
             return int(value)
-        except ValueError:
+        except ValueError:  # more digits than int() converts
             pass
     raise ValueError(f"{field} must be an integer, got {json.dumps(value)}")
 

@@ -11,6 +11,7 @@ feasible starting monomial reads off an optimal solution.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from math import gcd
 from typing import Iterator, Sequence
 
 from .core import (
@@ -206,6 +207,24 @@ def solve_ip(ip: IntegerProgram) -> Vec:
 # normal form -> integer program
 
 
+def _in_row_space(A: SparseIntMatrix, w: Sequence[int]) -> bool:
+    """Whether w is a rational combination of A's rows, by fraction-free
+    elimination: each row, then w, is reduced by the echelon rows kept so
+    far, and a row left nonzero joins them.  w lies in the row space exactly
+    when it reduces to zero."""
+    echelon: list[tuple[int, list[int]]] = []  # (pivot column, row)
+    for row in [*A.to_dense(), list(w)]:
+        for p, pivot_row in echelon:
+            if row[p]:
+                a, b = pivot_row[p], row[p]
+                row = [a * x - b * y for x, y in zip(row, pivot_row)]
+        if not any(row):
+            continue
+        g = gcd(*row)
+        echelon.append((next(j for j, x in enumerate(row) if x), [x // g for x in row]))
+    return not any(row)
+
+
 def normalform_to_ip(
     A: SparseIntMatrix, order: MonomialOrder, u: Sequence[int]
 ) -> IntegerProgram:
@@ -215,6 +234,13 @@ def normalform_to_ip(
     above the conformal-minimality norm bound, so comparisons of feasible
     points reproduce the monomial order.  Upper bounds follow from the
     objective value of u itself, which is feasible and seeds the incumbent.
+
+    When the order's weights w lie in the rational row space of A (lex, or
+    any graded order on a homogeneous matrix), the objective is the lex
+    tie-break ``weight_vector(0...)`` alone; the box stays the one the full
+    objective gives.  If w = yA then w.z = y.b on the whole fiber, so the two
+    objectives differ by a constant there and have the same optima, while
+    the smaller one makes the objective cut bound variables far sooner.
     """
     u = as_vector(u)
     if not is_nonnegative(u):
@@ -226,6 +252,8 @@ def normalform_to_ip(
     c = weight_vector(order.weights, radix, n)
     budget = sum(cj * xj for cj, xj in zip(c, u))
     upper = tuple(budget // cj for cj in c)
+    if _in_row_space(A, order.weights):
+        c = weight_vector((0,) * n, radix, n)
     return IntegerProgram(
         matrix=A,
         rhs=A.apply(u),

@@ -23,6 +23,7 @@ from toricbases.graphs import (
 from toricbases.oracle import (
     incidence_matrix,
     nfold_product,
+    normal_form_bruteforce,
     random_sparse_matrix,
     two_by_two_minors_matrix,
 )
@@ -361,6 +362,38 @@ def test_normal_form_refuses_json_booleans(capsys, tc_matrix, polynomial, field)
         "--monomial", "1,0,0,0", "--polynomial", polynomial,
     )
     assert (code, out, err) == (2, "", f"error: {field} must be an integer, got true\n")
+
+
+@pytest.mark.parametrize(
+    "text", ["+3", " 12 ", "1_000", "\u0661\u0662"], ids=["sign", "spaces", "underscore", "arabic-indic"]
+)
+def test_json_decimal_strings_are_ascii_digits(capsys, tmp_path, tc_matrix, text):
+    # int() reads each of these, but none is a decimal string of ASCII digits
+    ip_path = tmp_path / "ip.json"
+    ip_path.write_text(json.dumps({"A": [[1, 1]], "b": [text], "c": [1, 1], "upper": [3, 3]}))
+    code, out, err = run_cli(capsys, "solve-ip", "--ip", str(ip_path))
+    assert (code, out, err) == (2, "", f"error: b entry must be an integer, got {json.dumps(text)}\n")
+    code, out, err = run_cli(
+        capsys, "normal-form", "--matrix", tc_matrix, "--order", "grlex", "--bound", "3",
+        "--monomial", "1,0,0,0", "--polynomial", json.dumps([[text, [1, 0, 0, 0]]]),
+    )
+    assert (code, out, err) == (
+        2, "", f"error: --polynomial coefficient must be an integer, got {json.dumps(text)}\n"
+    )
+
+
+def test_normal_form_ip_route_solves_graded_orders_exactly(capsys, tc_matrix):
+    # the README's grlex --via ip line: the twisted cubic is homogeneous, so
+    # the route solves the lex program, and its answer is the oracle's (every
+    # fiber point of a degree-4 monomial lies in [0, 4]^4, so g = 4 is exact)
+    code, out, _ = run_cli(
+        capsys, "normal-form", "--matrix", tc_matrix, "--order", "grlex",
+        "--monomial", "1,1,0,2", "--via", "ip",
+    )
+    assert code == 0
+    A = matrix_from_text(Path(tc_matrix).read_text())
+    want = normal_form_bruteforce(A, (1, 1, 1, 1), (1, 1, 0, 2), 4)
+    assert json.loads(out)["normal_form"] == list(want) == [0, 1, 3, 0]
 
 
 @pytest.mark.parametrize(

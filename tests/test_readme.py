@@ -48,7 +48,7 @@ def test_readme_command_line_block_runs(capsys, monkeypatch, tmp_path):
             (tmp_path / path).write_text(text.replace("\\n", "\n"))
         elif line:
             commands.append(shlex.split(line))
-    assert len(commands) == 16 and all(argv[0] == "toricbases" for argv in commands)
+    assert len(commands) == 17 and all(argv[0] == "toricbases" for argv in commands)
     for argv in commands:
         code = main(argv[1:])
         capsys.readouterr()

@@ -1,7 +1,11 @@
 import itertools
+import math
 import random
+from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from toricbases import (
     DimensionMismatch,
@@ -11,6 +15,7 @@ from toricbases import (
     NoBoxError,
     SparseIntMatrix,
     build_lattice,
+    graver_infinity_bound,
     ip_to_normalform,
     normal_form_bounded,
     normalform_to_ip,
@@ -21,7 +26,13 @@ from toricbases import (
 )
 from toricbases.core import negative_part
 from toricbases.graphs import complete_graph, cycle_graph
-from toricbases.oracle import random_sparse_matrix
+from toricbases.oracle import (
+    normal_form_bruteforce,
+    random_sparse_matrix,
+    threeway_table_matrix,
+    two_by_two_minors_matrix,
+)
+from toricbases.reductions import _in_row_space
 
 from graph_helpers import petersen_graph, star_graph
 
@@ -324,3 +335,153 @@ def test_round_trip_with_negative_costs():
         direct_obj = sum(c * x for c, x in zip(ip.objective, direct))
         _, via_nf_obj = solve_ip_via_normal_form(ip)
         assert via_nf_obj == direct_obj
+
+
+# ---------------------------------------------------------------------------
+# the row-space test and the lex program it selects
+
+
+def dense_matrix(rows, n):
+    entries = [(i, j, v) for i, row in enumerate(rows) for j, v in enumerate(row) if v]
+    return SparseIntMatrix(len(rows), n, entries)
+
+
+def fraction_rank(rows) -> int:
+    # Gaussian elimination over the rationals, independent of the library's
+    # fraction-free integer elimination
+    rows = [[Fraction(x) for x in row] for row in rows]
+    rank = 0
+    for j in range(len(rows[0]) if rows else 0):
+        pivot = next((i for i in range(rank, len(rows)) if rows[i][j]), None)
+        if pivot is None:
+            continue
+        rows[rank], rows[pivot] = rows[pivot], rows[rank]
+        for i in range(len(rows)):
+            if i != rank and rows[i][j]:
+                f = rows[i][j] / rows[rank][j]
+                rows[i] = [x - f * y for x, y in zip(rows[i], rows[rank])]
+        rank += 1
+    return rank
+
+
+@st.composite
+def row_space_cases(draw):
+    n = draw(st.integers(1, 6))
+    row = st.lists(st.integers(-3, 3), min_size=n, max_size=n)
+    rows = draw(st.lists(row, max_size=4))
+    # shapes the elimination must survive: a zero row, a redundant row and a
+    # zero column; entries up to 3 make pivots other than 1
+    if rows and draw(st.booleans()):
+        rows.insert(draw(st.integers(0, len(rows))), [0] * n)
+    if rows and draw(st.booleans()):
+        a, b = draw(st.integers(-2, 2)), draw(st.integers(-2, 2))
+        r, q = draw(st.sampled_from(rows)), draw(st.sampled_from(rows))
+        rows.insert(draw(st.integers(0, len(rows))), [a * x + b * y for x, y in zip(r, q)])
+    if draw(st.booleans()):
+        j = draw(st.integers(0, n - 1))
+        for r in rows:
+            r[j] = 0
+    kind = draw(st.sampled_from(["integer y", "rational y", "yA + e_j", "any"]))
+    if kind == "any":
+        w = draw(row)
+    else:
+        denominator = draw(st.integers(2, 3)) if kind == "rational y" else 1
+        y = [Fraction(draw(st.integers(-3, 3)), denominator) for _ in rows]
+        w = [sum((c * r[j] for c, r in zip(y, rows)), Fraction(0)) for j in range(n)]
+        scale = math.lcm(*(x.denominator for x in w))  # y scaled by it is still rational
+        w = [int(x * scale) for x in w]
+        if kind == "yA + e_j":
+            w[draw(st.integers(0, n - 1))] += 1
+    return rows, n, kind, tuple(w)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(row_space_cases())
+def test_row_space_test_matches_fraction_rank(case):
+    rows, n, kind, w = case
+    want = fraction_rank(rows + [list(w)]) == fraction_rank(rows)
+    assert _in_row_space(dense_matrix(rows, n), w) is want
+    if kind in ("integer y", "rational y"):
+        assert want
+
+
+def test_row_space_test_named_cases(twisted_cubic):
+    # every grlex weight vector of a homogeneous matrix reads as in the row
+    # space; one weight more on the last column does not
+    for A in (two_by_two_minors_matrix(3, 4), threeway_table_matrix(3, 3, 2), twisted_cubic):
+        n = A.num_cols
+        assert _in_row_space(A, (1,) * n)
+        assert _in_row_space(A, (0,) * n)
+        assert not _in_row_space(A, (1,) * (n - 1) + (2,))
+    assert _in_row_space(twisted_cubic, (0, 1, 2, 3))  # the last row alone
+    assert _in_row_space(twisted_cubic, (2, 3, 4, 5))
+    assert not _in_row_space(twisted_cubic, (1, 0, 0, 0))
+    assert _in_row_space(SparseIntMatrix(0, 2, []), (0, 0))
+    assert not _in_row_space(SparseIntMatrix(0, 2, []), (0, 1))
+
+
+def full_weight_program(A, order, u) -> IntegerProgram:
+    """The program with the whole weight vector r^n.w + p as its objective,
+    built here as normalform_to_ip builds it when w is outside the row space."""
+    n = A.num_cols
+    c = weight_vector(order.weights, graver_infinity_bound(A) + 1, n)
+    budget = sum(cj * xj for cj, xj in zip(c, u))
+    return IntegerProgram(A, A.apply(u), c, (0,) * n, tuple(budget // cj for cj in c), u)
+
+
+def test_normalform_to_ip_keeps_weights_outside_the_row_space(twisted_cubic):
+    # the program is the full-weight one, field for field; the 3x5 matrix is
+    # one where the remainder D.w - yA = (0, 0, 0, -2, 0) is negative, so a
+    # program built from that remainder would change here
+    A = SparseIntMatrix.from_dense([[1, -2, 2, -2, -3], [-3, 1, -1, 3, 3], [1, 0, -3, 0, 3]])
+    cases = [(A, MonomialOrder((0, 2, 0, 0, 0)), (1, 1, 0, 2, 1))]
+    cases.append((twisted_cubic, MonomialOrder((1, 0, 0, 0)), (1, 0, 1, 2)))
+    k34 = two_by_two_minors_matrix(3, 4)
+    rng = random.Random(331)
+    while len(cases) < 12:
+        order = MonomialOrder(tuple(rng.randint(0, 5) for _ in range(12)))
+        if fraction_rank(k34.to_dense() + [list(order.weights)]) > fraction_rank(k34.to_dense()):
+            cases.append((k34, order, tuple(rng.randint(0, 2) for _ in range(12))))
+    for A, order, u in cases:
+        assert not _in_row_space(A, order.weights)
+        ip = normalform_to_ip(A, order, u)
+        assert ip == full_weight_program(A, order, u)
+        assert ip.objective == weight_vector(order.weights, graver_infinity_bound(A) + 1, A.num_cols)
+
+
+def lex_program_cases():
+    # the last entry is the oracle's bound, or None where one oracle call
+    # costs too much: K_{3,4} is totally unimodular, so its Graver elements
+    # are circuits with entries in {-1, 0, 1} and g=1 is exact, but each call
+    # enumerates 3^12 vectors, so two of the 40 programs are checked; on a
+    # matrix with an all-ones row no fiber point leaves [0, deg u], so
+    # g = deg u is exact
+    rng = random.Random(337)
+    k34 = two_by_two_minors_matrix(3, 4)
+    for k in range(40):
+        order = MonomialOrder.grlex(12) if k % 2 else MonomialOrder.lex(12)
+        yield k34, order, tuple(rng.randint(0, 2) for _ in range(12)), 1 if k < 2 else None
+    for _ in range(16):
+        m, n = rng.randint(1, 2), rng.randint(3, 5)
+        rows = random_sparse_matrix(m, n, 3, 0.7, rng.randrange(2**30)).to_dense()
+        A = SparseIntMatrix.from_dense(rows + [[1] * n])
+        weights = (rng.choice([1, 2]),) * n
+        u = tuple(rng.randint(0, 1) for _ in range(n))
+        for order in (MonomialOrder(weights), MonomialOrder.lex(n)):
+            yield A, order, u, sum(u)
+
+
+def test_normalform_to_ip_solves_row_space_weights_as_lex():
+    # weights in the row space give the lex objective over the full-weight
+    # program's box, and the same optimum as that program and the oracle
+    for A, order, u, g in lex_program_cases():
+        n = A.num_cols
+        ip, full = normalform_to_ip(A, order, u), full_weight_program(A, order, u)
+        assert ip.objective == weight_vector((0,) * n, graver_infinity_bound(A) + 1, n)
+        assert (ip.matrix, ip.rhs, ip.lower, ip.upper, ip.feasible_hint) == (
+            full.matrix, full.rhs, full.lower, full.upper, full.feasible_hint
+        )
+        z = solve_ip(ip)
+        assert z == solve_ip(full), (A, order, u)
+        if g is not None:
+            assert z == normal_form_bruteforce(A, order.weights, u, g), (A, order, u)
