@@ -118,14 +118,16 @@ def reduce_by_basis(
     u = as_vector(u)
     if not is_nonnegative(u):
         raise ValueError("monomial exponents must be nonnegative")
-    basis = sorted(gb, key=lambda b: (order.key(b.head), order.key(b.tail)))
-    for b in basis:
-        if order.compare(b.head, b.tail) <= 0:
+    # keys once per element; the sort reads only them, never two binomials
+    keyed = [(order.key(b.head), order.key(b.tail), b) for b in gb]
+    keyed.sort(key=operator.itemgetter(0, 1))
+    for head_key, tail_key, b in keyed:
+        if head_key <= tail_key:
             raise ValueError("basis element not oriented head-above-tail")
         if len(b.head) != len(u):
             raise DimensionMismatch("basis and monomial dimensions differ")
-    heads = [b.head for b in basis]
-    tails = [b.tail for b in basis]
+    heads = [b.head for _, _, b in keyed]
+    tails = [b.tail for _, _, b in keyed]
     for _ in range(_MAX_REDUCTION_STEPS):
         for head, tail in zip(heads, tails):
             if all(h <= x for h, x in zip(head, u)):

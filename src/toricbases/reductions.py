@@ -87,11 +87,12 @@ def solve_ip(ip: IntegerProgram) -> Vec:
     """Exact optimum by depth-first branch and bound with bounds-consistency
     propagation.
 
-    Every constraint has the form lower <= a . z <= upper: each equality row
-    with lower = upper = b_i, and, once an incumbent exists, the objective
-    cut c . z <= incumbent.  One rule tightens them all: a_j * z_j must lie
-    within [lower, upper] less the range the other terms can take.  Rows are
-    visited in order, then the cut, until no bound moves.
+    Every constraint has the form lower <= a . z <= upper, in one list: each
+    equality row with lower = upper = b_i, then, from the first incumbent on,
+    the objective cut c . z <= incumbent, lowered in place as it improves.
+    One rule tightens them all: a_j * z_j must lie within [lower, upper]
+    less the range the other terms can take.  The list is visited in order
+    until no bound moves.
 
     Branches on the variable with the narrowest interval (lowest index on
     ties), values ascending; among optima the lexicographically smallest
@@ -106,37 +107,35 @@ def solve_ip(ip: IntegerProgram) -> Vec:
     if any(l > h for l, h in zip(lo, hi)):
         raise InfeasibleError("empty box")
 
-    rows = [
-        (tuple(j for j, _ in A.row(i)), tuple(v for _, v in A.row(i)), b[i], b[i])
-        for i in range(A.num_rows)
-    ]
-    in_rows = [False] * n
-    for cols, _, _, _ in rows:
-        for j in cols:
-            in_rows[j] = True
+    # each constraint is [cols, coefs, lower, upper]
+    rows = [A.row(i) for i in range(A.num_rows)]
+    constraints = [[tuple(j for j, _ in r), tuple(a for _, a in r), bi, bi] for r, bi in zip(rows, b)]
+    in_rows = {j for cols, _, _, _ in constraints for j in cols}
     # variables free of every constraint are decided by their cost alone
-    for j in range(n):
-        if not in_rows[j]:
-            if c[j] >= 0:
-                hi[j] = lo[j]
-            else:
-                lo[j] = hi[j]
+    for j in set(range(n)) - in_rows:
+        if c[j] >= 0:
+            hi[j] = lo[j]
+        else:
+            lo[j] = hi[j]
     # the cut's lower end is the least cost over the root box; no node's box
     # leaves the root box, so that end never binds
     cost_cols = tuple(j for j in range(n) if c[j])
     cost_coefs = tuple(c[j] for j in cost_cols)
     cost_floor = sum(min(a * lo[j], a * hi[j]) for j, a in zip(cost_cols, cost_coefs))
 
-    best: list = [None, None]  # objective, vector
-    if ip.feasible_hint is not None:
-        hint = ip.feasible_hint
-        best[0] = sum(cj * xj for cj, xj in zip(c, hint))
-        best[1] = hint
+    best: tuple[int, Vec] | None = None  # (objective, vector)
+
+    def offer(vec: Vec) -> None:
+        nonlocal best
+        candidate = (sum(cj * xj for cj, xj in zip(c, vec)), vec)
+        if best is None:
+            constraints.append([cost_cols, cost_coefs, cost_floor, candidate[0]])
+        elif candidate >= best:
+            return
+        best = candidate
+        constraints[-1][3] = candidate[0]
 
     def propagate(lo: list[int], hi: list[int]) -> bool:
-        constraints = rows
-        if best[0] is not None:
-            constraints = rows + [(cost_cols, cost_coefs, cost_floor, best[0])]
         changed = True
         while changed:
             changed = False
@@ -171,36 +170,31 @@ def solve_ip(ip: IntegerProgram) -> Vec:
                         return False
         return True
 
-    # depth-first: one frame (lo, hi, branching variable, values left) per
-    # open node on an explicit stack, so deep trees need no recursion
-    stack: list[tuple[list[int], list[int], int, Iterator[int]]] = []
+    def children(lo: list[int], hi: list[int], j: int) -> Iterator[tuple[list[int], list[int]]]:
+        for value in range(lo[j], hi[j] + 1):
+            child_lo, child_hi = lo.copy(), hi.copy()
+            child_lo[j] = child_hi[j] = value
+            yield child_lo, child_hi
 
-    def visit(lo: list[int], hi: list[int]) -> None:
-        if not propagate(lo, hi):
-            return
-        free = [j for j in range(n) if lo[j] < hi[j]]
-        if not free:
-            vec = tuple(lo)
-            obj = sum(cj * xj for cj, xj in zip(c, vec))
-            if best[0] is None or obj < best[0] or (obj == best[0] and vec < best[1]):
-                best[0], best[1] = obj, vec
-            return
-        j = min(free, key=lambda k: (hi[k] - lo[k], k))
-        stack.append((lo, hi, j, iter(range(lo[j], hi[j] + 1))))
-
-    visit(lo, hi)
+    if ip.feasible_hint is not None:
+        offer(ip.feasible_hint)
+    # depth-first over an explicit stack of child-box iterators, so deep
+    # trees need no recursion
+    stack = [iter([(lo, hi)])]
     while stack:
-        node_lo, node_hi, j, values = stack[-1]
-        value = next(values, None)
-        if value is None:
+        box = next(stack[-1], None)
+        if box is None:
             stack.pop()
-            continue
-        child_lo, child_hi = node_lo.copy(), node_hi.copy()
-        child_lo[j] = child_hi[j] = value
-        visit(child_lo, child_hi)
-    if best[1] is None:
+        elif propagate(*box):
+            lo, hi = box
+            free = [j for j in range(n) if lo[j] < hi[j]]
+            if free:
+                stack.append(children(lo, hi, min(free, key=lambda k: (hi[k] - lo[k], k))))
+            else:
+                offer(tuple(lo))
+    if best is None:
         raise InfeasibleError("no feasible point in the box")
-    return tuple(best[1])
+    return best[1]
 
 
 # ---------------------------------------------------------------------------
@@ -345,9 +339,7 @@ def ip_to_normalform(ip: IntegerProgram, *, graded: bool = False) -> NormalFormR
 
     z_bar = ip.feasible_hint
     y_bar = tuple(tj - zj for tj, zj in zip(t, z_bar))
-    tracker = sum(a * y for a, y in zip(c_neg, y_bar)) + sum(
-        a * z for a, z in zip(c_pos, z_bar)
-    )
+    tracker = sum(a * x for a, x in zip(c_neg + c_pos, y_bar + z_bar))
     start = (tracker,) + y_bar + z_bar
     rhs = (0,) + b + t
 

@@ -1,4 +1,4 @@
-"""Answers of a fixed, seeded set of lattices, pinned by digest.
+"""Answers of a fixed, seeded set of lattices and programs, pinned by digest.
 
 For each lattice the digest covers the bag count and each bag's stored
 rows, the ``iterate`` order, ``count()``, and ``count`` and ``minimize``
@@ -6,6 +6,12 @@ under no box, shift boxes and conformal boxes for lex, grlex and one weight
 order.  The digests were computed before the sweep read every bag through
 one row picker; a change that alters any answer, or the order of the
 enumeration, fails here with the lattice's name.
+
+For each group of integer programs the digest covers every ``solve_ip``
+answer, or the type and message of its refusal, and for the reduced bases
+every ``reduce_by_basis`` remainder.  These digests were computed before
+``solve_ip`` kept its objective cut in the constraint list and before
+``reduce_by_basis`` computed each element's keys once.
 """
 
 import hashlib
@@ -13,8 +19,20 @@ import random
 
 import pytest
 
-from toricbases import MonomialOrder, SparseIntMatrix, build_lattice, build_truncated_lattice
-from toricbases.graphs import cycle_graph
+from toricbases import (
+    IntegerProgram,
+    MonomialOrder,
+    SparseIntMatrix,
+    ToricError,
+    build_lattice,
+    build_truncated_lattice,
+    normalform_to_ip,
+    reduce_by_basis,
+    reduced_groebner_basis,
+    solve_ip,
+    vertex_cover_ip,
+)
+from toricbases.graphs import complete_graph, cycle_graph, path_graph
 from toricbases.lattice import conformal_box, shift_box
 from toricbases.oracle import incidence_matrix, random_sparse_matrix, two_by_two_minors_matrix
 
@@ -137,3 +155,124 @@ DIGESTS = {
 @pytest.mark.parametrize("name", list(CASES))
 def test_answers_match_their_digest(name):
     assert answers_digest(name) == DIGESTS[name], f"{name}: answers changed"
+
+
+def _order(rng: random.Random, n: int, k: int, top: int) -> MonomialOrder:
+    # lex, grlex and a random weight order in turn, as nf-wide draws them
+    if k % 3 == 0:
+        return MonomialOrder.lex(n)
+    if k % 3 == 1:
+        return MonomialOrder.grlex(n)
+    return MonomialOrder(tuple(rng.randint(0, top) for _ in range(n)))
+
+
+def _k34_programs() -> list:
+    A, rng = two_by_two_minors_matrix(3, 4), random.Random(2201)
+    return [normalform_to_ip(A, _order(rng, 12, k, 5), tuple(rng.randint(0, 2) for _ in range(12)))
+            for k in range(60)]
+
+
+def _small_programs() -> list:
+    # a box wider than 10^4 comes from an unbounded fiber, where the search
+    # may run for minutes; such draws are skipped
+    rng, programs = random.Random(2202), []
+    while len(programs) < 200:
+        m, n = rng.randint(1, 3), rng.randint(2, 5)
+        A = random_sparse_matrix(m, n, 3, 0.6, rng.randrange(2**30))
+        order = _order(rng, n, len(programs), 3)
+        ip = normalform_to_ip(A, order, tuple(rng.randint(0, 1) for _ in range(n)))
+        if max(ip.upper) <= 10**4:
+            programs.append(ip)
+    return programs
+
+
+def _without_hint(programs: list) -> list:
+    return [IntegerProgram(ip.matrix, ip.rhs, ip.objective, ip.lower, ip.upper) for ip in programs]
+
+
+def _mixed_sign_programs() -> list:
+    # costs in [-2, 2] tie often and lower bounds reach below zero; every
+    # third draw shifts the right-hand side, which often leaves no solution,
+    # and every other draw whose right-hand side is kept has a hint
+    rng, programs = random.Random(2203), []
+    for k in range(150):
+        m, n = rng.randint(1, 3), rng.randint(1, 5)
+        A = random_sparse_matrix(m, n, 3, 0.6, rng.randrange(2**30))
+        lower = tuple(rng.randint(-2, 0) for _ in range(n))
+        z0 = tuple(rng.randint(l, l + 3) for l in lower)
+        rhs = A.apply(z0)
+        if k % 3 == 2:
+            rhs = tuple(x + rng.randint(-2, 2) for x in rhs)
+        programs.append(IntegerProgram(
+            A, rhs, tuple(rng.randint(-2, 2) for _ in range(n)), lower=lower,
+            upper=tuple(l + 4 for l in lower), feasible_hint=z0 if k % 2 and k % 3 != 2 else None,
+        ))
+    return programs
+
+
+def _cover_programs() -> list:
+    covers = [vertex_cover_ip(g) for g in (cycle_graph(5), complete_graph(4), path_graph(6))]
+    return covers + _without_hint(covers)
+
+
+def _named_programs() -> list:
+    row = SparseIntMatrix.from_dense([[1, 1, 0, 0, 0]])
+    return [
+        # columns 2-4 are in no row: negative cost takes the upper end, and
+        # positive or zero cost the lower end
+        IntegerProgram(row, (2,), (1, 1, -3, 2, 0), lower=(0, 0, -1, -2, -3), upper=(2, 2, 4, 5, 6)),
+        IntegerProgram(row, (2,), (1, 1, -3, 2, 0), lower=(0, 0, -1, -2, -3), upper=(2, 2, 4, 5, 6),
+                       feasible_hint=(2, 0, 0, 0, 0)),
+        IntegerProgram(row, (7,), (1, 1, 0, 0, 0), upper=(2, 2, 2, 2, 2)),  # infeasible
+        IntegerProgram(row, (2,), (1, 1, 0, 0, 0), lower=(0, 3, 0, 0, 0), upper=(2, 2, 2, 2, 2)),  # empty box
+    ]
+
+
+def _reductions() -> list:
+    A, rng = two_by_two_minors_matrix(3, 4), random.Random(2204)
+    L, remainders = build_lattice(A, 1), []
+    for k in range(3):
+        order = _order(rng, 12, k, 5)
+        gb = reduced_groebner_basis(A, L, order).elements
+        remainders += [reduce_by_basis(gb, order, tuple(rng.randint(0, 2) for _ in range(12)))
+                       for _ in range(40)]
+    return remainders
+
+
+def _solve(ip: IntegerProgram):
+    try:
+        return solve_ip(ip)
+    except ToricError as exc:
+        return type(exc).__name__, str(exc)
+
+
+PROGRAMS = {
+    "k34-nf-wide": lambda: [_solve(ip) for ip in _k34_programs()],
+    "small-random": lambda: [_solve(ip) for ip in _small_programs()],
+    "small-random-no-hint": lambda: [_solve(ip) for ip in _without_hint(_small_programs())],
+    "mixed-sign": lambda: [_solve(ip) for ip in _mixed_sign_programs()],
+    "vertex-cover": lambda: [_solve(ip) for ip in _cover_programs()],
+    "named": lambda: [_solve(ip) for ip in _named_programs()],
+    "reduce-by-basis-k34-g1": _reductions,
+}
+
+
+def programs_digest(name: str) -> str:
+    """The digest of the named group's answers."""
+    return hashlib.sha256(repr(PROGRAMS[name]()).encode()).hexdigest()[:16]
+
+
+PROGRAM_DIGESTS = {
+    "k34-nf-wide": "7d6dc71b5c0289c3",
+    "small-random": "7247ff85d029e934",
+    "small-random-no-hint": "7247ff85d029e934",
+    "mixed-sign": "2d5e313dc4543831",
+    "vertex-cover": "91bbe51f83d52d19",
+    "named": "6e4c393feb86d2ae",
+    "reduce-by-basis-k34-g1": "92349169126cafb3",
+}
+
+
+@pytest.mark.parametrize("name", list(PROGRAMS))
+def test_programs_match_their_digest(name):
+    assert programs_digest(name) == PROGRAM_DIGESTS[name], f"{name}: answers changed"

@@ -818,3 +818,23 @@ def test_lattice_list_output_is_pinned(capsys, tc_matrix, tmp_path):
     for args, want in cases:
         code, out, _ = run_cli(capsys, "lattice", *args, "list")
         assert code == 0 and out == want + "\n", args
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["normal-form", "--matrix", "tc.txt", "--order", "revlex", "--monomial", "1,0,0,0"],
+         "unknown order 'revlex'; use lex, grlex or weights:<csv>"),
+        (["gen", "--kind", "incidence"], "incidence needs --graph with an edge list file"),
+        # more digits than int() converts by default (4,300)
+        (["solve-ip", "--ip", "long.json"], f'b entry must be an integer, got "{"9" * 4301}"'),
+        (["normal-form", "--matrix", "tc.txt", "--order", "grlex", "--monomial", ""],
+         "--monomial needs length 4, got 0"),
+    ],
+    ids=["unknown-order", "incidence-without-graph", "long-decimal-string", "empty-monomial"],
+)
+def test_cli_refusals(capsys, monkeypatch, tmp_path, argv, message):
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "tc.txt").write_text("2 4\n1 1 1 1\n0 1 2 3\n")
+    (tmp_path / "long.json").write_text(json.dumps({"A": [[1]], "b": ["9" * 4301], "c": [1], "upper": [1]}))
+    assert run_cli(capsys, *argv) == (2, "", f"error: {message}\n")

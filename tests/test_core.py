@@ -12,7 +12,15 @@ from toricbases import (
     matrix_from_text,
     matrix_to_text,
 )
-from toricbases.core import as_vector, negative_part, positive_part
+from toricbases.core import (
+    as_vector,
+    conformal_leq,
+    negative_part,
+    positive_part,
+    vector_add,
+    vector_sub,
+    weight_vector,
+)
 from toricbases.graphs import Graph, edge_list_from_text, eliminate, path_graph
 from toricbases.lattice import build_lattice, build_truncated_lattice
 from toricbases.normalform import normal_form_bounded, polynomial_normal_form
@@ -205,6 +213,34 @@ def test_matrix_text_parse_errors():
         matrix_from_text("2 2\n1 1\n")
     with pytest.raises(ValueError):
         matrix_from_text("sparse 2 2 1\n0 0 1\n0 1 1\n")
+
+
+@pytest.mark.parametrize(
+    "call, error, message",
+    [
+        (lambda: vector_add((1, 2), (1,)), DimensionMismatch, "vector lengths differ: 2 vs 1"),
+        (lambda: vector_sub((1,), (1, 2)), DimensionMismatch, "vector lengths differ: 1 vs 2"),
+        (lambda: conformal_leq((1, 2, 3), (1,)), DimensionMismatch, "vector lengths differ: 3 vs 1"),
+        (lambda: SparseIntMatrix(-1, 2, []), ValueError, "matrix dimensions must be nonnegative"),
+        (lambda: SparseIntMatrix.from_dense([[1, 2], [1]]), ValueError, "ragged dense matrix"),
+        (lambda: SparseIntMatrix.from_dense([[1, 2]]).apply((1,)), DimensionMismatch, "expected length 2, got 1"),
+        (lambda: matrix_from_text("sparse 1 2\n0 0 1\n"), ValueError, "sparse header must be 'sparse m n k'"),
+        (lambda: matrix_from_text("1 2 3\n1 1\n"), ValueError, "dense header must be 'm n'"),
+        (lambda: matrix_from_text("1 2\n1 1 1\n"), ValueError, "expected 2 columns, found 3"),
+        (lambda: MonomialOrder((1, -1)), ValueError, "order weights must be nonnegative"),
+        (lambda: weight_vector((1,), 2, 2), DimensionMismatch, "weights length 1, expected 2"),
+        (lambda: Binomial((1, 0), (0,)), DimensionMismatch, "head and tail lengths differ"),
+        (lambda: ideal_membership(SparseIntMatrix.from_dense([[1, 1]]), [(1, (1, -1))]),
+         ValueError, "exponents must be nonnegative"),
+    ],
+    ids=["vector-add", "vector-sub", "conformal-leq", "negative-dimensions", "ragged", "apply-length",
+         "sparse-header", "dense-header", "column-count", "negative-weight", "weight-vector-length",
+         "binomial-lengths", "membership-negative"],
+)
+def test_core_refusals(call, error, message):
+    with pytest.raises(error) as info:
+        call()
+    assert type(info.value) is error and str(info.value) == message
 
 
 def test_non_integral_inputs_raise_type_error():

@@ -242,3 +242,17 @@ def test_graph_validation():
         Graph.from_edges(3, [(0, 0)])
     with pytest.raises(ValueError):
         Graph.from_edges(3, [(0, 9)])
+
+
+@pytest.mark.parametrize(
+    "call, error, message",
+    [
+        (lambda: cycle_graph(2), ValueError, "cycle needs at least 3 vertices"),
+        (lambda: eliminate(path_graph(3), (0, 1, 1)), ValueError, "ordering must be a permutation of the vertices"),
+    ],
+    ids=["cycle-of-two", "not-a-permutation"],
+)
+def test_graphs_refusals(call, error, message):
+    with pytest.raises(error) as info:
+        call()
+    assert type(info.value) is error and str(info.value) == message

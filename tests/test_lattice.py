@@ -846,3 +846,19 @@ def test_ordering_validation(twisted_cubic):
         build_lattice(twisted_cubic, 1, ordering=(0, 1, 2))
     with pytest.raises(ValueError):
         build_lattice(twisted_cubic, -1)
+
+
+@pytest.mark.parametrize(
+    "call, expected",
+    [
+        (lambda L: (1, -1, -1, 1) in L, True),
+        (lambda L: (1, 0, 0, 0) in L, False),
+        (lambda L: list(iter(L)), [(-1, 1, 1, -1), (0, 0, 0, 0), (1, -1, -1, 1)]),
+        (lambda L: repr(L), "KernelLattice(kind='box', bound=1, cols=4, rows=3)"),
+    ],
+    ids=["in", "not-in", "iter", "repr"],
+)
+def test_lattice_dunder_methods(twisted_cubic, call, expected):
+    # `v in L`, `iter(L)` and `repr(L)` read `contains`, `iterate` and the
+    # stored row count
+    assert call(build_lattice(twisted_cubic, 1)) == expected

@@ -60,6 +60,6 @@ def test_library_private_names_are_read():
             else:
                 continue
             defined += [(name, t) for t in targets if t.startswith("_") and not t.startswith("__")]
-    assert len(defined) > 40, defined  # not a vacuous check: 58 names today
+    assert len(defined) > 40, defined  # not a vacuous check
     unread = [f"{module} {name}" for module, name in defined if name not in read]
     assert not unread, f"private names the library never reads: {unread}"

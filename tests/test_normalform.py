@@ -220,13 +220,27 @@ def test_is_standard_is_exact_only_when_certified(twisted_cubic):
          ValueError, "monomial exponents must be nonnegative"),
         (lambda A, L, grlex: reduce_by_basis([Binomial((1, 0, 1, 0), (0, 2, 0, 0))], grlex, (1, 0)),
          DimensionMismatch, "basis and monomial dimensions differ"),
+        # the order reads every element's length before any element is checked
+        (lambda A, L, grlex: reduce_by_basis(
+            [Binomial((0, 2, 0, 0), (1, 0, 1, 0)), Binomial((1, 0), (0, 1))], grlex, (1, 0)),
+         DimensionMismatch, "expected length 4, got 2"),
+        (lambda A, L, grlex: reduce_by_basis([Binomial((0, 2, 0, 0), (1, 0, 1, 0))], grlex, (1, 0, 1, 0)),
+         ValueError, "basis element not oriented head-above-tail"),
     ],
-    ids=["normal-form-length", "reduce-negative", "reduce-length"],
+    ids=["normal-form-length", "reduce-negative", "reduce-length", "reduce-order-length", "reduce-unoriented"],
 )
 def test_normalform_refusals(twisted_cubic, call, error, message):
     with pytest.raises(error) as info:
         call(twisted_cubic, build_lattice(twisted_cubic, 1), MonomialOrder.grlex(4))
     assert type(info.value) is error and str(info.value) == message
+
+
+def test_reduce_by_basis_takes_a_repeated_element():
+    # equal elements have equal keys, so the sort must not fall through to
+    # comparing the binomials themselves
+    grlex = MonomialOrder.grlex(4)
+    b = Binomial((1, 0, 1, 0), (0, 2, 0, 0))
+    assert reduce_by_basis([b, b], grlex, (2, 0, 1, 1)) == reduce_by_basis([b], grlex, (2, 0, 1, 1)) == (1, 2, 0, 1)
 
 
 def count_minimize_calls(L):
