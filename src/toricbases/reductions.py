@@ -92,7 +92,10 @@ def solve_ip(ip: IntegerProgram) -> Vec:
     the objective cut c . z <= incumbent, lowered in place as it improves.
     One rule tightens them all: a_j * z_j must lie within [lower, upper]
     less the range the other terms can take.  The list is visited in order
-    until no bound moves.
+    until no bound moves.  A fixed variable (lo = hi) is skipped: once the
+    constraint is known to be satisfiable over the box, its interval already
+    holds the fixed value, so the rule could neither move a bound nor empty
+    the interval.
 
     Branches on the variable with the narrowest interval (lowest index on
     ties), values ascending; among optima the lexicographically smallest
@@ -151,6 +154,8 @@ def solve_ip(ip: IntegerProgram) -> Vec:
                 if lo_sum > upper or hi_sum < lower:
                     return False
                 for j, a in zip(cols, coefs):
+                    if lo[j] == hi[j]:
+                        continue
                     # a * z_j must land in [lower - (hi_sum - max_j),
                     # upper - (lo_sum - min_j)]; dividing by a < 0 swaps the ends
                     if a > 0:
@@ -219,6 +224,21 @@ def _in_row_space(A: SparseIntMatrix, w: Sequence[int]) -> bool:
     return not any(row)
 
 
+def _row_remainder(A: SparseIntMatrix, w: Vec) -> Vec:
+    """w less, row by row in one pass, the largest integer multiple of each
+    nonnegative row of A that leaves it nonnegative: t = min_j floor(w_j /
+    a_ij) over the row's support.  The result is w - yA with y integer and
+    y >= 0, and it is nonnegative when w is."""
+    rest = list(w)
+    for i in range(A.num_rows):
+        row = A.row(i)
+        if row and all(a > 0 for _, a in row):
+            t = min(rest[j] // a for j, a in row)
+            for j, a in row:
+                rest[j] -= t * a
+    return tuple(rest)
+
+
 def normalform_to_ip(
     A: SparseIntMatrix, order: MonomialOrder, u: Sequence[int]
 ) -> IntegerProgram:
@@ -229,12 +249,22 @@ def normalform_to_ip(
     points reproduce the monomial order.  Upper bounds follow from the
     objective value of u itself, which is feasible and seeds the incumbent.
 
-    When the order's weights w lie in the rational row space of A (lex, or
-    any graded order on a homogeneous matrix), the objective is the lex
-    tie-break ``weight_vector(0...)`` alone; the box stays the one the full
-    objective gives.  If w = yA then w.z = y.b on the whole fiber, so the two
-    objectives differ by a constant there and have the same optima, while
-    the smaller one makes the objective cut bound variables far sooner.
+    The objective is ``weight_vector(w', ...)`` for a remainder w' = w - yA
+    of the order's weights w, with y integer; the box stays the one the full
+    objective gives.  w' is w less the nonnegative rows of A, each taken as
+    often as w' stays nonnegative (:func:`_row_remainder`), and w' = 0 when
+    w lies in the rational row space of A (lex, or any graded order on a
+    homogeneous matrix).  The fraction-free elimination that tests this runs
+    only when w' is nonzero; w' is in the row space exactly when w is.
+
+    Why the answer is the same: w - w' = yA, with y integer for the rows
+    taken and rational when w' = 0 replaces a w in the row space, so on the
+    fiber Az = b the two objectives differ by the constant r^n.(y.b) and
+    have the same optima and the same lexicographic tie-break.  Why it
+    prunes sooner: the r^n.w part is constant on the fiber but not on the
+    box, so the smaller it is, the sooner the objective cut bounds
+    variables; since w' >= 0 every cost is positive and the cut bounds
+    every variable.
     """
     u = as_vector(u)
     if not is_nonnegative(u):
@@ -246,8 +276,11 @@ def normalform_to_ip(
     c = weight_vector(order.weights, radix, n)
     budget = sum(cj * xj for cj, xj in zip(c, u))
     upper = tuple(budget // cj for cj in c)
-    if _in_row_space(A, order.weights):
-        c = weight_vector((0,) * n, radix, n)
+    rest = _row_remainder(A, order.weights)
+    if any(rest) and _in_row_space(A, rest):
+        rest = (0,) * n
+    if rest != order.weights:
+        c = weight_vector(rest, radix, n)
     return IntegerProgram(
         matrix=A,
         rhs=A.apply(u),

@@ -11,11 +11,15 @@ For each group of integer programs the digest covers every ``solve_ip``
 answer, or the type and message of its refusal, and for the reduced bases
 every ``reduce_by_basis`` remainder.  These digests were computed before
 ``solve_ip`` kept its objective cut in the constraint list and before
-``reduce_by_basis`` computed each element's keys once.
+``reduce_by_basis`` computed each element's keys once; the
+``wide-random-weights`` group was pinned before ``normalform_to_ip``
+subtracted A's nonnegative rows from the weights and before ``propagate``
+skipped fixed variables.
 """
 
 import hashlib
 import random
+import sys
 
 import pytest
 
@@ -34,7 +38,12 @@ from toricbases import (
 )
 from toricbases.graphs import complete_graph, cycle_graph, path_graph
 from toricbases.lattice import conformal_box, shift_box
-from toricbases.oracle import incidence_matrix, random_sparse_matrix, two_by_two_minors_matrix
+from toricbases.oracle import (
+    incidence_matrix,
+    random_sparse_matrix,
+    threeway_table_matrix,
+    two_by_two_minors_matrix,
+)
 
 
 def _random_cases() -> dict:
@@ -172,6 +181,18 @@ def _k34_programs() -> list:
             for k in range(60)]
 
 
+def _wide_random_weight_programs() -> list:
+    # random weights on two matrices wider than K_{3,4}, where the weights
+    # normalform_to_ip keeps shape the search tree most
+    rng, programs = random.Random(2301), []
+    for A in (two_by_two_minors_matrix(3, 5), threeway_table_matrix(3, 3, 2)):
+        n = A.num_cols
+        for _ in range(16):
+            order = MonomialOrder(tuple(rng.randint(0, 5) for _ in range(n)))
+            programs.append(normalform_to_ip(A, order, tuple(rng.randint(0, 2) for _ in range(n))))
+    return programs
+
+
 def _small_programs() -> list:
     # a box wider than 10^4 comes from an unbounded fiber, where the search
     # may run for minutes; such draws are skipped
@@ -248,6 +269,7 @@ def _solve(ip: IntegerProgram):
 
 PROGRAMS = {
     "k34-nf-wide": lambda: [_solve(ip) for ip in _k34_programs()],
+    "wide-random-weights": lambda: [_solve(ip) for ip in _wide_random_weight_programs()],
     "small-random": lambda: [_solve(ip) for ip in _small_programs()],
     "small-random-no-hint": lambda: [_solve(ip) for ip in _without_hint(_small_programs())],
     "mixed-sign": lambda: [_solve(ip) for ip in _mixed_sign_programs()],
@@ -264,6 +286,7 @@ def programs_digest(name: str) -> str:
 
 PROGRAM_DIGESTS = {
     "k34-nf-wide": "7d6dc71b5c0289c3",
+    "wide-random-weights": "0323d11a01cd55e2",
     "small-random": "7247ff85d029e934",
     "small-random-no-hint": "7247ff85d029e934",
     "mixed-sign": "2d5e313dc4543831",
@@ -276,3 +299,40 @@ PROGRAM_DIGESTS = {
 @pytest.mark.parametrize("name", list(PROGRAMS))
 def test_programs_match_their_digest(name):
     assert programs_digest(name) == PROGRAM_DIGESTS[name], f"{name}: answers changed"
+
+
+def search_nodes(programs: list) -> int:
+    """The number of boxes ``solve_ip`` propagates over the programs: one
+    ``propagate`` call per node of the search tree."""
+    nodes = 0
+
+    def count(frame, event, arg):
+        nonlocal nodes
+        if event == "call" and frame.f_code.co_name == "propagate":
+            nodes += 1
+
+    sys.setprofile(count)
+    try:
+        for ip in programs:
+            _solve(ip)
+    finally:
+        sys.setprofile(None)
+    return nodes
+
+
+# the mixed-sign and vertex-cover trees were counted before propagate skipped
+# fixed variables, which leaves every tree as it was; the two groups of
+# normalform_to_ip programs were counted after it subtracted A's
+# nonnegative rows from the weights (2,491 and 6,963 nodes before)
+NODE_COUNTS = {
+    "mixed-sign": (_mixed_sign_programs, 448),
+    "vertex-cover": (_cover_programs, 66),
+    "k34-nf-wide": (_k34_programs, 1270),
+    "wide-random-weights": (_wide_random_weight_programs, 1110),
+}
+
+
+@pytest.mark.parametrize("name", list(NODE_COUNTS))
+def test_search_trees_keep_their_node_counts(name):
+    programs, nodes = NODE_COUNTS[name]
+    assert search_nodes(programs()) == nodes, f"{name}: the search tree changed"

@@ -430,23 +430,173 @@ def full_weight_program(A, order, u) -> IntegerProgram:
 
 
 def test_normalform_to_ip_keeps_weights_outside_the_row_space(twisted_cubic):
-    # the program is the full-weight one, field for field; the 3x5 matrix is
-    # one where the remainder D.w - yA = (0, 0, 0, -2, 0) is negative, so a
-    # program built from that remainder would change here
+    # with no nonnegative row to subtract, the program is the full-weight one,
+    # field for field; the 3x5 matrix is one where the remainder D.w - yA =
+    # (0, 0, 0, -2, 0) is negative, so a program built from that remainder
+    # would change here, and no row of it has one sign
     A = SparseIntMatrix.from_dense([[1, -2, 2, -2, -3], [-3, 1, -1, 3, 3], [1, 0, -3, 0, 3]])
     cases = [(A, MonomialOrder((0, 2, 0, 0, 0)), (1, 1, 0, 2, 1))]
     cases.append((twisted_cubic, MonomialOrder((1, 0, 0, 0)), (1, 0, 1, 2)))
-    k34 = two_by_two_minors_matrix(3, 4)
-    rng = random.Random(331)
-    while len(cases) < 12:
-        order = MonomialOrder(tuple(rng.randint(0, 5) for _ in range(12)))
-        if fraction_rank(k34.to_dense() + [list(order.weights)]) > fraction_rank(k34.to_dense()):
-            cases.append((k34, order, tuple(rng.randint(0, 2) for _ in range(12))))
     for A, order, u in cases:
         assert not _in_row_space(A, order.weights)
         ip = normalform_to_ip(A, order, u)
         assert ip == full_weight_program(A, order, u)
         assert ip.objective == weight_vector(order.weights, graver_infinity_bound(A) + 1, A.num_cols)
+
+
+# the remainders w' of ten random K_{3,4} weight vectors outside its row
+# space, worked by hand for the first: rows 0, 1, 5 and 6 are taken 1, 2, 1
+# and 2 times, rows 2, 3 and 4 not at all
+K34_REMAINDERS = [
+    (4, 0, 1, 0, 3, 0, 3, 0, 2, 1, 1, 0),
+    (0, 3, 4, 1, 0, 1, 2, 4, 0, 3, 0, 1),
+    (5, 4, 0, 0, 5, 5, 3, 0, 5, 0, 2, 3),
+    (5, 0, 0, 0, 1, 0, 1, 1, 0, 0, 1, 0),
+    (0, 0, 3, 0, 5, 4, 0, 0, 0, 0, 2, 3),
+    (4, 0, 1, 1, 0, 2, 0, 4, 0, 1, 3, 0),
+    (0, 0, 1, 1, 4, 0, 0, 4, 1, 2, 3, 0),
+    (4, 0, 2, 2, 0, 3, 0, 4, 5, 3, 1, 0),
+    (4, 3, 0, 0, 3, 4, 0, 1, 0, 2, 0, 3),
+    (2, 2, 0, 3, 0, 2, 0, 0, 0, 0, 2, 2),
+]
+
+
+def test_normalform_to_ip_subtracts_nonnegative_rows_from_the_weights():
+    # K_{3,4}'s rows are 0/1, so random weights outside its row space keep
+    # only the remainder w'; every other field is the full-weight program's,
+    # and so is the optimum
+    k34 = two_by_two_minors_matrix(3, 4)
+    radix = graver_infinity_bound(k34) + 1
+    rng, cases = random.Random(331), []
+    while len(cases) < len(K34_REMAINDERS):
+        order = MonomialOrder(tuple(rng.randint(0, 5) for _ in range(12)))
+        if fraction_rank(k34.to_dense() + [list(order.weights)]) > fraction_rank(k34.to_dense()):
+            cases.append((order, tuple(rng.randint(0, 2) for _ in range(12))))
+    for (order, u), rest in zip(cases, K34_REMAINDERS):
+        assert not _in_row_space(k34, order.weights)
+        ip, full = normalform_to_ip(k34, order, u), full_weight_program(k34, order, u)
+        assert ip.objective == weight_vector(rest, radix, 12)
+        assert (ip.matrix, ip.rhs, ip.lower, ip.upper, ip.feasible_hint) == (
+            full.matrix, full.rhs, full.lower, full.upper, full.feasible_hint
+        )
+        assert solve_ip(ip) == solve_ip(full), (order, u)
+
+
+def integer_row_span_contains(rows, v) -> bool:
+    # an integer echelon form by Euclid's steps on each column, independent
+    # of the library's elimination, then v reduced by it; v lies in the
+    # integer span of the rows exactly when each pivot divides what is left
+    rows, echelon = [list(r) for r in rows], []
+    for j in range(len(v)):
+        live = [r for r in rows if r[j]]
+        rows = [r for r in rows if not r[j]]
+        while len(live) > 1:
+            live.sort(key=lambda r: abs(r[j]))
+            pivot, rest = live[0], []
+            for r in live[1:]:
+                q = r[j] // pivot[j]
+                r = [x - q * y for x, y in zip(r, pivot)]
+                (rest if r[j] else rows).append(r)
+            live = [pivot] + rest
+        echelon += [(j, r) for r in live]
+    v = list(v)
+    for j, pivot in echelon:
+        if v[j] % pivot[j]:
+            return False
+        q = v[j] // pivot[j]
+        v = [x - q * y for x, y in zip(v, pivot)]
+    return not any(v)
+
+
+def remainder_of(A, ip) -> list[int]:
+    # the weights w' the objective encodes: objective = r^n.w' + (r^(n-1), ..., 1)
+    n, radix = A.num_cols, graver_infinity_bound(A) + 1
+    place = weight_vector((0,) * n, radix, n)
+    rest = [(c - p) // radix**n for c, p in zip(ip.objective, place)]
+    assert weight_vector(rest, radix, n) == ip.objective
+    return rest
+
+
+@st.composite
+def remainder_cases(draw):
+    n = draw(st.integers(1, 6))
+    nonnegative = st.lists(st.integers(0, 3), min_size=n, max_size=n).filter(any)
+    mixed = st.lists(st.integers(-3, 3), min_size=n, max_size=n).filter(
+        lambda r: min(r) < 0 < max(r)
+    )
+    kind = draw(st.sampled_from(["nonnegative", "mixed", "both"] if n > 1 else ["nonnegative"]))
+    row = {"nonnegative": nonnegative, "mixed": mixed, "both": st.one_of(nonnegative, mixed)}[kind]
+    rows = draw(st.lists(row, min_size=1, max_size=4))
+    if draw(st.booleans()):
+        # w = yA shifted into the nonnegative orthant by a multiple of an
+        # all-positive row, so w lies in the row space of the enlarged matrix
+        y = [draw(st.integers(-2, 3)) for _ in rows]
+        w = [sum(c * r[j] for c, r in zip(y, rows)) for j in range(n)]
+        k = draw(st.integers(1, 2))
+        rows.insert(draw(st.integers(0, len(rows))), [k] * n)
+        shift = -(min(0, *w) // k)
+        w = [x + shift * k for x in w]
+    else:
+        w = draw(st.lists(st.integers(0, 9), min_size=n, max_size=n))
+    return rows, n, tuple(w)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(remainder_cases())
+def test_normalform_to_ip_weight_remainder(case):
+    rows, n, w = case
+    A = dense_matrix(rows, n)
+    rest = remainder_of(A, normalform_to_ip(A, MonomialOrder(w), (0,) * n))
+    in_row_space = fraction_rank(rows + [list(w)]) == fraction_rank(rows)
+    assert min(rest) >= 0
+    difference = [x - y for x, y in zip(w, rest)]
+    assert integer_row_span_contains(rows, difference) or (not any(rest) and in_row_space)
+    if in_row_space:
+        assert not any(rest)
+    nonnegative_rows = [r for r in rows if min(r) >= 0]
+    if not nonnegative_rows and not in_row_space:
+        assert tuple(rest) == w
+    # no nonnegative row can be taken once more
+    for r in nonnegative_rows:
+        assert any(x < a for x, a in zip(rest, r) if a)
+
+
+def wide_remainder_programs():
+    rng = random.Random(341)
+    for A in (two_by_two_minors_matrix(3, 5), threeway_table_matrix(3, 3, 2)):
+        n = A.num_cols
+        for _ in range(12):
+            order = MonomialOrder(tuple(rng.randint(0, 5) for _ in range(n)))
+            yield A, order, tuple(rng.randint(0, 2) for _ in range(n)), None
+    # nonnegative matrices with no zero column have bounded fibers; every
+    # fiber point is at most max(b) in each entry, so g = max(b) is exact
+    # for the oracle, which is run where its (2g+1)^n vectors stay few
+    count = 0
+    while count < 100:
+        m, n = rng.randint(1, 3), rng.randint(2, 5)
+        rows = [[rng.choice([0, 0, 1, 2, 3]) for _ in range(n)] for _ in range(m)]
+        if not all(any(r[j] for r in rows) for j in range(n)):
+            continue
+        A = SparseIntMatrix.from_dense(rows)
+        u = tuple(rng.randint(0, 2) for _ in range(n))
+        g = max(A.apply(u))
+        order = MonomialOrder(tuple(rng.randint(0, 3) for _ in range(n)))
+        yield A, order, u, g if (2 * g + 1) ** n <= 20_000 else None
+        count += 1
+
+
+def test_normalform_to_ip_remainder_keeps_the_optimum():
+    # the remainder's program and the full-weight one give the same optimum,
+    # and the oracle agrees where it is cheap
+    checked = 0
+    for A, order, u, g in wide_remainder_programs():
+        ip, full = normalform_to_ip(A, order, u), full_weight_program(A, order, u)
+        z = solve_ip(ip)
+        assert z == solve_ip(full), (A.to_dense(), order, u)
+        if g is not None:
+            assert z == normal_form_bruteforce(A, order.weights, u, g), (A.to_dense(), order, u)
+            checked += 1
+    assert checked > 20
 
 
 def lex_program_cases():
