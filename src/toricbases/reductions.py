@@ -97,9 +97,12 @@ def solve_ip(ip: IntegerProgram) -> Vec:
     holds the fixed value, so the rule could neither move a bound nor empty
     the interval.
 
-    Branches on the variable with the narrowest interval (lowest index on
-    ties), values ascending; among optima the lexicographically smallest
-    vector is returned, so the answer is deterministic.
+    Branches where a value costs most: on the free variable with the
+    largest |c_j| // (hi_j - lo_j + 1), then the narrowest interval, then
+    the lowest index.  A variable with c_j < 0 takes its values from the top
+    down, any other from the bottom up.  The answer does not depend on this
+    order: the cut c . z <= incumbent admits ties, so every optimum is
+    reached, and the lexicographically smallest one is kept.
     """
     A, b, c = ip.matrix, ip.rhs, ip.objective
     n = A.num_cols
@@ -176,7 +179,8 @@ def solve_ip(ip: IntegerProgram) -> Vec:
         return True
 
     def children(lo: list[int], hi: list[int], j: int) -> Iterator[tuple[list[int], list[int]]]:
-        for value in range(lo[j], hi[j] + 1):
+        values = range(hi[j], lo[j] - 1, -1) if c[j] < 0 else range(lo[j], hi[j] + 1)
+        for value in values:
             child_lo, child_hi = lo.copy(), hi.copy()
             child_lo[j] = child_hi[j] = value
             yield child_lo, child_hi
@@ -194,7 +198,8 @@ def solve_ip(ip: IntegerProgram) -> Vec:
             lo, hi = box
             free = [j for j in range(n) if lo[j] < hi[j]]
             if free:
-                stack.append(children(lo, hi, min(free, key=lambda k: (hi[k] - lo[k], k))))
+                j = min(free, key=lambda k: (-(abs(c[k]) // (hi[k] - lo[k] + 1)), hi[k] - lo[k], k))
+                stack.append(children(lo, hi, j))
             else:
                 offer(tuple(lo))
     if best is None:
@@ -224,19 +229,30 @@ def _in_row_space(A: SparseIntMatrix, w: Sequence[int]) -> bool:
     return not any(row)
 
 
-def _row_remainder(A: SparseIntMatrix, w: Vec) -> Vec:
-    """w less, row by row in one pass, the largest integer multiple of each
-    nonnegative row of A that leaves it nonnegative: t = min_j floor(w_j /
-    a_ij) over the row's support.  The result is w - yA with y integer and
-    y >= 0, and it is nonnegative when w is."""
-    rest = list(w)
+def _positive_row_scan(A: SparseIntMatrix, w: Vec, b: Vec) -> tuple[Vec, list[int | None]]:
+    """The weight remainder and the fiber caps, from one scan of the rows
+    of A whose entries are all positive.
+
+    The remainder: w less, row by row, the largest integer multiple of each
+    such row that leaves it nonnegative, t = min_j floor(w_j / a_ij) over
+    the row's support.  It is w - yA with y integer and y >= 0, and it is
+    nonnegative when w is.
+
+    The caps: cap_j = min floor(b_i / a_ij) over such rows i, or None where
+    none has column j.  Every z >= 0 with Az = b has z_j <= cap_j, since the
+    other terms of a positive row are nonnegative.
+    """
+    rest, caps = list(w), [None] * A.num_cols
     for i in range(A.num_rows):
         row = A.row(i)
         if row and all(a > 0 for _, a in row):
             t = min(rest[j] // a for j, a in row)
             for j, a in row:
                 rest[j] -= t * a
-    return tuple(rest)
+                cap = b[i] // a
+                if caps[j] is None or cap < caps[j]:
+                    caps[j] = cap
+    return tuple(rest), caps
 
 
 def normalform_to_ip(
@@ -244,16 +260,24 @@ def normalform_to_ip(
 ) -> IntegerProgram:
     """IP whose every optimum is the normal-form exponent of x^u.
 
-    The objective comes from :func:`weight_vector` with the radix chosen one
-    above the conformal-minimality norm bound, so comparisons of feasible
-    points reproduce the monomial order.  Upper bounds follow from the
-    objective value of u itself, which is feasible and seeds the incumbent.
+    The objective comes from :func:`weight_vector`, which orders two points
+    as the monomial order does when they differ by less than the radix in
+    every entry.  The radix is one above the conformal-minimality norm
+    bound, or one above the largest fiber cap when every column has a cap
+    and that is smaller: with b = Au, cap_j = min floor(b_i / a_ij) over
+    the rows of A whose entries are all positive
+    (:func:`_positive_row_scan`).  Every fiber point then lies in 0 <= z <=
+    cap, so two of them differ by at most max(cap) in every entry, and the
+    objective orders the whole fiber as the order does.  Upper bounds
+    follow from the objective value of u itself, which is feasible and
+    seeds the incumbent, and are clipped to the caps when every column has
+    one.
 
     The objective is ``weight_vector(w', ...)`` for a remainder w' = w - yA
-    of the order's weights w, with y integer; the box stays the one the full
-    objective gives.  w' is w less the nonnegative rows of A, each taken as
-    often as w' stays nonnegative (:func:`_row_remainder`), and w' = 0 when
-    w lies in the rational row space of A (lex, or any graded order on a
+    of the order's weights w, with y integer; the box is still the one the
+    full objective gives.  w' is w less the positive rows of A, each taken
+    as often as w' stays nonnegative (the same scan), and w' = 0 when w
+    lies in the rational row space of A (lex, or any graded order on a
     homogeneous matrix).  The fraction-free elimination that tests this runs
     only when w' is nonzero; w' is in the row space exactly when w is.
 
@@ -272,18 +296,25 @@ def normalform_to_ip(
     n = A.num_cols
     if len(u) != n or order.num_vars != n:
         raise DimensionMismatch("dimension mismatch between matrix, order and monomial")
-    radix = graver_infinity_bound(A) + 1
+    b = A.apply(u)
+    rest, caps = _positive_row_scan(A, order.weights, b)
+    capped = None not in caps
+    radix = graver_infinity_bound(A)
+    if capped:
+        radix = min(radix, max(caps, default=0))
+    radix += 1
     c = weight_vector(order.weights, radix, n)
     budget = sum(cj * xj for cj, xj in zip(c, u))
     upper = tuple(budget // cj for cj in c)
-    rest = _row_remainder(A, order.weights)
+    if capped:
+        upper = tuple(map(min, upper, caps))
     if any(rest) and _in_row_space(A, rest):
         rest = (0,) * n
     if rest != order.weights:
         c = weight_vector(rest, radix, n)
     return IntegerProgram(
         matrix=A,
-        rhs=A.apply(u),
+        rhs=b,
         objective=c,
         lower=(0,) * n,
         upper=upper,

@@ -14,7 +14,9 @@ every ``reduce_by_basis`` remainder.  These digests were computed before
 ``reduce_by_basis`` computed each element's keys once; the
 ``wide-random-weights`` group was pinned before ``normalform_to_ip``
 subtracted A's nonnegative rows from the weights and before ``propagate``
-skipped fixed variables.
+skipped fixed variables.  Every group was pinned before ``solve_ip``
+branched where a value costs most and before ``normalform_to_ip`` took its
+radix and box from the fiber.
 """
 
 import hashlib
@@ -30,11 +32,13 @@ from toricbases import (
     ToricError,
     build_lattice,
     build_truncated_lattice,
+    graver_infinity_bound,
     normalform_to_ip,
     reduce_by_basis,
     reduced_groebner_basis,
     solve_ip,
     vertex_cover_ip,
+    weight_vector,
 )
 from toricbases.graphs import complete_graph, cycle_graph, path_graph
 from toricbases.lattice import conformal_box, shift_box
@@ -193,16 +197,26 @@ def _wide_random_weight_programs() -> list:
     return programs
 
 
+def _graver_box(A, order: MonomialOrder, u: tuple) -> tuple:
+    # the box normalform_to_ip gave before it took its radix from the fiber:
+    # the budget of u under the weights at the Graver radix
+    c = weight_vector(order.weights, graver_infinity_bound(A) + 1, A.num_cols)
+    budget = sum(cj * xj for cj, xj in zip(c, u))
+    return tuple(budget // cj for cj in c)
+
+
 def _small_programs() -> list:
-    # a box wider than 10^4 comes from an unbounded fiber, where the search
-    # may run for minutes; such draws are skipped
+    # a Graver-radix box wider than 10^4 comes from an unbounded fiber, where
+    # the search may run for minutes; such draws are skipped, by that box so
+    # that the group is the one its digest was pinned on
     rng, programs = random.Random(2202), []
     while len(programs) < 200:
         m, n = rng.randint(1, 3), rng.randint(2, 5)
         A = random_sparse_matrix(m, n, 3, 0.6, rng.randrange(2**30))
         order = _order(rng, n, len(programs), 3)
-        ip = normalform_to_ip(A, order, tuple(rng.randint(0, 1) for _ in range(n)))
-        if max(ip.upper) <= 10**4:
+        u = tuple(rng.randint(0, 1) for _ in range(n))
+        ip = normalform_to_ip(A, order, u)
+        if max(_graver_box(A, order, u)) <= 10**4:
             programs.append(ip)
     return programs
 
@@ -320,15 +334,18 @@ def search_nodes(programs: list) -> int:
     return nodes
 
 
-# the mixed-sign and vertex-cover trees were counted before propagate skipped
-# fixed variables, which leaves every tree as it was; the two groups of
-# normalform_to_ip programs were counted after it subtracted A's
-# nonnegative rows from the weights (2,491 and 6,963 nodes before)
+# counted after solve_ip branched where a value costs most and
+# normalform_to_ip took its radix and box from the fiber: mixed-sign 448,
+# k34-nf-wide 1,270 and wide-random-weights 1,110 nodes before (and the two
+# normalform_to_ip groups 2,491 and 6,963 before it subtracted A's
+# nonnegative rows from the weights); the vertex-cover tree, whose costs
+# and intervals are all alike, is the one counted before propagate skipped
+# fixed variables
 NODE_COUNTS = {
-    "mixed-sign": (_mixed_sign_programs, 448),
+    "mixed-sign": (_mixed_sign_programs, 435),
     "vertex-cover": (_cover_programs, 66),
-    "k34-nf-wide": (_k34_programs, 1270),
-    "wide-random-weights": (_wide_random_weight_programs, 1110),
+    "k34-nf-wide": (_k34_programs, 906),
+    "wide-random-weights": (_wide_random_weight_programs, 484),
 }
 
 

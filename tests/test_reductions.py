@@ -1,3 +1,4 @@
+import functools
 import itertools
 import math
 import random
@@ -420,28 +421,62 @@ def test_row_space_test_named_cases(twisted_cubic):
     assert not _in_row_space(SparseIntMatrix(0, 2, []), (0, 1))
 
 
+def fiber_caps(A, b):
+    """cap_j = min b_i // a_ij over the rows of A whose nonzero entries are
+    all positive, read from the dense rows; None when such rows leave a
+    column uncovered, since the fiber is then not bounded by them."""
+    positive = [(r, bi) for r, bi in zip(A.to_dense(), b) if any(r) and min(r) >= 0]
+    caps = []
+    for j in range(A.num_cols):
+        bounds = [bi // r[j] for r, bi in positive if r[j]]
+        if not bounds:
+            return None
+        caps.append(min(bounds))
+    return caps
+
+
+def fiber_radix(A, b) -> int:
+    """The radix normalform_to_ip picks for right-hand side b: one above the
+    Graver bound, or above the largest fiber cap when every column has one
+    and it is smaller."""
+    caps, bound = fiber_caps(A, b), graver_infinity_bound(A)
+    return (bound if caps is None else min(bound, max(caps, default=0))) + 1
+
+
 def full_weight_program(A, order, u) -> IntegerProgram:
     """The program with the whole weight vector r^n.w + p as its objective,
-    built here as normalform_to_ip builds it when w is outside the row space."""
-    n = A.num_cols
-    c = weight_vector(order.weights, graver_infinity_bound(A) + 1, n)
+    built here as normalform_to_ip builds it when w is outside the row space:
+    the radix and the box come from the fiber of Au."""
+    n, b = A.num_cols, A.apply(u)
+    c = weight_vector(order.weights, fiber_radix(A, b), n)
     budget = sum(cj * xj for cj, xj in zip(c, u))
-    return IntegerProgram(A, A.apply(u), c, (0,) * n, tuple(budget // cj for cj in c), u)
+    upper, caps = [budget // cj for cj in c], fiber_caps(A, b)
+    if caps is not None:
+        upper = [min(x, cap) for x, cap in zip(upper, caps)]
+    return IntegerProgram(A, b, c, (0,) * n, tuple(upper), u)
 
 
 def test_normalform_to_ip_keeps_weights_outside_the_row_space(twisted_cubic):
     # with no nonnegative row to subtract, the program is the full-weight one,
     # field for field; the 3x5 matrix is one where the remainder D.w - yA =
     # (0, 0, 0, -2, 0) is negative, so a program built from that remainder
-    # would change here, and no row of it has one sign
-    A = SparseIntMatrix.from_dense([[1, -2, 2, -2, -3], [-3, 1, -1, 3, 3], [1, 0, -3, 0, 3]])
-    cases = [(A, MonomialOrder((0, 2, 0, 0, 0)), (1, 1, 0, 2, 1))]
-    cases.append((twisted_cubic, MonomialOrder((1, 0, 0, 0)), (1, 0, 1, 2)))
-    for A, order, u in cases:
+    # would change here, and no row of it has one sign, so it keeps the
+    # Graver radix; the twisted cubic's rows (1, 1, 1, 1) and (0, 1, 2, 3)
+    # are both positive and cap its fiber at b = (4, 8) by (4, 4, 4, 2), so
+    # its radix is 5, its box is clipped to the caps, and g = 4 is exact for
+    # the oracle
+    mixed = SparseIntMatrix.from_dense([[1, -2, 2, -2, -3], [-3, 1, -1, 3, 3], [1, 0, -3, 0, 3]])
+    tc_order, tc_u = MonomialOrder((1, 0, 0, 0)), (1, 0, 1, 2)
+    cases = [(mixed, MonomialOrder((0, 2, 0, 0, 0)), (1, 1, 0, 2, 1), graver_infinity_bound(mixed) + 1),
+             (twisted_cubic, tc_order, tc_u, 5)]
+    for A, order, u, radix in cases:
         assert not _in_row_space(A, order.weights)
         ip = normalform_to_ip(A, order, u)
         assert ip == full_weight_program(A, order, u)
-        assert ip.objective == weight_vector(order.weights, graver_infinity_bound(A) + 1, A.num_cols)
+        assert ip.objective == weight_vector(order.weights, radix, A.num_cols)
+    ip = normalform_to_ip(twisted_cubic, tc_order, tc_u)
+    assert ip.upper == (1, 4, 4, 2)
+    assert solve_ip(ip) == normal_form_bruteforce(twisted_cubic, tc_order.weights, tc_u, 4)
 
 
 # the remainders w' of ten random K_{3,4} weight vectors outside its row
@@ -466,7 +501,6 @@ def test_normalform_to_ip_subtracts_nonnegative_rows_from_the_weights():
     # only the remainder w'; every other field is the full-weight program's,
     # and so is the optimum
     k34 = two_by_two_minors_matrix(3, 4)
-    radix = graver_infinity_bound(k34) + 1
     rng, cases = random.Random(331), []
     while len(cases) < len(K34_REMAINDERS):
         order = MonomialOrder(tuple(rng.randint(0, 5) for _ in range(12)))
@@ -475,7 +509,7 @@ def test_normalform_to_ip_subtracts_nonnegative_rows_from_the_weights():
     for (order, u), rest in zip(cases, K34_REMAINDERS):
         assert not _in_row_space(k34, order.weights)
         ip, full = normalform_to_ip(k34, order, u), full_weight_program(k34, order, u)
-        assert ip.objective == weight_vector(rest, radix, 12)
+        assert ip.objective == weight_vector(rest, fiber_radix(k34, ip.rhs), 12)
         assert (ip.matrix, ip.rhs, ip.lower, ip.upper, ip.feasible_hint) == (
             full.matrix, full.rhs, full.lower, full.upper, full.feasible_hint
         )
@@ -510,7 +544,7 @@ def integer_row_span_contains(rows, v) -> bool:
 
 def remainder_of(A, ip) -> list[int]:
     # the weights w' the objective encodes: objective = r^n.w' + (r^(n-1), ..., 1)
-    n, radix = A.num_cols, graver_infinity_bound(A) + 1
+    n, radix = A.num_cols, fiber_radix(A, ip.rhs)
     place = weight_vector((0,) * n, radix, n)
     rest = [(c - p) // radix**n for c, p in zip(ip.objective, place)]
     assert weight_vector(rest, radix, n) == ip.objective
@@ -627,7 +661,7 @@ def test_normalform_to_ip_solves_row_space_weights_as_lex():
     for A, order, u, g in lex_program_cases():
         n = A.num_cols
         ip, full = normalform_to_ip(A, order, u), full_weight_program(A, order, u)
-        assert ip.objective == weight_vector((0,) * n, graver_infinity_bound(A) + 1, n)
+        assert ip.objective == weight_vector((0,) * n, fiber_radix(A, ip.rhs), n)
         assert (ip.matrix, ip.rhs, ip.lower, ip.upper, ip.feasible_hint) == (
             full.matrix, full.rhs, full.lower, full.upper, full.feasible_hint
         )
@@ -635,3 +669,83 @@ def test_normalform_to_ip_solves_row_space_weights_as_lex():
         assert z == solve_ip(full), (A, order, u)
         if g is not None:
             assert z == normal_form_bruteforce(A, order.weights, u, g), (A, order, u)
+
+
+@st.composite
+def capped_fiber_cases(draw):
+    # positive rows with entries in [0, 2], and sometimes a mixed-sign row
+    # whose b_i // a_ij would cut the fiber short; about a third of the draws
+    # leave a column out of every positive row, so no cap covers it, and the
+    # rest cover every column
+    n = draw(st.integers(1, 4))
+    positive = st.lists(st.integers(0, 2), min_size=n, max_size=n).filter(any)
+    rows = draw(st.lists(positive, min_size=1, max_size=3))
+    if draw(st.integers(0, 2)) == 2:
+        j = draw(st.integers(0, n - 1))
+        for r in rows:
+            r[j] = 0
+    else:
+        for j in range(n):
+            if not any(r[j] for r in rows):
+                rows[0][j] = 1
+    if n > 1 and draw(st.booleans()):
+        mixed = st.lists(st.integers(-2, 2), min_size=n, max_size=n).filter(lambda r: min(r) < 0 < max(r))
+        rows.insert(draw(st.integers(0, len(rows))), draw(mixed))
+    kind = draw(st.sampled_from(["lex", "grlex", "weights"]))
+    if kind == "weights":
+        weights = tuple(draw(st.lists(st.integers(0, 3), min_size=n, max_size=n)))
+    else:
+        weights = (0,) * n if kind == "lex" else (1,) * n
+    u = tuple(draw(st.lists(st.integers(0, 2), min_size=n, max_size=n)))
+    return rows, n, MonomialOrder(weights), u
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(capped_fiber_cases())
+def test_normalform_to_ip_radix_orders_the_fiber(case):
+    # where A's positive rows cap every column, the fiber is enumerated here
+    # by brute force over the caps, and the optimum is the order's least
+    # point; where the largest cap is below the Graver bound, the objective
+    # orders the whole fiber exactly as the order does, and every point at
+    # or below u in the order lies in the box; a column no positive row
+    # covers keeps the Graver radix and the unclipped box
+    rows, n, order, u = case
+    A = dense_matrix(rows, n)
+    ip = normalform_to_ip(A, order, u)
+    caps = fiber_caps(A, ip.rhs)
+    if caps is None:
+        radix = graver_infinity_bound(A) + 1
+        place = weight_vector((0,) * n, radix, n)
+        rest = [(c - p) // radix**n for c, p in zip(ip.objective, place)]
+        assert weight_vector(rest, radix, n) == ip.objective
+        c = weight_vector(order.weights, radix, n)
+        budget = sum(cj * xj for cj, xj in zip(c, u))
+        assert ip.upper == tuple(budget // cj for cj in c)
+        return
+    box = itertools.product(*(range(cap + 1) for cap in caps))
+    fiber = [z for z in box if A.apply(z) == ip.rhs]
+    fiber.sort(key=functools.cmp_to_key(order.compare))
+    assert solve_ip(ip) == fiber[0]
+    assert all(x <= top for x, top in zip(fiber[0], ip.upper))
+    if max(caps) > graver_infinity_bound(A):
+        return  # the Graver radix orders only the steps of the Graver basis
+    costs = [sum(c * x for c, x in zip(ip.objective, z)) for z in fiber]
+    assert all(a < b for a, b in zip(costs, costs[1:])), (rows, order, u)
+    for z in fiber[: fiber.index(u) + 1]:
+        assert all(x <= top for x, top in zip(z, ip.upper)), (rows, order, u, z)
+
+
+def test_normalform_to_ip_radix_is_one_above_the_largest_cap():
+    # [[1, 1]] at u = (1, 0): b = 1 caps both columns at 1, so the radix is 2
+    # (the Graver bound is 3); lex then puts (0, 1) below (1, 0), which a
+    # radix of 1 would tie
+    A = SparseIntMatrix.from_dense([[1, 1]])
+    ip = normalform_to_ip(A, MonomialOrder.lex(2), (1, 0))
+    assert ip.objective == weight_vector((0, 0), 2, 2) == (2, 1)
+    assert ip.upper == (1, 1)
+    assert solve_ip(ip) == (0, 1)
+    # a zero column is in no row: the Graver radix and the budget's box
+    B = SparseIntMatrix.from_dense([[1, 1, 0]])
+    ip = normalform_to_ip(B, MonomialOrder.lex(3), (1, 0, 0))
+    assert ip.objective == weight_vector((0, 0, 0), graver_infinity_bound(B) + 1, 3) == (16, 4, 1)
+    assert ip.upper == (1, 4, 16)
