@@ -22,6 +22,7 @@ from .core import (
     MonomialOrder,
     SparseIntMatrix,
     ToricError,
+    int_from_text,
     matrix_from_text,
     matrix_to_text,
 )
@@ -71,7 +72,7 @@ def _parse_vector(text: str) -> tuple[int, ...]:
     text = text.strip()
     if not text:
         return ()
-    return tuple(int(part) for part in text.split(","))
+    return tuple(int_from_text(part.strip()) for part in text.split(","))
 
 
 def _no_fraction(text: str):
@@ -79,16 +80,14 @@ def _no_fraction(text: str):
 
 
 def _json_int(value, field: str) -> int:
-    """An integer, or a decimal string of ASCII digits with an optional
-    leading minus, read from JSON; anything else, a boolean, a sign, a space,
-    an underscore or another script's digits too, is a ValueError that names
-    the field."""
+    """An integer, or a string that :func:`int_from_text` reads, from JSON;
+    anything else, a boolean too, is a ValueError that names the field."""
     if isinstance(value, int) and not isinstance(value, bool):
         return value
-    if isinstance(value, str) and re.fullmatch(r"-?[0-9]+", value):
+    if isinstance(value, str):
         try:
-            return int(value)
-        except ValueError:  # more digits than int() converts
+            return int_from_text(value)
+        except ValueError:
             pass
     raise ValueError(f"{field} must be an integer, got {json.dumps(value)}")
 
@@ -134,7 +133,7 @@ def _resolve_cli_ordering(spec: str, A: SparseIntMatrix) -> tuple[int, ...] | No
         return graphs_mod.heuristic_ordering(graphs_mod.column_graph(A), spec)
     if spec.startswith("file:"):
         text = Path(spec[len("file:") :]).read_text()
-        return tuple(int(tok) for tok in text.split())
+        return tuple(map(int_from_text, text.split()))
     raise ValueError(f"unknown ordering {spec!r}")
 
 
@@ -293,10 +292,18 @@ def _cmd_graver(args) -> int:
     return 0
 
 
+_IP_KEYS = ("A", "b", "c", "lower", "upper", "hint")
+
+
 def _load_ip(path: str) -> IntegerProgram:
     data = json.loads(Path(path).read_text(), parse_float=_no_fraction)
     if not isinstance(data, dict):
         raise ValueError("an integer program must be a JSON object")
+    unknown = [key for key in data if key not in _IP_KEYS]
+    if unknown:
+        # a misspelt key would otherwise drop its bound or hint unseen
+        raise ValueError(f"unknown program keys {', '.join(map(json.dumps, unknown))}; "
+                         f"a program takes {', '.join(_IP_KEYS)}")
     rows = data.get("A")
     if not isinstance(rows, list):
         raise ValueError(f"A must be a list of rows, got {json.dumps(rows)}")

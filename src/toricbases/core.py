@@ -9,6 +9,7 @@ construction and safe to share between threads.
 from __future__ import annotations
 
 import operator
+import re
 import warnings
 from dataclasses import dataclass
 from typing import Iterable, Iterator, Sequence
@@ -31,6 +32,21 @@ class DimensionMismatch(ToricError):
 def as_vector(coords: Iterable[int]) -> Vec:
     """The entries as a tuple of ints: a float raises TypeError, not truncated."""
     return tuple(map(operator.index, coords))
+
+
+_INTEGER_TEXT = re.compile(r"-?[0-9]+")
+
+
+def int_from_text(text: str) -> int:
+    """An integer written as ASCII digits with an optional leading minus,
+    the rule a JSON decimal string follows too; anything else, a plus sign,
+    a space, an underscore or another script's digits too, is a ValueError."""
+    if _INTEGER_TEXT.fullmatch(text):
+        try:
+            return int(text)
+        except ValueError:  # more digits than int() converts
+            pass
+    raise ValueError(f"expected an integer, got {text!r}")
 
 
 def positive_part(v: Sequence[int]) -> Vec:
@@ -219,15 +235,17 @@ def matrix_from_text(text: str, *, drop_zero_rows: bool = False) -> SparseIntMat
     if head[0] == "sparse":
         if len(head) != 4:
             raise ValueError("sparse header must be 'sparse m n k'")
-        m, n, k = int(head[1]), int(head[2]), int(head[3])
+        m, n, k = map(int_from_text, head[1:])
         body = tokens_by_line[1:]
         if len(body) != k:
             raise ValueError(f"expected {k} sparse entries, found {len(body)}")
-        matrix = SparseIntMatrix(m, n, [(int(t[0]), int(t[1]), int(t[2])) for t in body])
+        if any(len(t) != 3 for t in body):
+            raise ValueError("sparse entries must be 'i j value'")
+        matrix = SparseIntMatrix(m, n, [tuple(map(int_from_text, t)) for t in body])
     else:
         if len(head) != 2:
             raise ValueError("dense header must be 'm n'")
-        m, n = int(head[0]), int(head[1])
+        m, n = map(int_from_text, head)
         body = tokens_by_line[1:]
         if len(body) != m:
             raise ValueError(f"expected {m} rows, found {len(body)}")
@@ -235,7 +253,7 @@ def matrix_from_text(text: str, *, drop_zero_rows: bool = False) -> SparseIntMat
         for t in body:
             if len(t) != n:
                 raise ValueError(f"expected {n} columns, found {len(t)}")
-            rows.append([int(x) for x in t])
+            rows.append([int_from_text(x) for x in t])
         matrix = SparseIntMatrix.from_dense(rows) if m else SparseIntMatrix(0, n, [])
     zero = matrix.zero_rows()
     if zero:

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from itertools import combinations
 from typing import Callable, Iterable, Sequence
 
-from .core import SparseIntMatrix
+from .core import SparseIntMatrix, int_from_text
 
 
 @dataclass(frozen=True)
@@ -246,7 +246,7 @@ def edge_list_from_text(text: str) -> Graph:
         parts = ln.split()
         if len(parts) != 2:
             raise ValueError(f"bad edge line: {ln!r}")
-        a, b = int(parts[0]), int(parts[1])
+        a, b = map(int_from_text, parts)
         edges.append((a, b))
         hi = max(hi, a, b)
     return Graph.from_edges(hi + 1, edges)

@@ -260,6 +260,8 @@ def random_sparse_matrix(
 ) -> SparseIntMatrix:
     """Seeded random matrix with entries in [-max_entry, max_entry] \\ {0};
     every row is guaranteed at least one nonzero."""
+    if max_entry < 1:
+        raise ValueError(f"max_entry must be at least 1, got {max_entry}")
     rng = random.Random(seed)
     nonzero = [x for x in range(-max_entry, max_entry + 1) if x]
     entries = []

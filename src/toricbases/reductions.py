@@ -43,10 +43,10 @@ class NoBoxError(ToricError):
 class IntegerProgram:
     """min objective . z  subject to  matrix . z = rhs and box bounds.
 
-    ``lower`` defaults to all zeros, which are stored, so it is never None
-    after construction.  ``upper`` may be None, but the solver requires
-    finite upper bounds.  A feasible point may be attached as a hint; it is
-    validated on construction and used to seed the incumbent.
+    ``lower`` defaults to all zeros and ``upper`` is required; both are
+    stored, so neither is None after construction.  A feasible point may be
+    attached as a hint; it is validated on construction and used to seed the
+    incumbent.
     """
 
     matrix: SparseIntMatrix
@@ -73,14 +73,16 @@ class IntegerProgram:
                 if len(value) != n:
                     raise DimensionMismatch(f"{name} length {len(value)}, expected {n}")
                 object.__setattr__(self, name, value)
-        if self.feasible_hint is not None:
-            hint = self.feasible_hint
+        hint = self.feasible_hint
+        if hint is not None:
             if self.matrix.apply(hint) != self.rhs:
                 raise ValueError("feasible hint violates the equality constraints")
             if any(x < l for x, l in zip(hint, self.lower)):
                 raise ValueError("feasible hint violates a lower bound")
-            if self.upper is not None and any(x > u for x, u in zip(hint, self.upper)):
-                raise ValueError("feasible hint violates an upper bound")
+        if self.upper is None:
+            raise NoBoxError("finite upper bounds are required; none were supplied")
+        if hint is not None and any(x > u for x, u in zip(hint, self.upper)):
+            raise ValueError("feasible hint violates an upper bound")
 
 
 def solve_ip(ip: IntegerProgram) -> Vec:
@@ -106,10 +108,7 @@ def solve_ip(ip: IntegerProgram) -> Vec:
     """
     A, b, c = ip.matrix, ip.rhs, ip.objective
     n = A.num_cols
-    lo = list(ip.lower)
-    if ip.upper is None:
-        raise NoBoxError("finite upper bounds are required; none were supplied")
-    hi = list(ip.upper)
+    lo, hi = list(ip.lower), list(ip.upper)
     if any(l > h for l, h in zip(lo, hi)):
         raise InfeasibleError("empty box")
 
@@ -260,24 +259,24 @@ def normalform_to_ip(
 ) -> IntegerProgram:
     """IP whose every optimum is the normal-form exponent of x^u.
 
-    The objective comes from :func:`weight_vector`, which orders two points
-    as the monomial order does when they differ by less than the radix in
-    every entry.  The radix is one above the conformal-minimality norm
-    bound, or one above the largest fiber cap when every column has a cap
-    and that is smaller: with b = Au, cap_j = min floor(b_i / a_ij) over
-    the rows of A whose entries are all positive
-    (:func:`_positive_row_scan`).  Every fiber point then lies in 0 <= z <=
-    cap, so two of them differ by at most max(cap) in every entry, and the
-    objective orders the whole fiber as the order does.  Upper bounds
-    follow from the objective value of u itself, which is feasible and
-    seeds the incumbent, and are clipped to the caps when every column has
-    one.
+    The objective is ``weight_vector(w', radix, n)``, which orders two
+    points as the monomial order does when they differ by less than the
+    radix in every entry; u itself is feasible and seeds the incumbent.
+    With b = Au and the fiber caps cap_j = min floor(b_i / a_ij) over the
+    rows of A whose entries are all positive (:func:`_positive_row_scan`),
+    the program takes one of two shapes:
 
-    The objective is ``weight_vector(w', ...)`` for a remainder w' = w - yA
-    of the order's weights w, with y integer; the box is still the one the
-    full objective gives.  w' is w less the positive rows of A, each taken
-    as often as w' stays nonnegative (the same scan), and w' = 0 when w
-    lies in the rational row space of A (lex, or any graded order on a
+    - capped, when every column has a cap: the box is the caps and the
+      radix is one above min(Graver bound, max cap).  Two fiber points
+      differ by at most max(cap) in every entry, so the objective orders
+      the whole fiber as the order does.
+    - uncapped: the radix is one above the conformal-minimality norm bound,
+      and the box is budget // c_j, from u's cost under the full weights
+      c = ``weight_vector(w, radix, n)``.
+
+    w' = w - yA is the order's weights w less the positive rows of A, each
+    taken as often as w' stays nonnegative (the same scan), and w' = 0 when
+    w lies in the rational row space of A (lex, or any graded order on a
     homogeneous matrix).  The fraction-free elimination that tests this runs
     only when w' is nonzero; w' is in the row space exactly when w is.
 
@@ -297,29 +296,25 @@ def normalform_to_ip(
     if len(u) != n or order.num_vars != n:
         raise DimensionMismatch("dimension mismatch between matrix, order and monomial")
     b = A.apply(u)
+    # each rule below pays for itself: CPU time to embed and solve, with the
+    # rule against without it, on a shared 2-CPU host.  The remainder w':
+    # 0.24 s against 0.49 s on 600 K_{3,4} programs, 0.19 against 1.28 s on
+    # 300 K_{3,5} ones
     rest, caps = _positive_row_scan(A, order.weights, b)
-    capped = None not in caps
-    radix = graver_infinity_bound(A)
-    if capped:
-        radix = min(radix, max(caps, default=0))
-    radix += 1
-    c = weight_vector(order.weights, radix, n)
-    budget = sum(cj * xj for cj, xj in zip(c, u))
-    upper = tuple(budget // cj for cj in c)
-    if capped:
-        upper = tuple(map(min, upper, caps))
+    # the row-space test: 0.034 s against 0.51 s on 120 grlex programs on
+    # the incidence matrix of K_5
     if any(rest) and _in_row_space(A, rest):
         rest = (0,) * n
-    if rest != order.weights:
-        c = weight_vector(rest, radix, n)
-    return IntegerProgram(
-        matrix=A,
-        rhs=b,
-        objective=c,
-        lower=(0,) * n,
-        upper=upper,
-        feasible_hint=u,
-    )
+    if None not in caps:
+        radix = min(graver_infinity_bound(A), max(caps, default=0)) + 1
+        return IntegerProgram(A, b, weight_vector(rest, radix, n), upper=caps, feasible_hint=u)
+    # the full weights' box: 12.9 s against 13.5 s boxed by w' on the 81,784
+    # programs of acceptance criterion 6
+    radix = graver_infinity_bound(A) + 1
+    full = weight_vector(order.weights, radix, n)
+    budget = sum(cj * xj for cj, xj in zip(full, u))
+    c = full if rest == order.weights else weight_vector(rest, radix, n)
+    return IntegerProgram(A, b, c, upper=tuple(budget // cj for cj in full), feasible_hint=u)
 
 
 # ---------------------------------------------------------------------------
@@ -377,8 +372,6 @@ def ip_to_normalform(ip: IntegerProgram, *, graded: bool = False) -> NormalFormR
     The starting exponent is the image of the feasible hint; minimising the
     tracker first is the same as minimising the objective.
     """
-    if ip.upper is None:
-        raise NoBoxError("the reduction needs finite upper bounds")
     if ip.feasible_hint is None:
         raise ValueError("the reduction needs a feasible point")
     if any(ip.lower):
@@ -453,7 +446,6 @@ def vertex_cover_ip(graph: Graph) -> IntegerProgram:
         matrix=matrix,
         rhs=(1,) * ne,
         objective=(1,) * nv + (0,) * ne,
-        lower=(0,) * (nv + ne),
         upper=(1,) * (nv + ne),
         feasible_hint=(1,) * (nv + ne),
     )

@@ -16,7 +16,8 @@ every ``reduce_by_basis`` remainder.  These digests were computed before
 subtracted A's nonnegative rows from the weights and before ``propagate``
 skipped fixed variables.  Every group was pinned before ``solve_ip``
 branched where a value costs most and before ``normalform_to_ip`` took its
-radix and box from the fiber.
+radix and box from the fiber.  The ``capped`` group was pinned before a
+capped program took its caps as its whole box.
 """
 
 import hashlib
@@ -197,6 +198,22 @@ def _wide_random_weight_programs() -> list:
     return programs
 
 
+def _capped_programs() -> list:
+    # random matrices whose rows with only positive entries cover every
+    # column, so that each fiber is capped and normalform_to_ip boxes it by
+    # the caps; 71 of the 120 boxes were narrower, clipped by u's cost under
+    # the full weights, before the caps became the whole box
+    rng, programs = random.Random(2501), []
+    while len(programs) < 120:
+        m, n = rng.randint(1, 3), rng.randint(2, 5)
+        A = random_sparse_matrix(m, n, 3, 0.7, rng.randrange(2**30))
+        rows = [A.row(i) for i in range(m)]
+        if {j for row in rows if all(a > 0 for _, a in row) for j, _ in row} == set(range(n)):
+            order = _order(rng, n, len(programs), 3)
+            programs.append(normalform_to_ip(A, order, tuple(rng.randint(0, 2) for _ in range(n))))
+    return programs
+
+
 def _graver_box(A, order: MonomialOrder, u: tuple) -> tuple:
     # the box normalform_to_ip gave before it took its radix from the fiber:
     # the budget of u under the weights at the Graver radix
@@ -284,6 +301,7 @@ def _solve(ip: IntegerProgram):
 PROGRAMS = {
     "k34-nf-wide": lambda: [_solve(ip) for ip in _k34_programs()],
     "wide-random-weights": lambda: [_solve(ip) for ip in _wide_random_weight_programs()],
+    "capped": lambda: [_solve(ip) for ip in _capped_programs()],
     "small-random": lambda: [_solve(ip) for ip in _small_programs()],
     "small-random-no-hint": lambda: [_solve(ip) for ip in _without_hint(_small_programs())],
     "mixed-sign": lambda: [_solve(ip) for ip in _mixed_sign_programs()],
@@ -301,6 +319,7 @@ def programs_digest(name: str) -> str:
 PROGRAM_DIGESTS = {
     "k34-nf-wide": "7d6dc71b5c0289c3",
     "wide-random-weights": "0323d11a01cd55e2",
+    "capped": "a833693326b84ad9",
     "small-random": "7247ff85d029e934",
     "small-random-no-hint": "7247ff85d029e934",
     "mixed-sign": "2d5e313dc4543831",
@@ -340,12 +359,14 @@ def search_nodes(programs: list) -> int:
 # normalform_to_ip groups 2,491 and 6,963 before it subtracted A's
 # nonnegative rows from the weights); the vertex-cover tree, whose costs
 # and intervals are all alike, is the one counted before propagate skipped
-# fixed variables
+# fixed variables; the capped group was counted before a capped program's
+# box became its caps alone, which left its tree as it was
 NODE_COUNTS = {
     "mixed-sign": (_mixed_sign_programs, 435),
     "vertex-cover": (_cover_programs, 66),
     "k34-nf-wide": (_k34_programs, 906),
     "wide-random-weights": (_wide_random_weight_programs, 484),
+    "capped": (_capped_programs, 360),
 }
 
 

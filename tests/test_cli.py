@@ -830,11 +830,151 @@ def test_lattice_list_output_is_pinned(capsys, tc_matrix, tmp_path):
         (["solve-ip", "--ip", "long.json"], f'b entry must be an integer, got "{"9" * 4301}"'),
         (["normal-form", "--matrix", "tc.txt", "--order", "grlex", "--monomial", ""],
          "--monomial needs length 4, got 0"),
+        (["gen", "--kind", "random", "--max-entry", "0"], "max_entry must be at least 1, got 0"),
+        (["gen", "--kind", "random", "--max-entry", "-2"], "max_entry must be at least 1, got -2"),
     ],
-    ids=["unknown-order", "incidence-without-graph", "long-decimal-string", "empty-monomial"],
+    ids=["unknown-order", "incidence-without-graph", "long-decimal-string", "empty-monomial",
+         "random-max-entry-0", "random-max-entry-negative"],
 )
 def test_cli_refusals(capsys, monkeypatch, tmp_path, argv, message):
     monkeypatch.chdir(tmp_path)
     (tmp_path / "tc.txt").write_text("2 4\n1 1 1 1\n0 1 2 3\n")
     (tmp_path / "long.json").write_text(json.dumps({"A": [[1]], "b": ["9" * 4301], "c": [1], "upper": [1]}))
     assert run_cli(capsys, *argv) == (2, "", f"error: {message}\n")
+
+
+IP_TEMPLATE = {"A": [[1, 1]], "b": [2], "c": [1, 2], "upper": [2, 2], "hint": [0, 2]}
+
+
+@pytest.mark.parametrize(
+    "extra, named",
+    [
+        ({"hnt": [0, 2], "lowr": [1, 1]}, '"hnt", "lowr"'),
+        ({"uper": [2, 2]}, '"uper"'),
+    ],
+    ids=["misspelt-hint-and-lower", "misspelt-upper"],
+)
+@pytest.mark.parametrize("command", ["solve-ip", "reduce-ip"])
+def test_program_files_refuse_unknown_keys(capsys, monkeypatch, tmp_path, command, extra, named):
+    # a misspelt key would drop its bound or hint unseen; it is refused, by
+    # name, before any solve or any file is written
+    monkeypatch.chdir(tmp_path)
+    program = {key: value for key, value in IP_TEMPLATE.items() if "uper" not in extra or key != "upper"}
+    Path("ip.json").write_text(json.dumps({**program, **extra}))
+    argv = [command, "--ip", "ip.json"] + (["--out-prefix", "out"] if command == "reduce-ip" else [])
+    message = f"unknown program keys {named}; a program takes A, b, c, lower, upper, hint"
+    assert run_cli(capsys, *argv) == (2, "", f"error: {message}\n")
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["ip.json"]
+
+
+def test_reduce_ip_without_upper_bounds_is_a_domain_error(capsys, monkeypatch, tmp_path):
+    # the program itself refuses to be built without a box, for both commands
+    monkeypatch.chdir(tmp_path)
+    Path("ip.json").write_text(json.dumps({k: v for k, v in IP_TEMPLATE.items() if k != "upper"}))
+    message = "error: finite upper bounds are required; none were supplied\n"
+    assert run_cli(capsys, "solve-ip", "--ip", "ip.json") == (1, "", message)
+    assert run_cli(capsys, "reduce-ip", "--ip", "ip.json", "--out-prefix", "out") == (1, "", message)
+
+
+@pytest.mark.parametrize(
+    "argv, files, token",
+    [
+        (["normal-form", "--matrix", "tc.txt", "--order", "lex", "--monomial", "1_0,0,+0,٣"], {}, "1_0"),
+        (["normal-form", "--matrix", "tc.txt", "--order", "lex", "--monomial", "1,0,+0,0"], {}, "+0"),
+        (["normal-form", "--matrix", "tc.txt", "--order", "lex", "--monomial", "1,0,0,٣"], {}, "٣"),
+        (["normal-form", "--matrix", "tc.txt", "--order", "weights:1,1,1_0,1", "--monomial", "1,0,1,0"],
+         {}, "1_0"),
+        (["lattice", "--matrix", "tc.txt", "--bound", "2", "contains", "1_0,0,0,0"], {}, "1_0"),
+        (["lattice", "--matrix", "m.txt", "--bound", "2", "count"], {"m.txt": "2 4\n1 1 1 1\n0 1 2 1_0\n"}, "1_0"),
+        (["graver", "--matrix", "m.txt", "--bound", "2"], {"m.txt": "sparse 1 2 +2\n0 0 1\n0 1 1\n"}, "+2"),
+        (["lattice", "--matrix", "tc.txt", "--bound", "2", "--ordering", "file:o.txt", "count"],
+         {"o.txt": "0 1 2 +3\n"}, "+3"),
+        (["vertex-cover", "g.txt"], {"g.txt": "0 1_0\n"}, "1_0"),
+        (["gen", "--kind", "incidence", "--graph", "g.txt"], {"g.txt": "0 1\n1 ٢\n"}, "٢"),
+    ],
+    ids=["monomial", "monomial-sign", "monomial-arabic-indic", "weights", "contains", "dense-matrix",
+         "sparse-header", "ordering-file", "edge-list", "gen-edge-list"],
+)
+def test_integers_in_text_are_ascii_digits(capsys, monkeypatch, tmp_path, argv, files, token):
+    # text inputs read integers by the rule JSON decimal strings follow:
+    # int() would read each of these tokens
+    monkeypatch.chdir(tmp_path)
+    Path("tc.txt").write_text("2 4\n1 1 1 1\n0 1 2 3\n")
+    for name, text in files.items():
+        Path(name).write_text(text)
+    assert run_cli(capsys, *argv) == (2, "", f"error: expected an integer, got {token!r}\n")
+
+
+def test_comma_separated_items_may_have_spaces(capsys, tc_matrix):
+    nf = ["normal-form", "--matrix", tc_matrix, "--bound", "3", "--order"]
+    plain = run_cli(capsys, *nf, "weights:1,1,1,1", "--monomial", "1,0,1,0")
+    assert plain[0] == 0
+    assert run_cli(capsys, *nf, "weights: 1, 1 ,1,1 ", "--monomial", " 1 , 0,1 ,0") == plain
+
+
+# malformed input for every subcommand: each is refused with exit 1 (a
+# domain error) or 2 (a usage or parse error), nothing on stdout, and one
+# error line on stderr, never a traceback
+MALFORMED_FILES = {
+    "tc.txt": "2 4\n1 1 1 1\n0 1 2 3\n",
+    "short-entry.txt": "sparse 2 2 1\n0 0\n",
+    "long-entry.txt": "sparse 2 2 1\n0 0 1 5\n",
+    "underscore.txt": "2 4\n1 1 1 1\n0 1 2 1_0\n",
+    "empty.txt": "",
+    "edge-underscore.txt": "0 1_0\n",
+    "edge-three.txt": "0 1 2\n",
+    "edge-negative.txt": "0 -1\n",
+    "order-plus.txt": "0 1 2 +3\n",
+    "order-short.txt": "0 1\n",
+    "unknown-keys.json": json.dumps({**IP_TEMPLATE, "hnt": [0, 2], "lowr": [1, 1]}),
+    "misspelt-upper.json": json.dumps({"A": [[1, 1]], "b": [2], "c": [1, 2], "uper": [2, 2]}),
+    "no-upper.json": json.dumps({"A": [[1, 1]], "b": [2], "c": [1, 2], "hint": [0, 2]}),
+    "infeasible.json": json.dumps({"A": [[1, 1]], "b": [9], "c": [1, 2], "upper": [2, 2]}),
+    "fraction.json": json.dumps({"A": [[1, 1.5]], "b": [2], "c": [1, 2], "upper": [2, 2]}),
+    "no-hint.json": json.dumps({"A": [[1, 1]], "b": [2], "c": [1, 2], "upper": [2, 2]}),
+}
+NO_TRACEBACK_CASES = [
+    (["graph-stats", "--matrix", "short-entry.txt"], 2),
+    (["graph-stats", "--matrix", "long-entry.txt"], 2),
+    (["graph-stats", "--matrix", "missing.txt"], 2),
+    (["lattice", "--matrix", "empty.txt", "count"], 2),
+    (["lattice", "--matrix", "underscore.txt", "--bound", "1", "count"], 2),
+    (["lattice", "--matrix", "tc.txt", "count"], 1),  # the Graver bound's table exceeds the budget
+    (["lattice", "--matrix", "tc.txt", "--bound", "2", "contains", "1,,0,0"], 2),
+    (["lattice", "--matrix", "tc.txt", "--bound", "2", "--ordering", "file:order-plus.txt", "count"], 2),
+    (["normal-form", "--matrix", "tc.txt", "--order", "lex", "--monomial", "1_0,0,+0,٣"], 2),
+    (["normal-form", "--matrix", "tc.txt", "--order", "weights:1,x,1,1", "--monomial", "1,0,0,0"], 2),
+    (["normal-form", "--matrix", "tc.txt", "--order", "lex", "--monomial", "1,0,0,-1", "--via", "ip"], 2),
+    (["normal-form", "--matrix", "tc.txt", "--order", "lex", "--monomial", "1,0,0,0", "--polynomial", "[[1]]"], 2),
+    (["groebner", "--matrix", "short-entry.txt", "--order", "lex"], 2),
+    (["groebner", "--matrix", "tc.txt", "--order", "weights:1,2", "--bound", "3"], 2),
+    (["graver", "--matrix", "tc.txt", "--bound", "3", "--ordering", "file:order-short.txt"], 2),
+    (["solve-ip", "--ip", "unknown-keys.json"], 2),
+    (["solve-ip", "--ip", "misspelt-upper.json"], 2),
+    (["solve-ip", "--ip", "no-upper.json"], 1),
+    (["solve-ip", "--ip", "infeasible.json"], 1),
+    (["solve-ip", "--ip", "fraction.json"], 2),
+    (["reduce-ip", "--ip", "unknown-keys.json", "--out-prefix", "out"], 2),
+    (["reduce-ip", "--ip", "no-upper.json", "--out-prefix", "out"], 1),
+    (["reduce-ip", "--ip", "no-hint.json", "--out-prefix", "out"], 2),
+    (["vertex-cover", "edge-underscore.txt"], 2),
+    (["vertex-cover", "edge-three.txt", "--via", "normal-form"], 2),
+    (["vertex-cover", "edge-negative.txt"], 2),
+    (["gen", "--kind", "random", "--max-entry", "0"], 2),
+    (["gen", "--kind", "random", "--max-entry", "-2"], 2),
+    (["gen", "--kind", "random", "--cols", "0"], 2),
+    (["gen", "--kind", "random", "--rows", "-1"], 2),
+    (["gen", "--kind", "minors", "--copies", "0"], 2),
+    (["gen", "--kind", "nfold", "--a1", "tc.txt", "--a2", "long-entry.txt"], 2),
+    (["gen", "--kind", "incidence", "--graph", "edge-underscore.txt"], 2),
+]
+
+
+@pytest.mark.parametrize("argv, code", NO_TRACEBACK_CASES, ids=lambda v: " ".join(v) if isinstance(v, list) else None)
+def test_malformed_input_gives_one_error_line(capsys, monkeypatch, tmp_path, argv, code):
+    monkeypatch.chdir(tmp_path)
+    for name, text in MALFORMED_FILES.items():
+        Path(name).write_text(text)
+    got, out, err = run_cli(capsys, *argv)
+    assert (got, out) == (code, ""), err
+    assert err.startswith("error: ") and err.count("\n") == 1 and err.endswith("\n"), err

@@ -149,6 +149,13 @@ def test_random_sparse_matrix_deterministic_and_rowful():
     assert A.max_abs <= 2
 
 
+@pytest.mark.parametrize("max_entry", [0, -2])
+def test_random_sparse_matrix_needs_a_nonzero_entry(max_entry):
+    # [-max_entry, max_entry] holds no nonzero entry to draw
+    with pytest.raises(ValueError, match=f"max_entry must be at least 1, got {max_entry}"):
+        random_sparse_matrix(2, 3, max_entry, 0.5, seed=0)
+
+
 def test_path_incidence_column_graph_structure():
     from toricbases import column_graph
 

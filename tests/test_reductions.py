@@ -133,6 +133,8 @@ ROW = SparseIntMatrix.from_dense([[1, 1]])
          ValueError, "feasible hint violates a lower bound"),
         (lambda: IntegerProgram(ROW, (2,), (1, 1), upper=(1, 1), feasible_hint=(2, 0)),
          ValueError, "feasible hint violates an upper bound"),
+        (lambda: IntegerProgram(ROW, (2,), (1, 1), feasible_hint=(1, 1)),
+         NoBoxError, "finite upper bounds are required; none were supplied"),
         (lambda: solve_ip(IntegerProgram(ROW, (2,), (1, 1), lower=(2, 0), upper=(1, 3))),
          InfeasibleError, "empty box"),
         (lambda: normalform_to_ip(ROW, MonomialOrder.lex(2), (1, -1)),
@@ -142,7 +144,7 @@ ROW = SparseIntMatrix.from_dense([[1, 1]])
         (lambda: ip_to_normalform(IntegerProgram(ROW, (2,), (1, 1), upper=(2, 2), feasible_hint=(1, 1)))
          .extract_solution((0,)), DimensionMismatch, "expected length 5, got 1"),
     ],
-    ids=["rhs", "objective", "lower", "upper", "hint-length", "hint-below", "hint-above", "empty-box",
+    ids=["rhs", "objective", "lower", "upper", "hint-length", "hint-below", "hint-above", "no-upper", "empty-box",
          "nf-negative", "nf-length", "extract-length"],
 )
 def test_reductions_refusals(call, error, message):
@@ -446,13 +448,14 @@ def fiber_radix(A, b) -> int:
 def full_weight_program(A, order, u) -> IntegerProgram:
     """The program with the whole weight vector r^n.w + p as its objective,
     built here as normalform_to_ip builds it when w is outside the row space:
-    the radix and the box come from the fiber of Au."""
+    the radix comes from the fiber of Au, and the box is the fiber's caps
+    when every column has one, else the one u's cost under r^n.w + p gives."""
     n, b = A.num_cols, A.apply(u)
     c = weight_vector(order.weights, fiber_radix(A, b), n)
-    budget = sum(cj * xj for cj, xj in zip(c, u))
-    upper, caps = [budget // cj for cj in c], fiber_caps(A, b)
-    if caps is not None:
-        upper = [min(x, cap) for x, cap in zip(upper, caps)]
+    upper = fiber_caps(A, b)
+    if upper is None:
+        budget = sum(cj * xj for cj, xj in zip(c, u))
+        upper = [budget // cj for cj in c]
     return IntegerProgram(A, b, c, (0,) * n, tuple(upper), u)
 
 
@@ -463,8 +466,7 @@ def test_normalform_to_ip_keeps_weights_outside_the_row_space(twisted_cubic):
     # would change here, and no row of it has one sign, so it keeps the
     # Graver radix; the twisted cubic's rows (1, 1, 1, 1) and (0, 1, 2, 3)
     # are both positive and cap its fiber at b = (4, 8) by (4, 4, 4, 2), so
-    # its radix is 5, its box is clipped to the caps, and g = 4 is exact for
-    # the oracle
+    # its radix is 5, its box is the caps, and g = 4 is exact for the oracle
     mixed = SparseIntMatrix.from_dense([[1, -2, 2, -2, -3], [-3, 1, -1, 3, 3], [1, 0, -3, 0, 3]])
     tc_order, tc_u = MonomialOrder((1, 0, 0, 0)), (1, 0, 1, 2)
     cases = [(mixed, MonomialOrder((0, 2, 0, 0, 0)), (1, 1, 0, 2, 1), graver_infinity_bound(mixed) + 1),
@@ -475,7 +477,7 @@ def test_normalform_to_ip_keeps_weights_outside_the_row_space(twisted_cubic):
         assert ip == full_weight_program(A, order, u)
         assert ip.objective == weight_vector(order.weights, radix, A.num_cols)
     ip = normalform_to_ip(twisted_cubic, tc_order, tc_u)
-    assert ip.upper == (1, 4, 4, 2)
+    assert ip.upper == (4, 4, 4, 2)
     assert solve_ip(ip) == normal_form_bruteforce(twisted_cubic, tc_order.weights, tc_u, 4)
 
 
@@ -733,6 +735,35 @@ def test_normalform_to_ip_radix_orders_the_fiber(case):
     assert all(a < b for a, b in zip(costs, costs[1:])), (rows, order, u)
     for z in fiber[: fiber.index(u) + 1]:
         assert all(x <= top for x, top in zip(z, ip.upper)), (rows, order, u, z)
+
+
+def test_normalform_to_ip_capped_program_is_its_caps_and_one_weight_vector(monkeypatch, twisted_cubic):
+    # a capped program is boxed by its caps alone and builds only the
+    # objective it solves, w' at the fiber's radix: no full-weight vector
+    calls = []
+
+    def counted(w, radix, n):
+        calls.append((tuple(w), radix, n))
+        return weight_vector(w, radix, n)
+
+    monkeypatch.setattr("toricbases.reductions.weight_vector", counted)
+    rng, k34 = random.Random(353), two_by_two_minors_matrix(3, 4)
+    cases = [(twisted_cubic, MonomialOrder((1, 0, 0, 0)), (1, 0, 1, 2)),
+             (twisted_cubic, MonomialOrder.grlex(4), (0, 3, 0, 1))]
+    for k in range(9):
+        cases.append((k34, _order(rng, 12, k), tuple(rng.randint(0, 2) for _ in range(12))))
+    for A, order, u in cases:
+        calls.clear()
+        ip = normalform_to_ip(A, order, u)
+        assert ip.upper == tuple(fiber_caps(A, ip.rhs)), (order, u)
+        assert calls == [(tuple(remainder_of(A, ip)), fiber_radix(A, ip.rhs), A.num_cols)], (order, u)
+
+
+def _order(rng, n, k):
+    # lex, grlex and a random weight order in turn
+    if k % 3 == 2:
+        return MonomialOrder(tuple(rng.randint(0, 5) for _ in range(n)))
+    return MonomialOrder.grlex(n) if k % 3 else MonomialOrder.lex(n)
 
 
 def test_normalform_to_ip_radix_is_one_above_the_largest_cap():
