@@ -26,7 +26,7 @@ from .core import (
     matrix_from_text,
     matrix_to_text,
 )
-from .lattice import build_lattice, build_truncated_lattice, check_build_args, graver_infinity_bound
+from .lattice import build_lattice, build_truncated_lattice, graver_infinity_bound
 from .normalform import normal_form_bounded, polynomial_normal_form, reduce_by_basis
 from .reductions import (
     IntegerProgram,
@@ -125,8 +125,8 @@ def _auto_strategy(eliminations: dict[str, graphs_mod.EliminationStructure]) -> 
     return min(eliminations, key=lambda strategy: eliminations[strategy].clique_number)
 
 
-def _resolve_cli_ordering(spec: str, A: SparseIntMatrix) -> tuple[int, ...] | None:
-    if spec == "auto":
+def _resolve_cli_ordering(spec: str | None, A: SparseIntMatrix) -> tuple[int, ...]:
+    if spec in (None, "auto"):
         eliminations = _eliminations(graphs_mod.column_graph(A))
         return eliminations[_auto_strategy(eliminations)].ordering
     if spec in (graphs_mod.MIN_FILL, graphs_mod.MIN_DEGREE):
@@ -137,18 +137,13 @@ def _resolve_cli_ordering(spec: str, A: SparseIntMatrix) -> tuple[int, ...] | No
     raise ValueError(f"unknown ordering {spec!r}")
 
 
-def _lattice_args(args, A: SparseIntMatrix) -> tuple[str, int, tuple[int, ...] | None]:
-    """The kind, bound and column ordering that the lattice options ask for."""
+def _build_from_args(args, A: SparseIntMatrix):
+    """The lattice that the lattice options ask for: a degree lattice for
+    ``--degree``, else a box lattice whose bound defaults to the Graver bound."""
     ordering = _resolve_cli_ordering(args.ordering, A)
     if args.degree is not None:
-        return "degree", args.degree, ordering
-    return "box", graver_infinity_bound(A) if args.bound is None else args.bound, ordering
-
-
-def _build_from_args(args, A: SparseIntMatrix):
-    kind, bound, ordering = _lattice_args(args, A)
-    build = build_truncated_lattice if kind == "degree" else build_lattice
-    return build(A, bound, ordering)
+        return build_truncated_lattice(A, args.degree, ordering)
+    return build_lattice(A, graver_infinity_bound(A) if args.bound is None else args.bound, ordering)
 
 
 # ---------------------------------------------------------------------------
@@ -226,8 +221,10 @@ def _cmd_normal_form(args) -> int:
         # the polynomial is reduced over a lattice, so only that route reads it
         raise ValueError(f"--polynomial needs --via lattice, not --via {args.via}")
     if args.via == "ip":
-        # no lattice is built, but its options are refused as a build would
-        check_build_args(A, *_lattice_args(args, A))
+        # no lattice is built, so its options are refused, not ignored
+        for name in ("bound", "degree", "ordering"):
+            if getattr(args, name) is not None:
+                raise ValueError(f"--{name} needs --via lattice or gb, not --via ip")
         nf, certified = solve_ip(normalform_to_ip(A, order, monomial)), True
     else:
         lattice = _build_from_args(args, A)
@@ -433,7 +430,7 @@ def _add_lattice_args(p: argparse.ArgumentParser, degree_flag: str = "--degree")
     bound.add_argument(degree_flag, dest="degree", type=int, default=None, help="degree truncation bound")
     p.add_argument(
         "--ordering",
-        default="auto",
+        default=None,
         help="column ordering: auto | min-fill | min-degree | file:<path>",
     )
 

@@ -32,7 +32,6 @@ from __future__ import annotations
 
 import operator
 import os
-import warnings
 from bisect import bisect_left, bisect_right
 from functools import cached_property, reduce
 from itertools import accumulate, chain, combinations, compress, count, repeat
@@ -72,7 +71,6 @@ class BudgetExceeded(ToricError):
 
 
 DEFAULT_BUILD_BUDGET = 50_000_000
-_BOUND_WARN_THRESHOLD = 64
 
 
 def _resolve_budget(build_budget: int | None) -> int:
@@ -869,7 +867,7 @@ def _absorbs(parent_width: int, parent_rows: int, child: _Bag, join: int) -> boo
     return join * (parent_width + len(child.intros)) <= entries
 
 
-def check_build_args(
+def _check_build_args(
     A: SparseIntMatrix, kind: str, bound: int, ordering: Sequence[int] | None
 ) -> tuple[int, ...]:
     """The column ordering of a build of the kind and bound, after the checks
@@ -888,25 +886,13 @@ def check_build_args(
 
 def build_lattice(
     A: SparseIntMatrix,
-    g: int | None = None,
+    g: int,
     ordering: Sequence[int] | None = None,
     *,
     build_budget: int | None = None,
 ) -> KernelLattice:
-    """Join tree for the kernel vectors of A with entries in [-g, g].
-
-    When g is omitted it defaults to :func:`graver_infinity_bound`, which is
-    doubly exponential in practice; a warning is emitted when the default
-    exceeds a small threshold.
-    """
-    if g is None:
-        g = graver_infinity_bound(A)
-        if g > _BOUND_WARN_THRESHOLD:
-            warnings.warn(
-                f"default bound {g} is very large; pass an explicit bound",
-                stacklevel=2,
-            )
-    column_ordering = check_build_args(A, "box", g, ordering)
+    """Join tree for the kernel vectors of A with entries in [-g, g]."""
+    column_ordering = _check_build_args(A, "box", g, ordering)
     domains = dict.fromkeys(range(A.num_cols), range(-g, g + 1))
     return _assemble(A, "box", g, column_ordering, domains, [], _resolve_budget(build_budget))
 
@@ -927,7 +913,7 @@ def build_truncated_lattice(
     counter's domain is the whole bound: a branch whose sum passes d ends
     there.
     """
-    column_ordering = check_build_args(A, "degree", d, ordering)
+    column_ordering = _check_build_args(A, "degree", d, ordering)
     n = A.num_cols
     domains = dict.fromkeys(range(n), range(-d, d + 1))
     domains.update(dict.fromkeys(range(n, 3 * n), range(d + 1)))

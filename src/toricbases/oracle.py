@@ -242,6 +242,8 @@ def two_by_two_minors_matrix(l: int, m: int) -> SparseIntMatrix:
     """Incidence matrix of the complete bipartite graph K_{l,m}, realised as
     the m-fold product of (identity over a row of ones); columns are ordered
     x_{1,1},...,x_{l,1},x_{1,2},...,x_{l,m}."""
+    if min(l, m) < 1:
+        raise ValueError(f"blocks and copies must be at least 1, got {l} and {m}")
     identity = SparseIntMatrix(l, l, ((i, i, 1) for i in range(l)))
     ones_row = SparseIntMatrix(1, l, ((0, j, 1) for j in range(l)))
     return nfold_product(identity, ones_row, m)
@@ -250,6 +252,8 @@ def two_by_two_minors_matrix(l: int, m: int) -> SparseIntMatrix:
 def threeway_table_matrix(l: int, m: int, n: int) -> SparseIntMatrix:
     """Defining matrix of the l x m x n table ideal: the n-fold product of
     (identity over the K_{l,m} incidence matrix)."""
+    if min(l, m, n) < 1:
+        raise ValueError(f"l, m and n must be at least 1, got {l}, {m} and {n}")
     lm = l * m
     identity = SparseIntMatrix(lm, lm, ((i, i, 1) for i in range(lm)))
     return nfold_product(identity, two_by_two_minors_matrix(l, m), n)
@@ -262,6 +266,10 @@ def random_sparse_matrix(
     every row is guaranteed at least one nonzero."""
     if max_entry < 1:
         raise ValueError(f"max_entry must be at least 1, got {max_entry}")
+    if m > 0 and n < 1:
+        raise ValueError(f"cols must be at least 1 when rows is positive, got {n}")
+    if not 0 <= density <= 1:  # NaN too
+        raise ValueError(f"density must lie in [0, 1], got {density}")
     rng = random.Random(seed)
     nonzero = [x for x in range(-max_entry, max_entry + 1) if x]
     entries = []

@@ -65,9 +65,10 @@ def test_normal_form_subcommand(capsys, simple_matrix):
 def test_normal_form_routes_agree(capsys, tc_matrix):
     outputs = []
     for via in ("lattice", "gb", "ip"):
+        bound = () if via == "ip" else ("--bound", "3")  # the IP route takes no lattice option
         code, out, _ = run_cli(
             capsys, "normal-form", "--matrix", tc_matrix, "--order", "grlex",
-            "--monomial", "1,1,0,2", "--bound", "3", "--via", via,
+            "--monomial", "1,1,0,2", *bound, "--via", via,
         )
         assert code == 0
         outputs.append(json.loads(out)["normal_form"])
@@ -75,7 +76,8 @@ def test_normal_form_routes_agree(capsys, tc_matrix):
 
 
 def test_normal_form_ip_route_checks_the_lattice_options(capsys, tc_matrix, tmp_path):
-    # the IP route builds no lattice, yet refuses what a build refuses
+    # the lattice route refuses what a build refuses; the IP route builds no
+    # lattice, so it refuses each lattice option by name, valid or not
     short = tmp_path / "short.txt"
     short.write_text("0 1 2")
     common = ("normal-form", "--matrix", tc_matrix, "--order", "grlex", "--monomial", "1,1,0,2")
@@ -85,16 +87,33 @@ def test_normal_form_ip_route_checks_the_lattice_options(capsys, tc_matrix, tmp_
         (("--bound", "-1"), "bound must be nonnegative"),
         (("--degree", "-1"), "degree bound must be nonnegative"),
     ):
-        for via in ("lattice", "ip"):
+        refusal = f"{extra[0]} needs --via lattice or gb, not --via ip"
+        for via, want in (("lattice", message), ("ip", refusal)):
             code, out, err = run_cli(capsys, *common, *extra, "--via", via)
             assert (code, out) == (2, ""), (extra, via)
-            assert err == f"error: {message}\n", (extra, via)
+            assert err == f"error: {want}\n", (extra, via)
     forms = []
-    for via in ("lattice", "ip"):
-        code, out, _ = run_cli(capsys, *common, "--ordering", "min-degree", "--degree", "4", "--via", via)
+    for lattice_options in (("--ordering", "min-degree", "--degree", "4", "--via", "lattice"), ("--via", "ip")):
+        code, out, _ = run_cli(capsys, *common, *lattice_options)
         assert code == 0
         forms.append(json.loads(out)["normal_form"])
     assert forms[0] == forms[1] == [0, 1, 3, 0]
+
+
+def test_normal_form_ip_route_orders_nothing(capsys, tc_matrix, monkeypatch):
+    # without lattice options the IP route answers, and never orders or
+    # eliminates the column graph
+    def refuse(*args, **kwargs):
+        raise AssertionError("the IP route ordered the columns")
+
+    monkeypatch.setattr(graphs, "eliminate", refuse)
+    monkeypatch.setattr(graphs, "heuristic_ordering", refuse)
+    code, out, err = run_cli(
+        capsys, "normal-form", "--matrix", tc_matrix, "--order", "grlex",
+        "--monomial", "1,1,0,2", "--via", "ip",
+    )
+    assert (code, err) == (0, "")
+    assert json.loads(out)["normal_form"] == [0, 1, 3, 0]
 
 
 def test_normal_form_polynomial(capsys, tc_matrix):
@@ -157,7 +176,8 @@ def test_normal_form_gb_route_keeps_a_degree_lattice_bound(capsys, tmp_path, tc_
     assert outside["gb"] == (1, "", "error: (2, 0, 1, 0) lies outside the degree bound 2\n")
     forms = []
     for via in ("lattice", "gb", "ip"):
-        code, out, err = run_cli(capsys, *argv, "--monomial", "1,0,0,1", "--via", via)
+        route = argv[:-2] if via == "ip" else argv  # the IP route takes no --degree
+        code, out, err = run_cli(capsys, *route, "--monomial", "1,0,0,1", "--via", via)
         assert (code, err) == (0, "")
         forms.append(json.loads(out)["normal_form"])
     assert forms == [[0, 1, 1, 0]] * 3
@@ -517,6 +537,43 @@ def test_gen_refuses_the_options_of_other_kinds(capsys, tmp_path):
     assert out_path.read_text() == matrix_to_text(two_by_two_minors_matrix(2, 2))
 
 
+@pytest.mark.parametrize(
+    "options, code",
+    [
+        (["--kind", "minors", "--blocks", "1", "--copies", "1"], 0),
+        (["--kind", "threeway", "--l", "1", "--m", "1", "--n", "1"], 0),
+        (["--kind", "nfold", "--a1", "a1.txt", "--a2", "a2.txt", "--copies", "1"], 0),
+        (["--kind", "incidence", "--graph", "edge.txt"], 0),
+        (["--kind", "incidence", "--graph", "empty.txt"], 0),
+        (["--kind", "random", "--rows", "0"], 0),
+        (["--kind", "minors", "--blocks", "0"], 2),
+        (["--kind", "minors", "--copies", "0"], 2),
+        (["--kind", "threeway", "--l", "0"], 2),
+        (["--kind", "threeway", "--m", "0"], 2),
+        (["--kind", "threeway", "--n", "0"], 2),
+        (["--kind", "nfold", "--a1", "a1.txt", "--a2", "a2.txt", "--copies", "0"], 2),
+        (["--kind", "random", "--cols", "0"], 2),
+    ],
+    ids=lambda v: " ".join(v) if isinstance(v, list) else None,
+)
+def test_gen_writes_what_its_readers_read(capsys, monkeypatch, tmp_path, options, code):
+    # each kind at its smallest sizes writes a matrix that graph-stats reads;
+    # a size below those is refused with one error line and no file
+    monkeypatch.chdir(tmp_path)
+    files = {"a1.txt": "1 2\n1 1\n", "a2.txt": "1 2\n1 -1\n", "edge.txt": "0 1\n", "empty.txt": ""}
+    for name, text in files.items():
+        Path(name).write_text(text)
+    got, out, err = run_cli(capsys, "gen", *options, "--out", "gen.txt")
+    assert (got, out) == (code, ""), err
+    if code:
+        assert err.startswith("error: ") and err.count("\n") == 1, err
+        assert not Path("gen.txt").exists()
+        return
+    got, out, err = run_cli(capsys, "graph-stats", "--matrix", "gen.txt")
+    assert (got, err) == (0, ""), Path("gen.txt").read_text()
+    assert json.loads(out)["columns"] == matrix_from_text(Path("gen.txt").read_text()).num_cols
+
+
 def test_cli_import_leaves_numpy_unloaded():
     # only `gen` needs the oracle, which loads numpy, and imports it when it
     # runs; every CLI call imports the library afresh, so a stray import of
@@ -820,6 +877,9 @@ def test_lattice_list_output_is_pinned(capsys, tc_matrix, tmp_path):
         assert code == 0 and out == want + "\n", args
 
 
+NF_IP = ["normal-form", "--matrix", "tc.txt", "--order", "grlex", "--monomial", "1,0,1,0", "--via", "ip"]
+
+
 @pytest.mark.parametrize(
     "argv, message",
     [
@@ -832,9 +892,27 @@ def test_lattice_list_output_is_pinned(capsys, tc_matrix, tmp_path):
          "--monomial needs length 4, got 0"),
         (["gen", "--kind", "random", "--max-entry", "0"], "max_entry must be at least 1, got 0"),
         (["gen", "--kind", "random", "--max-entry", "-2"], "max_entry must be at least 1, got -2"),
+        (["gen", "--kind", "random", "--cols", "0"], "cols must be at least 1 when rows is positive, got 0"),
+        (["gen", "--kind", "random", "--density", "2"], "density must lie in [0, 1], got 2.0"),
+        (["gen", "--kind", "random", "--density", "-1"], "density must lie in [0, 1], got -1.0"),
+        (["gen", "--kind", "random", "--density", "nan"], "density must lie in [0, 1], got nan"),
+        (["gen", "--kind", "minors", "--blocks", "0"], "blocks and copies must be at least 1, got 0 and 2"),
+        (["gen", "--kind", "minors", "--copies", "0"], "blocks and copies must be at least 1, got 2 and 0"),
+        (["gen", "--kind", "threeway", "--l", "0"], "l, m and n must be at least 1, got 0, 2 and 2"),
+        (["gen", "--kind", "threeway", "--m", "0"], "l, m and n must be at least 1, got 2, 0 and 2"),
+        # the IP route builds no lattice, so it takes no lattice option,
+        # even one that a build would refuse for another reason
+        ([*NF_IP, "--bound", "3"], "--bound needs --via lattice or gb, not --via ip"),
+        ([*NF_IP, "--degree", "2"], "--degree needs --via lattice or gb, not --via ip"),
+        ([*NF_IP, "--ordering", "min-fill"], "--ordering needs --via lattice or gb, not --via ip"),
+        ([*NF_IP, "--ordering", "nonsense"], "--ordering needs --via lattice or gb, not --via ip"),
+        ([*NF_IP, "--ordering", "auto"], "--ordering needs --via lattice or gb, not --via ip"),
     ],
     ids=["unknown-order", "incidence-without-graph", "long-decimal-string", "empty-monomial",
-         "random-max-entry-0", "random-max-entry-negative"],
+         "random-max-entry-0", "random-max-entry-negative", "random-cols-0", "random-density-2",
+         "random-density-negative", "random-density-nan", "minors-blocks-0", "minors-copies-0",
+         "threeway-l-0", "threeway-m-0", "ip-bound", "ip-degree", "ip-ordering-min-fill",
+         "ip-ordering-nonsense", "ip-ordering-auto"],
 )
 def test_cli_refusals(capsys, monkeypatch, tmp_path, argv, message):
     monkeypatch.chdir(tmp_path)
@@ -965,6 +1043,10 @@ NO_TRACEBACK_CASES = [
     (["gen", "--kind", "random", "--cols", "0"], 2),
     (["gen", "--kind", "random", "--rows", "-1"], 2),
     (["gen", "--kind", "minors", "--copies", "0"], 2),
+    (["gen", "--kind", "minors", "--blocks", "0"], 2),
+    (["gen", "--kind", "threeway", "--l", "0"], 2),
+    (["gen", "--kind", "threeway", "--n", "0"], 2),
+    (["gen", "--kind", "random", "--density", "nan"], 2),
     (["gen", "--kind", "nfold", "--a1", "tc.txt", "--a2", "long-entry.txt"], 2),
     (["gen", "--kind", "incidence", "--graph", "edge-underscore.txt"], 2),
 ]

@@ -766,16 +766,9 @@ def test_one_bag_per_maximal_clique(twisted_cubic):
     assert L._bags[0].intros == L._bags[0].scope
 
 
-def test_default_bound_warns_when_large():
-    A = SparseIntMatrix.from_dense([[3, -1], [1, 3]])  # default bound 169
-    with pytest.warns(UserWarning):
-        with pytest.raises(BudgetExceeded):
-            build_lattice(A, build_budget=1000)
-
-
 def test_default_bound_small_matrix():
     A = SparseIntMatrix.from_dense([[1, -1]])
-    L = build_lattice(A)  # bound defaults to 3
+    L = build_lattice(A, graver_infinity_bound(A))  # the CLI's default bound, 3
     assert L.bound == 3
     assert L.count() == 7
 
