@@ -60,25 +60,25 @@ def negative_part(v: Sequence[int]) -> Vec:
 def vector_add(u: Sequence[int], v: Sequence[int]) -> Vec:
     if len(u) != len(v):
         raise DimensionMismatch(f"vector lengths differ: {len(u)} vs {len(v)}")
-    return tuple(a + b for a, b in zip(u, v))
+    return tuple(map(operator.add, u, v))
 
 
 def vector_sub(u: Sequence[int], v: Sequence[int]) -> Vec:
     if len(u) != len(v):
         raise DimensionMismatch(f"vector lengths differ: {len(u)} vs {len(v)}")
-    return tuple(a - b for a, b in zip(u, v))
+    return tuple(map(operator.sub, u, v))
 
 
 def infinity_norm(v: Sequence[int]) -> int:
-    return max((abs(x) for x in v), default=0)
+    return max(map(abs, v), default=0)
 
 
 def one_norm(v: Sequence[int]) -> int:
-    return sum(abs(x) for x in v)
+    return sum(map(abs, v))
 
 
 def is_nonnegative(v: Sequence[int]) -> bool:
-    return all(x >= 0 for x in v)
+    return min(v, default=0) >= 0
 
 
 def conformal_leq(u: Sequence[int], v: Sequence[int]) -> bool:

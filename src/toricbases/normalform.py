@@ -28,12 +28,14 @@ from .lattice import KernelLattice, shift_box
 @dataclass(frozen=True)
 class NormalFormResult:
     """``certified`` is :attr:`KernelLattice.certified`: when it is false the
-    bound may miss a move, and the normal form may be too large."""
+    bound may miss a move, and the normal form may be too large.  ``jumps``
+    is the number of sweeps the call ran."""
 
     input_exponent: Vec
     normal_exponent: Vec
     was_standard: bool
     certified: bool
+    jumps: int = 0
 
 
 def _check_monomial(
@@ -72,11 +74,12 @@ def normal_form_bounded(
     """
     u = as_vector(u)
     _check_monomial(A, L, order, u)
-    current = u
+    current, jumps = u, 0
     while True:
+        jumps += 1
         nxt = vector_add(current, L.minimize(order, shift_box(current, L.bound)))
         if nxt == current or L.kind == "degree":
-            return NormalFormResult(u, nxt, nxt == u, L.certified)
+            return NormalFormResult(u, nxt, nxt == u, L.certified, jumps)
         current = nxt
 
 

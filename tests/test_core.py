@@ -2,6 +2,8 @@ import random
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from toricbases import (
     Binomial,
@@ -15,14 +17,17 @@ from toricbases import (
 from toricbases.core import (
     as_vector,
     conformal_leq,
+    infinity_norm,
+    is_nonnegative,
     negative_part,
+    one_norm,
     positive_part,
     vector_add,
     vector_sub,
     weight_vector,
 )
 from toricbases.graphs import Graph, edge_list_from_text, eliminate, path_graph
-from toricbases.lattice import build_lattice, build_truncated_lattice
+from toricbases.lattice import build_lattice, build_truncated_lattice, shift_box
 from toricbases.normalform import normal_form_bounded, polynomial_normal_form
 from toricbases.oracle import two_by_two_minors_matrix
 
@@ -272,3 +277,22 @@ def test_non_integral_inputs_raise_type_error():
     assert Graph.from_edges(2, [(np.int64(0), True)]).edges == {(0, 1)}
     assert build_lattice(A, 2, np.arange(4)).count() == L.count()
     assert polynomial_normal_form(A, L, grlex, [(np.int64(2), (1, 0, 1, 0))]) == [(2, (0, 2, 0, 0))]
+
+
+# small entries, so that whole vectors are often nonnegative, and big ones
+ENTRIES = st.integers(-2, 4) | st.integers(-(10**30), 10**30)
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(st.lists(ENTRIES, max_size=8), st.data())
+def test_vector_helpers_match_their_definitions(u, data):
+    # the helpers written with builtins against their plain definitions,
+    # on tuples and lists, the empty vector among them
+    v = data.draw(st.lists(ENTRIES, min_size=len(u), max_size=len(u)))
+    for a, b in ((u, v), (tuple(u), tuple(v))):
+        assert vector_add(a, b) == tuple(x + y for x, y in zip(a, b))
+        assert vector_sub(a, b) == tuple(x - y for x, y in zip(a, b))
+        assert infinity_norm(a) == max([abs(x) for x in a], default=0)
+        assert one_norm(a) == sum(abs(x) for x in a)
+        assert is_nonnegative(a) == all(x >= 0 for x in a)
+        assert shift_box(a, 3) == (tuple(-x for x in a), (3,) * len(a))

@@ -534,6 +534,82 @@ def test_minimize_decodes_many_columns(bound):
         assert 0 not in L.minimize(order)
 
 
+def test_minimize_interleaves_orders_on_one_lattice():
+    # the ties are built once per lattice and serve every order: lex, grlex
+    # and random weights in turn on one lattice, twice over, against the
+    # tuple-keyed sweep, which builds c afresh for each call
+    kinds = set()
+
+    @settings(max_examples=100, deadline=None, derandomize=True, database=None)
+    @given(lattice_cases(), st.data())
+    def check(case, data):
+        A, kind, bound, order, (shift, conformal, _) = case
+        L = build_lattice(A, bound) if kind == "box" else build_truncated_lattice(A, bound)
+        n = A.num_cols
+        weights = data.draw(st.lists(st.integers(0, 3), min_size=n, max_size=n))
+        orders = [MonomialOrder.lex(n), MonomialOrder.grlex(n), order, MonomialOrder(tuple(weights))]
+        orders = data.draw(st.permutations(orders))
+        empty = ((bound,) + (-bound,) * (n - 1), (-bound,) * n)
+        for _ in range(2):
+            for order in orders:
+                for box in (shift, conformal, empty):
+                    assert L.minimize(order, box) == reference_minimize(L, order, box)
+        kinds.add(kind)
+
+    check()
+    assert kinds == {"box", "degree"}
+
+
+def test_minimize_returns_zero_with_no_decode(monkeypatch):
+    # a sum of 0 is the zero vector alone, as |t(v)| <= (r^n - 1) / 2: at
+    # bound 0 and under boxes that keep only 0, under every order, no digit
+    # is decoded
+    def refuse(*args):
+        raise AssertionError("the zero vector was decoded")
+
+    monkeypatch.setattr(lattice_module, "_digits", refuse)
+    cycle = incidence_matrix(cycle_graph(8))
+    cases = [
+        (build_lattice(TWISTED_CUBIC, 0), None),
+        (build_lattice(TWISTED_CUBIC, 0), shift_box((1, 0, 2, 0), 0)),
+        (build_truncated_lattice(TWISTED_CUBIC, 0), None),
+        # the row of ones leaves no nonnegative move but 0
+        (build_lattice(TWISTED_CUBIC, 2), shift_box((0, 0, 0, 0), 2)),
+        (build_truncated_lattice(BLOCK_DIAGONAL, 2), conformal_box((0,) * 6)),
+        # +-alt each need a 1 where u has a 0: the long-build cycle's usual jump
+        (build_lattice(cycle, 1), shift_box((1,) + (0,) * 7, 1)),
+    ]
+    for L, box in cases:
+        n = L.num_columns
+        for order in (MonomialOrder.lex(n), MonomialOrder.grlex(n), MonomialOrder(tuple(range(n)))):
+            assert L.minimize(order, box) == (0,) * n == reference_minimize(L, order, box)
+
+
+def test_ties_are_built_at_the_first_minimize():
+    # builds and the count, iterate and membership queries, and a Graver
+    # scan, leave minimize's table unbuilt; the first minimize builds it,
+    # per bag one int per stored row, the row's x_j r^(n-1-j) summed over
+    # the bag's introduced columns (counters weigh 0), and later calls reuse it
+    for L in (build_lattice(BLOCK_DIAGONAL, 2), build_truncated_lattice(TWISTED_CUBIC, 3)):
+        n, r = L.num_columns, 2 * L.bound + 1
+        L.count()
+        list(L.iterate())
+        assert (0,) * n in L
+        if L.kind == "box":
+            graver_basis(L.matrix, L)
+        assert "_ties" not in vars(L)
+        L.minimize(MonomialOrder.lex(n))
+        ties = vars(L)["_ties"]
+        for bag, tie in zip(L._bags, ties, strict=True):
+            rows = zip(*bag.table[: len(bag.intros)])
+            want = [sum(x * r ** (n - 1 - v) for v, x in zip(bag.intros, row) if v < n) for row in rows]
+            assert list(tie) == want and len(tie) == len(bag.key_ids)
+        if L.kind == "degree":
+            assert any(v >= n for bag in L._bags for v in bag.intros)
+        L.minimize(MonomialOrder.grlex(n), shift_box((1,) * n, L.bound))
+        assert vars(L)["_ties"] is ties
+
+
 @st.composite
 def ordered_cases(draw):
     m = draw(st.integers(1, 3))

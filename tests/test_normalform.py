@@ -286,7 +286,7 @@ def test_degree_normal_form_matches_bruteforce(case):
     want = normal_form_bruteforce(A, grlex.weights, u, graver_infinity_bound(A))
     assert result.normal_exponent == want
     assert result.was_standard == (want == u)
-    assert len(sweeps) == 1
+    assert result.jumps == len(sweeps) == 1
 
 
 def test_box_lattice_jumps_to_the_fixed_point(twisted_cubic):
@@ -299,7 +299,11 @@ def test_box_lattice_jumps_to_the_fixed_point(twisted_cubic):
     u = (0, 2, 0, 2)
     result = normal_form_bounded(twisted_cubic, L, order, u)
     assert result.normal_exponent == (0, 0, 4, 0) == normal_form_bruteforce(twisted_cubic, order.weights, u, 4)
-    assert len(sweeps) == 3
+    assert result.jumps == len(sweeps) == 3
+    # a standard monomial, x4^2 alone in its fiber: the first jump goes nowhere
+    sweeps.clear()
+    result = normal_form_bounded(twisted_cubic, L, order, (0, 0, 0, 2))
+    assert result.was_standard and result.jumps == len(sweeps) == 1
 
 
 def test_bound_checks(twisted_cubic):
