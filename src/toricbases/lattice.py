@@ -53,15 +53,6 @@ from .core import (
 from .graphs import Graph, column_graph, eliminate, min_fill_ordering
 
 
-class LatticeError(ToricError):
-    pass
-
-
-def _require(condition: bool, message: str) -> None:
-    if not condition:
-        raise LatticeError(message)
-
-
 class BoundExceeded(ToricError):
     pass
 
@@ -138,6 +129,19 @@ class _Bag:
     of R).  A box ANDs the masks into the set of rows it keeps, and a sweep
     gathers each per-row sequence (table columns, key ids, children's
     ``up`` ids) through one picker of those rows, whatever the box.
+
+    Equal columns of a bag ("twins") select the same rows and add w.x
+    through the same values, so each distinct column is indexed once, and
+    equal columns share one tuple in the table: the 1000-cycle's one bag
+    has 1,000 columns and 2 distinct ones (x_j = +-x_0), and the 2 x 300
+    ladder's bags 1,494 scope columns and 897 distinct ones.  A group of at
+    least ``_MIN_TWINS`` twins is boxed once, by the intersection of its
+    members' intervals read through one ``itemgetter`` (``twins``); every
+    other column by its own interval (``columns``), sharing its twins'
+    values and masks.  ``weighing`` does the same for ``minimize``'s leaf:
+    it holds the distinct introduced columns (not counters) and how to read
+    the weight of each, a group of at least ``_MIN_TWINS`` twins weighing
+    the sum of its members' weights and any other column its own.
     """
 
     __slots__ = (
@@ -152,6 +156,8 @@ class _Bag:
         "num_keys",
         "up",
         "columns",
+        "twins",
+        "weighing",
     )
 
     def __init__(
@@ -170,6 +176,14 @@ class _Bag:
         self.up: tuple[int, ...] = ()
         # (column, sorted distinct values, masks of the rows at or above each)
         self.columns: tuple[tuple[int, tuple[int, ...], tuple[int, ...]], ...] = ()
+        # (itemgetter of the twin columns, values, masks), one per group of twins
+        self.twins: tuple[tuple[operator.itemgetter, tuple[int, ...], tuple[int, ...]], ...] = ()
+        # (the weighed introduced columns, the variables whose weight is read
+        # alone, an itemgetter per group of twins, whose weights are summed),
+        # columns in the order of the weights
+        self.weighing: tuple[
+            tuple[tuple[int, ...], ...], tuple[int, ...], tuple[operator.itemgetter, ...]
+        ] = ((), (), ())
 
     def message(self, rows: list[tuple[int, ...]]) -> Message:
         # deepest level first: each level's keys are the prefixes one shorter
@@ -197,12 +211,22 @@ class _Bag:
         self.num_keys = num_keys
 
     def index_columns(self, n: int) -> None:
-        """Compile the row masks of the bag's final table."""
-        columns = []
-        # separators too: a child's box then drops rows its parent never reads
+        """Compile the row masks of the bag's final table, once per distinct
+        column, and share each distinct column's tuple among its twins.
+        Counters are left as they are."""
+        # per distinct column, its one tuple and the columns equal to it
+        groups: dict[tuple[int, ...], tuple[tuple[int, ...], list[int]]] = {}
+        table = []
         for var, column in zip(self.scope, self.table):
-            if var >= n:  # counters are never boxed
-                continue
+            if var < n:  # counters are never boxed or weighed
+                column, members = groups.setdefault(column, (column, []))
+                members.append(var)
+            table.append(column)
+        self.table = tuple(table)
+        intros = set(self.intros)
+        columns, twins, singles, grouped = [], [], [], []
+        # separators too: a child's box then drops rows its parent never reads
+        for column, members in groups.values():
             rows_at: dict[int, list[int]] = {}
             for r, x in enumerate(column):
                 rows_at.setdefault(x, []).append(r)
@@ -216,8 +240,22 @@ class _Bag:
                     digits[r] = ord("1")
                 masks.append(int(digits, 2))
             masks.reverse()
-            columns.append((var, tuple(values), tuple(masks)))
-        self.columns = tuple(columns)
+            index = tuple(values), tuple(masks)
+            if len(members) < _MIN_TWINS:
+                columns.extend((var, *index) for var in members)
+            else:
+                twins.append((operator.itemgetter(*members), *index))
+            weighed = [var for var in members if var in intros]
+            if len(weighed) < _MIN_TWINS:
+                singles.extend((column, var) for var in weighed)
+            else:
+                grouped.append((column, operator.itemgetter(*weighed)))
+        self.columns, self.twins = tuple(columns), tuple(twins)
+        self.weighing = (
+            tuple(column for column, _ in singles + grouped),
+            tuple(var for _, var in singles),
+            tuple(get for _, get in grouped),
+        )
 
     def selection(self, lo: Vec, hi: Vec, numbers: tuple[int, ...]) -> operator.itemgetter:
         """A picker of the rows inside the box, in row order.  ``numbers``
@@ -232,12 +270,25 @@ class _Bag:
             l, h = lo[var], hi[var]
             if l > values[0] or h < values[-1]:
                 mask &= masks[bisect_left(values, l)] & ~masks[bisect_right(values, h)]
+        for get, values, masks in self.twins:  # a value inside every twin's interval
+            l, h = max(get(lo)), min(get(hi))
+            if l > values[0] or h < values[-1]:
+                mask &= masks[bisect_left(values, l)] & ~masks[bisect_right(values, h)]
         if not mask & (mask + (mask & -mask)):  # one run of set bits, or none
             start = rows - mask.bit_length()
             return operator.itemgetter(slice(start, start + mask.bit_count()))
         bits = format(mask, f"0{rows}b").encode().translate(_BIT_BYTES)
         return operator.itemgetter(*compress(numbers, bits))
 
+
+# The fewest equal columns of a bag that are boxed and weighed as one group.
+# Fewer are read column by column, sharing one index: max() and min() over an
+# itemgetter cost more than a few subscripts.  Timed on a 2-CPU host over 64
+# random shift boxes of 0/1 entries, per group: 2 twins 466 ns as a group
+# against 223 ns column by column, 6 twins 622 against 567 ns, 8 twins 701
+# against 728 ns, 16 twins 1,029 against 1,415 ns.  The leaf shares the size:
+# with its pairs of twins weighed as groups, the ladder's minimize was slower.
+_MIN_TWINS = 8
 
 # ASCII binary digits as the bytes 0 and 1
 _BIT_BYTES = bytes.maketrans(b"01", b"\x00\x01")
@@ -397,7 +448,6 @@ class KernelLattice:
             bag = bags[stack.pop()]
             intros.extend(bag.intros)
             stack.extend(reversed(bag.children))
-        self._num_vars = len(intros)
         where = {var: i for i, var in enumerate(intros)}
         self._layout = tuple(map(where.__getitem__, range(self.num_columns)))
         # the row numbers of the largest bag, from which a box picks its rows
@@ -585,10 +635,11 @@ class KernelLattice:
         row's share of t (``_ties``, built at the first call and then held,
         one int per stored row), and a leaf adds r^n times the row's sum of
         w_j x_j over its weighted columns.  A bag whose columns all weigh 0,
-        every bag under lex, reads its ties as they are.  A bag with more
-        weighted columns than picked rows takes one dot product per row, and
-        any other bag one stream per column, a column of weight 1 with no
-        product.
+        every bag under lex, reads its ties as they are.  A group of twin
+        columns (see ``_Bag``) is one column weighing the sum of its
+        weights.  A bag with more weighted columns than picked rows takes
+        one dot product per row, and any other bag one stream per column, a
+        column of weight 1 with no product.
         Every partial key lies in [-M, M] for M = bound * sum c_j (c is
         positive), so 2M + 1 absorbs under + and loses every min: it is the
         zero.  The roots cover disjoint columns, so one check of their sum
@@ -608,21 +659,26 @@ class KernelLattice:
         scale, powers, powers_sum = self._radix
         ties = self._ties
         limit = (scale * sum(w) + powers_sum) * self.bound
-        w_vars = w + (0,) * (self._num_vars - n)  # counters weigh 0
 
         def leaf(bag: _Bag, pick: operator.itemgetter) -> Iterator[int]:
             # per picked row, its tie plus r^n times w.x over the bag's
             # weighted columns
             tie = iter(pick(ties[bag.pos]))
-            weights = tuple(map(w_vars.__getitem__, bag.intros))
+            table, singles, gets = bag.weighing
+            weights = tuple(map(w.__getitem__, singles))
+            for get in gets:  # a group of twins weighs the sum of its weights
+                weights += (sum(get(w)),)
             if not any(weights):
                 return tie
-            columns = list(map(pick, compress(bag.table, weights)))
+            columns = list(map(pick, compress(table, weights)))
             weights = tuple(compress(weights, weights))
-            # Timed per leaf call on a 2-CPU host: the 1000-cycle's one bag,
-            # a row picked from 750 weighted columns, takes 161 us by rows
-            # and 286 us by column streams; K_{3,4} g=2's bags, 550 picked
-            # rows over 12 columns, take 305 us by rows and 246 us by streams.
+            # Timed over one sweep's leaf calls on a 2-CPU host, by rows
+            # against by column streams: the 1000-cycle's one bag, a row
+            # picked from its 2 distinct weighted columns, 15.7 against
+            # 15.9 us; the 2 x 300 ladder at g=1, 826 rows picked from 299
+            # bags of at most 3 weighted columns, 837 against 896 us;
+            # K_{3,4} g=2's 3 bags, 354 picked rows over 12 columns, 130
+            # against 108 us.
             if len(columns[0]) < len(columns):  # fewer rows than columns: one product per row
                 dot = map(sum, map(map, repeat(operator.mul), repeat(weights), zip(*columns)))
             else:  # one stream per column, a column of weight 1 as it is
@@ -637,72 +693,6 @@ class KernelLattice:
             return (0,) * n
         digits = _digits((total + (scale - 1) // 2) % scale, n, powers)
         return tuple(map(self.bound.__rsub__, digits))
-
-    # -- validation (exercised by the test suite) -------------------------------
-
-    def validate(self) -> None:
-        """Raise LatticeError, under -O too, unless the structural invariants
-        hold: merges that are maximal (no bag's first child passes the
-        build's rules, ``_folds`` or ``_absorbs``), running intersection,
-        separator containment, backtrack-freeness in both directions, and a
-        sweep plan that agrees with the rows."""
-        bags = self._bags
-        rows_of = []  # each bag's rows, read from its table
-        containing: dict[int, list[int]] = {}
-        for bag in bags:
-            for var in bag.scope:
-                containing.setdefault(var, []).append(bag.pos)
-        for var, positions in containing.items():
-            present = set(positions)
-            top = max(positions)
-            for pos in positions:
-                walk = pos
-                while walk != top:
-                    parent = bags[walk].parent
-                    _require(
-                        parent is not None and parent in present,
-                        f"running intersection violated for variable {var}",
-                    )
-                    walk = parent
-        for bag in bags:
-            num_intros = len(bag.intros)
-            _require(num_intros > 0 and bag.scope[:num_intros] == bag.intros, "intros not first")
-            shape = len(bag.table), set(map(len, bag.table))
-            _require(shape == (len(bag.scope), {len(bag.key_ids)}), "table shape not scope by rows")
-            rows = list(zip(*bag.table))
-            rows_of.append(rows)
-            if bag.children:
-                _require(not _folds(bag, bags[bag.children[0]]), "clique not folded")
-            if bag.parent is None:
-                _require(set(bag.key_ids) <= {0} and bag.num_keys == 1, "root keys not one")
-            else:
-                _require(set(bag.sep) <= set(bags[bag.parent].scope), "separator not in the parent")
-            _require(bag.key_ids == tuple(sorted(bag.key_ids)), "rows not grouped by key id")
-            keyed = list(zip(bag.key_ids, (row[num_intros - 1 :: -1] for row in rows)))
-            _require(keyed == sorted(set(keyed)), "rows of a key not strictly sorted")
-            key_of = {}
-            for k, sep in zip(bag.key_ids, (row[num_intros:] for row in rows)):
-                _require(key_of.setdefault(k, sep) == sep, "one key id for two separator keys")
-            for var, values, masks in bag.columns:
-                i = bag.scope.index(var)
-                for x, mask in zip(values, masks):
-                    want = "".join("1" if row[i] >= x else "0" for row in rows)
-                    _require(mask == int(want, 2), "row mask disagrees with the rows")
-            for c in bag.children:
-                child = bags[c]
-                child_keys: dict[int, tuple[int, ...]] = {}
-                for k, row in zip(child.key_ids, rows_of[c]):
-                    child_keys[k] = row[len(child.intros) :]
-                _require(len(child.up) == len(rows), "child keys not one per parent row")
-                extract = tuple(map(bag.scope.index, child.sep))
-                for row, k in zip(rows, child.up):
-                    want = tuple(row[i] for i in extract)
-                    _require(child_keys.get(k) == want, "parent row with no child extension")
-                _require(set(child_keys) <= set(child.up), "child row with no parent support")
-                _require(set(child.up) == set(range(child.num_keys)), "key ids not numbered densely")
-                if c == bag.children[0]:  # merges are maximal: the join stores more
-                    join = sum(map(_key_sizes(child).__getitem__, child.up))
-                    _require(not _absorbs(len(bag.scope), len(rows), child, join), "first child not absorbed")
 
     def __repr__(self) -> str:
         return (

@@ -5,6 +5,7 @@ import subprocess
 import sys
 import textwrap
 import tracemalloc
+from itertools import combinations
 from pathlib import Path
 from types import FunctionType
 
@@ -25,7 +26,7 @@ from toricbases import (
 from toricbases import lattice as lattice_module
 from toricbases.core import DimensionMismatch
 from toricbases.graphs import Graph, cycle_graph
-from toricbases.lattice import LatticeError, conformal_box, shift_box
+from toricbases.lattice import conformal_box, shift_box
 from toricbases.oracle import (
     enumerate_kernel,
     incidence_matrix,
@@ -35,6 +36,8 @@ from toricbases.oracle import (
 from toricbases.reductions import ip_to_normalform, vertex_cover_ip
 
 from conftest import TWISTED_CUBIC_GRAVER
+from graph_helpers import ladder_graph
+from lattice_invariants import InvariantError, validate
 from sweep_reference import reference_count, reference_iterate, reference_minimize
 
 
@@ -99,7 +102,7 @@ def test_zero_rows_constrain_nothing():
         (build_lattice(A, 2), enumerate_kernel(A, 2)),
         (build_truncated_lattice(A, 2), oracle_truncated(A, 2)),
     ):
-        L.validate()
+        validate(L)
         assert L.count() == len(want)
         vectors = list(L.iterate())
         assert len(vectors) == len(set(vectors)) and set(vectors) == want
@@ -136,7 +139,7 @@ def test_build_matches_oracle_on_random_instances():
     for A in random_instances(40, seed=41):
         g = rng.randint(1, 3)
         L = build_lattice(A, g)
-        L.validate()
+        validate(L)
         assert frozenset(L.iterate()) == enumerate_kernel(A, g), (A.to_dense(), g)
 
 
@@ -185,7 +188,7 @@ def test_truncated_examples():
 def test_truncated_matches_filter_on_twisted_cubic(twisted_cubic):
     for d in (1, 2, 3):
         L = build_truncated_lattice(twisted_cubic, d)
-        L.validate()
+        validate(L)
         assert frozenset(L.iterate()) == oracle_truncated(twisted_cubic, d)
 
 
@@ -627,10 +630,10 @@ def test_built_sets_match_oracle_under_any_ordering(case):
     # messages; under every column ordering the represented set is exact
     A, bound, ordering = case
     L = build_lattice(A, bound, ordering)
-    L.validate()
+    validate(L)
     assert sorted(L.iterate()) == sorted(enumerate_kernel(A, bound))
     LT = build_truncated_lattice(A, bound, ordering)
-    LT.validate()
+    validate(LT)
     assert sorted(LT.iterate()) == sorted(oracle_truncated(A, bound))
 
 
@@ -662,7 +665,7 @@ def test_long_cycle_sweeps_as_one_bag():
     C = incidence_matrix(cycle_graph(n))
     alt = tuple((-1) ** (a if b == a + 1 else b) for a, b in sorted(cycle_graph(n).edges))
     L = build_lattice(C, 1)
-    L.validate()
+    validate(L)
     assert (len(L._bags), L.total_rows(), len(L._bags[0].intros)) == (1, 3, n)
     assert L.realized_clique_number == 3
     rng = random.Random(83)
@@ -673,6 +676,120 @@ def test_long_cycle_sweeps_as_one_bag():
         fiber = [tuple(x + t * a for x, a in zip(u, alt)) for t in (-1, 0, 1)]
         want = min((w for w in fiber if min(w) >= 0), key=order.key)
         assert normal_form_bounded(C, L, order, u).normal_exponent == want
+
+
+def subdivided(base, lengths):
+    """The graph with each base edge (a, b) replaced by a path of the given
+    number of edges, whose inner vertices have degree 2."""
+    edges, fresh = [], 1 + max(max(edge) for edge in base)
+    for (a, b), k in zip(base, lengths):
+        path = [a, *range(fresh, fresh + k - 1), b]
+        fresh += k - 1
+        edges += zip(path, path[1:])
+    return Graph.from_edges(fresh, edges)
+
+
+def equal_column_groups(L, bag):
+    """The bag's groups of two or more equal columns, in scope order."""
+    groups = {}
+    for var, column in zip(bag.scope, bag.table):
+        if var < L.num_columns:
+            groups.setdefault(column, []).append(var)
+    return [members for members in groups.values() if len(members) > 1]
+
+
+@st.composite
+def twin_cases(draw):
+    shape = draw(st.sampled_from(["cycle", "ladder", "theta", "K4"]))
+    if shape == "cycle":
+        graph = cycle_graph(2 * draw(st.integers(2, 20)))
+    elif shape == "ladder":
+        graph = ladder_graph(draw(st.integers(2, 5)))
+    else:  # chains of degree-2 vertices between hubs of degree 3
+        base = [(0, 1)] * 3 if shape == "theta" else list(combinations(range(4), 2))
+        lengths = draw(st.lists(st.integers(1, 20), min_size=len(base), max_size=len(base)))
+        graph = subdivided(base, lengths)
+    g = draw(st.integers(1, 2))
+    L = build_lattice(incidence_matrix(graph), g)
+    n = L.num_columns
+    column = st.integers(-g, g)
+    boxes = [shift_box(draw(st.lists(st.integers(0, g), min_size=n, max_size=n)), g)]
+    boxes.append(tuple(tuple(draw(st.lists(column, min_size=n, max_size=n))) for _ in range(2)))
+    # boxes that narrow some members of a group of equal columns and leave
+    # the others, its first among them, free
+    groups = [members for bag in L._bags for members in equal_column_groups(L, bag)]
+    for _ in range(3 if groups else 0):
+        members = draw(st.sampled_from(groups))
+        narrowed = draw(st.sets(st.sampled_from(members[1:]), min_size=1))
+        lo, hi = [-g] * n, [g] * n
+        for var in narrowed:
+            lo[var], hi[var] = sorted((draw(column), draw(column)))
+        boxes.append((tuple(lo), tuple(hi)))
+    weights = draw(st.lists(st.integers(0, 3), min_size=n, max_size=n))
+    return L, boxes, MonomialOrder(tuple(weights))
+
+
+def test_equal_columns_are_boxed_and_weighed_once():
+    # columns equal as tuples select the same rows and add w.x through the
+    # same values: the box and the leaf read a group of twins once.  The
+    # picked rows against a row-by-row filter, the queries against the
+    # tuple-keyed sweep, and every vector against the matrix
+    seen = set()
+
+    @settings(max_examples=150, deadline=None, derandomize=True, database=None)
+    @given(twin_cases())
+    def check(case):
+        L, boxes, order = case
+        A, n = L.matrix, L.num_columns
+        vectors = list(L.iterate())
+        assert L.count() == len(vectors) and all(not any(A.apply(v)) for v in vectors)
+        for box in boxes:
+            lo, hi = box
+            for bag in L._bags:
+                rows = zip(*bag.table)
+                kept = [
+                    r
+                    for r, row in enumerate(rows)
+                    if all(lo[v] <= x <= hi[v] for v, x in zip(bag.scope, row) if v < n)
+                ]
+                assert picked_rows(L, bag, box) == kept
+            assert L.count(box) == reference_count(L, box)
+            for o in (order, MonomialOrder.lex(n), MonomialOrder.grlex(n)):
+                least = L.minimize(o, box)
+                assert least == reference_minimize(L, o, box)
+                assert least is None or not any(A.apply(least))
+        for bag in L._bags:
+            seen.add("twins" if bag.twins else "columns")
+            seen.add("grouped leaf" if bag.weighing[2] else "column leaf")
+            if any(equal_column_groups(L, bag)) and not bag.twins:
+                seen.add("shared index")
+
+    check()
+    assert seen == {"twins", "columns", "grouped leaf", "column leaf", "shared index"}
+
+
+def test_equal_columns_index_counts():
+    # the 1000-cycle's one bag holds 1,000 columns and 2 distinct ones, x_j =
+    # +-x_0: two groups of 500, boxed and weighed once each, in one tuple
+    # each.  The 2 x 300 ladder's bags hold 1,494 scope columns and 897
+    # distinct ones, in groups too small to box as one.  No two of K_{3,4}
+    # g=2's 22 columns are equal
+    L = build_lattice(incidence_matrix(cycle_graph(1000)), 1)
+    (bag,) = L._bags
+    assert bag.columns == () and len(bag.twins) == 2
+    assert sorted(len(get(range(1000))) for get, _, _ in bag.twins) == [500, 500]
+    table, singles, gets = bag.weighing
+    assert (len(table), singles, len(gets)) == (2, (), 2)
+    assert len(set(map(id, bag.table))) == 2
+    validate(L)
+    ladder = build_lattice(incidence_matrix(ladder_graph(300)), 1)
+    assert sum(len(bag.scope) for bag in ladder._bags) == 1494
+    assert sum(len(set(bag.table)) for bag in ladder._bags) == 897
+    assert sum(len(set(map(id, bag.table))) for bag in ladder._bags) == 897
+    assert all(bag.twins == () and bag.weighing[2] == () for bag in ladder._bags)
+    K = build_lattice(two_by_two_minors_matrix(3, 4), 2)
+    assert sum(len(bag.columns) for bag in K._bags) == 22
+    assert all(bag.twins == () and bag.weighing[2] == () for bag in K._bags)
 
 
 def test_build_leaves_no_reference_cycle_of_the_enumerator():
@@ -702,9 +819,9 @@ def test_validate_requires_maximal_merges(monkeypatch):
     L = build_lattice(C, 1)
     monkeypatch.undo()
     assert len(L._bags) > 1
-    with pytest.raises(LatticeError, match="first child not absorbed"):
-        L.validate()
-    build_lattice(C, 1).validate()
+    with pytest.raises(InvariantError, match="first child not absorbed"):
+        validate(L)
+    validate(build_lattice(C, 1))
 
 
 def test_merges_keep_the_unmerged_answers(monkeypatch):
@@ -751,7 +868,7 @@ def test_merges_keep_the_unmerged_answers(monkeypatch):
     monkeypatch.undo()
     fewer = 0
     for L, U, F in zip(merged, unmerged, unfolded):
-        L.validate()
+        validate(L)
         assert list(L.iterate()) == list(U.iterate()) == list(F.iterate())
         assert L.kind == "degree" or bags(L) == bags(F)
         assert L.total_rows() <= U.total_rows() and entries(L) <= entries(U)
@@ -765,9 +882,9 @@ def test_backtrack_free_validator_random():
     folded = 0
     for A in random_instances(15, seed=71):
         L = build_lattice(A, rng.randint(1, 2))
-        L.validate()
+        validate(L)
         LT = build_truncated_lattice(A, rng.randint(1, 3))
-        LT.validate()
+        validate(LT)
         folded += any(len(bag.intros) > 1 for bag in L._bags + LT._bags)
     assert folded == 15  # the validator sees merged bags in every case
 
@@ -776,8 +893,8 @@ def test_validate_raises_lattice_error_under_optimisation():
     # python -O strips assert statements; validate's checks must survive it
     script = textwrap.dedent(
         """
+        from lattice_invariants import InvariantError, validate
         from toricbases import SparseIntMatrix, build_lattice
-        from toricbases.lattice import LatticeError
 
         def reverse_intro_columns(A):
             L = build_lattice(A, 2)
@@ -804,16 +921,16 @@ def test_validate_raises_lattice_error_under_optimisation():
         star = SparseIntMatrix.from_dense([[1, 1, 1, 0, 0], [0, 1, 0, 1, 0], [0, 0, 1, 0, 1]])
         corruptions = ((reverse_intro_columns, cubic), (lengthen_up, star), (drop_column, path))
         for corrupt, A in corruptions:
-            build_lattice(A, 2).validate()
+            validate(build_lattice(A, 2))
             try:
-                corrupt(A).validate()
+                validate(corrupt(A))
                 print("passed")
-            except LatticeError as exc:
+            except InvariantError as exc:
                 print(exc)
         """
     )
     root = Path(__file__).resolve().parents[1]
-    env = {**os.environ, "PYTHONPATH": str(root / "src")}
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([str(root / "src"), str(root / "tests")])}
     proc = subprocess.run(
         [sys.executable, "-O", "-c", script], env=env, capture_output=True, text=True, timeout=60
     )
@@ -832,7 +949,7 @@ def test_one_bag_per_maximal_clique(twisted_cubic):
     # its first two children, whose joins store fewer entries (5 bags and
     # 5,483 rows before)
     L = build_lattice(two_by_two_minors_matrix(3, 4), 2)
-    L.validate()
+    validate(L)
     assert (len(L._bags), L.total_rows()) == (3, 3917)
     assert [len(bag.intros) for bag in L._bags] == [1, 1, 10]
     assert [len(bag.key_ids) for bag in L._bags] == [329, 329, 3259]
