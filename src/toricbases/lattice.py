@@ -257,23 +257,29 @@ class _Bag:
             tuple(get for _, get in grouped),
         )
 
-    def selection(self, lo: Vec, hi: Vec, numbers: tuple[int, ...]) -> operator.itemgetter:
-        """A picker of the rows inside the box, in row order.  ``numbers``
-        counts 0, 1, ... up to at least the bag's row count.  A run of
-        consecutive rows, one row, none or every row is picked by one slice;
-        any other set by its row numbers.  Every per-row sequence is a
-        tuple, and a slice over all of a tuple returns the tuple itself, so
-        a box that keeps every row copies nothing."""
+    def selection(
+        self, lo: Vec | None, hi: Vec | None, numbers: tuple[int, ...]
+    ) -> operator.itemgetter:
+        """A picker of the rows inside the box, in row order.  A side given
+        as None cuts no row, and the loops skip it (``KernelLattice._sweep``
+        drops a side at the bound).  ``numbers`` counts 0, 1, ... up to at
+        least the bag's row count.  A run of consecutive rows, one row, none
+        or every row is picked by one slice; any other set by its row
+        numbers.  Every per-row sequence is a tuple, and a slice over all of
+        a tuple returns the tuple itself, so a box that keeps every row
+        copies nothing."""
         rows = len(self.key_ids)
         mask = (1 << rows) - 1
         for var, values, masks in self.columns:
-            l, h = lo[var], hi[var]
-            if l > values[0] or h < values[-1]:
-                mask &= masks[bisect_left(values, l)] & ~masks[bisect_right(values, h)]
+            if lo is not None and lo[var] > values[0]:
+                mask &= masks[bisect_left(values, lo[var])]
+            if hi is not None and hi[var] < values[-1]:
+                mask &= ~masks[bisect_right(values, hi[var])]
         for get, values, masks in self.twins:  # a value inside every twin's interval
-            l, h = max(get(lo)), min(get(hi))
-            if l > values[0] or h < values[-1]:
-                mask &= masks[bisect_left(values, l)] & ~masks[bisect_right(values, h)]
+            if lo is not None and (l := max(get(lo))) > values[0]:
+                mask &= masks[bisect_left(values, l)]
+            if hi is not None and (h := min(get(hi))) < values[-1]:
+                mask &= ~masks[bisect_right(values, h)]
         if not mask & (mask + (mask & -mask)):  # one run of set bits, or none
             start = rows - mask.bit_length()
             return operator.itemgetter(slice(start, start + mask.bit_count()))
@@ -553,11 +559,14 @@ class KernelLattice:
         ``zero`` where no row contributes.  The box picks the rows once per
         bag (see ``_Bag.selection``), and every per-row stream, the leaf's
         columns, each child's ``up`` ids and the key ids, is gathered through
-        that picker, so a sweep reads only the rows the box keeps.  No box
-        is the lattice's bound box, [-bound, bound] in every column, which
-        keeps every stored row of either kind: its picker returns each
-        stored tuple itself.  ``leaf(bag, pick)`` returns an iterator over
-        the leaf values of the picked rows.  A bag with one key id, every
+        that picker, so a sweep reads only the rows the box keeps.  Every
+        stored column value lies in [-bound, bound], so a side of the box
+        that sits at the bound in every column cuts no row: it is dropped
+        once, before the bags, and every picker skips it.  A shift box's
+        upper side is always dropped.  No box drops both sides and keeps
+        every stored row of either kind: its picker returns each stored
+        tuple itself.  ``leaf(bag, pick)`` returns an iterator over the leaf
+        values of the picked rows.  A bag with one key id, every
         root among them, folds its values with one ``reduce``; only a bag
         with several runs a Python loop.  ``zero`` must absorb under
         ``times``, because no picked row is skipped: one whose child message
@@ -567,9 +576,15 @@ class KernelLattice:
         parent has read it.
         """
         n = self.num_columns
-        lo, hi = ((-self.bound,) * n, (self.bound,) * n) if box is None else box
-        if not len(lo) == len(hi) == n:
-            raise DimensionMismatch(f"box needs {n} lower and upper bounds")
+        lo = hi = None
+        if box is not None:
+            lo, hi = box
+            if not len(lo) == len(hi) == n:
+                raise DimensionMismatch(f"box needs {n} lower and upper bounds")
+            if lo.count(-self.bound) == n:
+                lo = None
+            if hi.count(self.bound) == n:
+                hi = None
         bags = self._bags
         aggs: list[list | None] = []
         for bag in bags:
@@ -637,9 +652,9 @@ class KernelLattice:
         w_j x_j over its weighted columns.  A bag whose columns all weigh 0,
         every bag under lex, reads its ties as they are.  A group of twin
         columns (see ``_Bag``) is one column weighing the sum of its
-        weights.  A bag with more weighted columns than picked rows takes
-        one dot product per row, and any other bag one stream per column, a
-        column of weight 1 with no product.
+        weights.  A bag that picks fewer rows than twice its weighted
+        columns takes one dot product per row, and any other bag one stream
+        per column, a column of weight 1 with no product.
         Every partial key lies in [-M, M] for M = bound * sum c_j (c is
         positive), so 2M + 1 absorbs under + and loses every min: it is the
         zero.  The roots cover disjoint columns, so one check of their sum
@@ -672,14 +687,18 @@ class KernelLattice:
                 return tie
             columns = list(map(pick, compress(table, weights)))
             weights = tuple(compress(weights, weights))
-            # Timed over one sweep's leaf calls on a 2-CPU host, by rows
-            # against by column streams: the 1000-cycle's one bag, a row
-            # picked from its 2 distinct weighted columns, 15.7 against
-            # 15.9 us; the 2 x 300 ladder at g=1, 826 rows picked from 299
-            # bags of at most 3 weighted columns, 837 against 896 us;
-            # K_{3,4} g=2's 3 bags, 354 picked rows over 12 columns, 130
-            # against 108 us.
-            if len(columns[0]) < len(columns):  # fewer rows than columns: one product per row
+            # By rows when a bag picks fewer rows than twice its weighted
+            # columns.  Timed over one sweep's leaf calls on a 2-CPU host, by
+            # rows everywhere against by column streams everywhere: the
+            # 1000-cycle's one bag (1 row, 2 distinct weighted columns) 15.7
+            # against 15.9 us; the 2 x 300 ladder at g=1 (826 rows from 299
+            # bags of at most 3 weighted columns) 837 against 896 us; K_{3,4}
+            # g=2 (354 rows over 12 columns) 130 against 108 us.  On the
+            # ladder, over 8 shift boxes, the factor 2 took 1.4-7% less per
+            # sweep than fewer rows than columns in each of 4 interleaved runs
+            # (1,041 against 1,120 us in the fastest); no leaf of the cycle or
+            # K_{3,4} g=2 falls between the two rules.
+            if len(columns[0]) < 2 * len(columns):  # one product per row
                 dot = map(sum, map(map, repeat(operator.mul), repeat(weights), zip(*columns)))
             else:  # one stream per column, a column of weight 1 as it is
                 terms = [col if x == 1 else map(x.__mul__, col) for col, x in zip(columns, weights)]

@@ -44,9 +44,14 @@ def _check_monomial(
     L.check_matrix(A)
     if len(u) != A.num_cols:
         raise DimensionMismatch(f"expected length {A.num_cols}, got {len(u)}")
-    if not is_nonnegative(u):
+    # u's distinct values answer the sign check, and with it the bound: a
+    # nonnegative u lies in the box bound when its largest entry does, and
+    # in the degree bound when its sum does
+    values = set(u)
+    if min(values, default=0) < 0:
         raise ValueError("monomial exponents must be nonnegative")
-    L.check_bound(u)
+    if (max(values, default=0) if L.kind == "box" else sum(u)) > L.bound:
+        L.check_bound(u)
     L.check_order(order)
 
 
@@ -62,7 +67,13 @@ def normal_form_bounded(
     the conformal-minimality norm bound, because the difference to the fiber
     minimum splits into conformal moves that stay feasible one at a time; the
     fixed point is then the true normal form.  Points stay nonnegative, so a
-    jump always finds at least the zero vector.
+    jump always finds at least the zero vector, and a point is its own jump's
+    target exactly when the minimiser is 0: the loop stops on a zero
+    minimiser, and adds the minimiser only when it moves.
+
+    The monomial is checked before the first jump, in this order: its
+    length (DimensionMismatch), its sign (ValueError), the lattice's bound
+    (BoundExceeded), the order.
 
     On a degree-d lattice the first jump lands on the normal form nf.  The
     order is graded, so nf <= u gives deg(nf) <= deg(u) <= d.  The positive
@@ -77,10 +88,14 @@ def normal_form_bounded(
     current, jumps = u, 0
     while True:
         jumps += 1
-        nxt = vector_add(current, L.minimize(order, shift_box(current, L.bound)))
-        if nxt == current or L.kind == "degree":
-            return NormalFormResult(u, nxt, nxt == u, L.certified, jumps)
-        current = nxt
+        v = L.minimize(order, shift_box(current, L.bound))
+        if not any(v):  # the fixed point: current is its own minimum
+            break
+        current = vector_add(current, v)
+        if L.kind == "degree":
+            break
+    # a move strictly lowers the key, so u is standard when none was made
+    return NormalFormResult(u, current, current is u, L.certified, jumps)
 
 
 def is_standard(

@@ -347,10 +347,31 @@ def lattice_cases(draw):
     column = st.integers(-bound, bound)
     u = draw(st.lists(st.integers(0, bound), min_size=n, max_size=n))
     z = draw(st.lists(column, min_size=n, max_size=n))
-    lo = draw(st.lists(column, min_size=n, max_size=n))
-    hi = draw(st.lists(column, min_size=n, max_size=n))
-    boxes = (shift_box(u, bound), conformal_box(z), (tuple(lo), tuple(hi)))
+    lo = tuple(draw(st.lists(column, min_size=n, max_size=n)))
+    hi = tuple(draw(st.lists(column, min_size=n, max_size=n)))
+    boxes = (shift_box(u, bound), conformal_box(z), (lo, hi), *draw(side_boxes(n, bound)))
     return SparseIntMatrix.from_dense(rows), kind, bound, MonomialOrder(tuple(weights)), boxes
+
+
+@st.composite
+def side_boxes(draw, n, bound):
+    """Boxes whose sides sit at the bound in every column, in every column but
+    one, or partly beyond it: a side at the bound cuts no stored row, and a
+    side one column short of it may."""
+    column = st.integers(-bound, bound)
+    lo = tuple(draw(st.lists(column, min_size=n, max_size=n)))
+    hi = tuple(draw(st.lists(column, min_size=n, max_size=n)))
+    k = draw(st.integers(0, n - 1))
+    inner = draw(st.integers(-bound, bound - 1))
+    low, high = (-bound,) * n, (bound,) * n
+    beyond = st.lists(st.integers(-bound - 2, bound + 2), min_size=n, max_size=n)
+    return (
+        (low, high),  # both sides at the bound
+        (lo, high[:k] + (inner,) + high[k + 1 :]),  # hi at the bound but in column k
+        (low, hi),  # lo at the bound
+        (low[:k] + (-inner,) + low[k + 1 :], hi),  # lo at the bound but in column k
+        (tuple(draw(beyond)), tuple(draw(beyond))),  # sides beyond the bound
+    )
 
 
 @settings(max_examples=150, deadline=None, derandomize=True, database=None)
@@ -369,7 +390,9 @@ def test_box_queries_match_oracle(case):
 
 def test_sweep_plan_matches_tuple_keyed_reference():
     # the integer-indexed sweep against the tuple-keyed one it replaced, with
-    # no box, a shift box, a conformal box, an arbitrary box and an empty one
+    # no box, a shift box, a conformal box, an arbitrary box, boxes with a
+    # side at the bound, at it but in one column, or beyond it, and an empty
+    # one
     widening = []  # per case, whether a parent row joins several child rows
 
     @settings(max_examples=150, deadline=None, derandomize=True, database=None)
@@ -546,7 +569,7 @@ def test_minimize_interleaves_orders_on_one_lattice():
     @settings(max_examples=100, deadline=None, derandomize=True, database=None)
     @given(lattice_cases(), st.data())
     def check(case, data):
-        A, kind, bound, order, (shift, conformal, _) = case
+        A, kind, bound, order, (shift, conformal, *_) = case
         L = build_lattice(A, bound) if kind == "box" else build_truncated_lattice(A, bound)
         n = A.num_cols
         weights = data.draw(st.lists(st.integers(0, 3), min_size=n, max_size=n))

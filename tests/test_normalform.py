@@ -314,6 +314,41 @@ def test_bound_checks(twisted_cubic):
         normal_form_bounded(twisted_cubic, L, MonomialOrder.lex(4), (-1, 0, 0, 0))
 
 
+@pytest.mark.parametrize("query", [normal_form_bounded, is_standard])
+@pytest.mark.parametrize("kind", ["box", "degree"])
+def test_monomial_refusals_and_their_precedence(twisted_cubic, query, kind):
+    # one read of u answers the sign and the bound checks; the refusals come
+    # in the order length, sign, bound, order, with the bound's message
+    A = twisted_cubic
+    L = build_lattice(A, 2) if kind == "box" else build_truncated_lattice(A, 2)
+    grlex = MonomialOrder.grlex(4)
+    # negative and over the bound: the sign is refused first
+    for u in ((-1, 5, 0, 0), (5, 0, 0, -1)):
+        with pytest.raises(ValueError, match="^monomial exponents must be nonnegative$") as caught:
+            query(A, L, grlex, u)
+        assert type(caught.value) is ValueError
+    # over the bound, even under an order of the wrong length
+    for order in (grlex, MonomialOrder.grlex(3)):
+        with pytest.raises(BoundExceeded, match=rf"^\(3, 0, 0, 0\) lies outside the {kind} bound 2$"):
+            query(A, L, order, (3, 0, 0, 0))
+    # degree 3 with every entry at most 2: outside the degree bound only
+    if kind == "degree":
+        with pytest.raises(BoundExceeded, match=r"^\(1, 1, 1, 0\) lies outside the degree bound 2$"):
+            query(A, L, grlex, (1, 1, 1, 0))
+        with pytest.raises(BoundExceeded, match=r"^\(0, 2, 0, 1\) lies outside the degree bound 2$"):
+            query(A, L, grlex, (0, 2, 0, 1))
+    else:
+        query(A, L, grlex, (2, 2, 2, 2))
+    # at the bound: accepted
+    query(A, L, grlex, (0, 1, 0, 1) if kind == "degree" else (2, 0, 2, 0))
+    with pytest.raises(TypeError):
+        query(A, L, grlex, (1.0, 0, 0, 0))
+    # the length is checked before the sign and the bound
+    for u in ((0, 0, 0), (0, 0, 0, 0, 0), (-1, 0, 0), (9, 9, 9, 9, 9)):
+        with pytest.raises(DimensionMismatch, match="^expected length 4, got"):
+            query(A, L, grlex, u)
+
+
 def test_reduce_by_basis_repeated_division():
     lex = MonomialOrder.lex(2)
     gb = [Binomial((1, 0), (0, 1))]
