@@ -261,13 +261,12 @@ class _Bag:
         self, lo: Vec | None, hi: Vec | None, numbers: tuple[int, ...]
     ) -> operator.itemgetter:
         """A picker of the rows inside the box, in row order.  A side given
-        as None cuts no row, and the loops skip it (``KernelLattice._sweep``
-        drops a side at the bound).  ``numbers`` counts 0, 1, ... up to at
-        least the bag's row count.  A run of consecutive rows, one row, none
-        or every row is picked by one slice; any other set by its row
-        numbers.  Every per-row sequence is a tuple, and a slice over all of
-        a tuple returns the tuple itself, so a box that keeps every row
-        copies nothing."""
+        as None cuts no row, and the loops skip it.  ``numbers`` counts 0,
+        1, ... up to at least the bag's row count.  A run of consecutive
+        rows, one row, none or every row is picked by one slice; any other
+        set by its row numbers.  Every per-row sequence is a tuple, and a
+        slice over all of a tuple returns the tuple itself, so a box that
+        keeps every row copies nothing."""
         rows = len(self.key_ids)
         mask = (1 << rows) - 1
         for var, values, masks in self.columns:
@@ -418,7 +417,10 @@ def _enumerate_bag(
 
 
 # Per-column interval (lo, hi): the vectors v with lo[j] <= v[j] <= hi[j].
-Box = tuple[Vec, Vec]
+# Each side is a tuple of one bound per column, or None: a side that cuts no
+# row.  Every stored value lies in [-bound, bound], so a side at the bound
+# cuts none either, but only None spares its compares.
+Box = tuple[Vec | None, Vec | None]
 
 
 class KernelLattice:
@@ -559,14 +561,11 @@ class KernelLattice:
         ``zero`` where no row contributes.  The box picks the rows once per
         bag (see ``_Bag.selection``), and every per-row stream, the leaf's
         columns, each child's ``up`` ids and the key ids, is gathered through
-        that picker, so a sweep reads only the rows the box keeps.  Every
-        stored column value lies in [-bound, bound], so a side of the box
-        that sits at the bound in every column cuts no row: it is dropped
-        once, before the bags, and every picker skips it.  A shift box's
-        upper side is always dropped.  No box drops both sides and keeps
-        every stored row of either kind: its picker returns each stored
-        tuple itself.  ``leaf(bag, pick)`` returns an iterator over the leaf
-        values of the picked rows.  A bag with one key id, every
+        that picker, so a sweep reads only the rows the box keeps.  A side
+        given as None cuts no row, and every picker skips it.  No box means
+        two None sides, which keep every stored row: the picker returns each
+        stored tuple itself.  ``leaf(bag, pick)`` returns an iterator over
+        the leaf values of the picked rows.  A bag with one key id, every
         root among them, folds its values with one ``reduce``; only a bag
         with several runs a Python loop.  ``zero`` must absorb under
         ``times``, because no picked row is skipped: one whose child message
@@ -576,15 +575,10 @@ class KernelLattice:
         parent has read it.
         """
         n = self.num_columns
-        lo = hi = None
-        if box is not None:
-            lo, hi = box
-            if not len(lo) == len(hi) == n:
+        lo, hi = (None, None) if box is None else box
+        for side in lo, hi:
+            if side is not None and len(side) != n:
                 raise DimensionMismatch(f"box needs {n} lower and upper bounds")
-            if lo.count(-self.bound) == n:
-                lo = None
-            if hi.count(self.bound) == n:
-                hi = None
         bags = self._bags
         aggs: list[list | None] = []
         for bag in bags:
@@ -738,9 +732,10 @@ def _digits(x: int, k: int, powers: tuple[int, ...]) -> list[int]:
     return digits
 
 
-def shift_box(u: Sequence[int], g: int) -> Box:
-    """The vectors v with u + v >= 0 and entries at most g."""
-    return tuple(map(operator.neg, u)), (g,) * len(u)
+def shift_box(u: Sequence[int]) -> Box:
+    """The vectors v with u + v >= 0: a lower side only, as the lattice's
+    bound caps every entry from above."""
+    return tuple(map(operator.neg, u)), None
 
 
 def conformal_box(z: Sequence[int]) -> Box:

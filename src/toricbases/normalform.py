@@ -88,7 +88,7 @@ def normal_form_bounded(
     current, jumps = u, 0
     while True:
         jumps += 1
-        v = L.minimize(order, shift_box(current, L.bound))
+        v = L.minimize(order, shift_box(current))
         if not any(v):  # the fixed point: current is its own minimum
             break
         current = vector_add(current, v)
@@ -110,7 +110,7 @@ def is_standard(
     """
     u = as_vector(u)
     _check_monomial(A, L, order, u)
-    return not any(L.minimize(order, shift_box(u, L.bound)))
+    return not any(L.minimize(order, shift_box(u)))
 
 
 class ReductionDiverged(ToricError):
@@ -131,19 +131,21 @@ def reduce_by_basis(
     cap guards against pathologically long chains).  The remainder is the
     normal form exactly when the heads generate the initial ideal.  Elements
     are processed in ascending head order so reduction traces are
-    reproducible.
+    reproducible.  The monomial's length (DimensionMismatch) and sign
+    (ValueError) are checked before any element is read.
     """
     u = as_vector(u)
+    if len(u) != order.num_vars:
+        raise DimensionMismatch(f"expected length {order.num_vars}, got {len(u)}")
     if not is_nonnegative(u):
         raise ValueError("monomial exponents must be nonnegative")
-    # keys once per element; the sort reads only them, never two binomials
+    # keys once per element, which refuses an element of another length; the
+    # sort reads only the keys, never two binomials
     keyed = [(order.key(b.head), order.key(b.tail), b) for b in gb]
     keyed.sort(key=operator.itemgetter(0, 1))
     for head_key, tail_key, b in keyed:
         if head_key <= tail_key:
             raise ValueError("basis element not oriented head-above-tail")
-        if len(b.head) != len(u):
-            raise DimensionMismatch("basis and monomial dimensions differ")
     heads = [b.head for _, _, b in keyed]
     tails = [b.tail for _, _, b in keyed]
     for _ in range(_MAX_REDUCTION_STEPS):

@@ -5,9 +5,9 @@ references for the tests.
 They read only each bag's scope, introduced variables, separator, children
 and rows, taken back out of its column table as tuples.  Every message is
 a dict keyed by separator value tuples, every box filter compares row
-values, and the minimiser keeps (key, row) back-pointers and rebuilds the
-vector top-down from the values already chosen.  The enumeration extends
-the values already chosen bag by bag.
+values (a side given as None compares none), and the minimiser keeps (key,
+row) back-pointers and rebuilds the vector top-down from the values already
+chosen.  The enumeration extends the values already chosen bag by bag.
 """
 
 from __future__ import annotations
@@ -29,8 +29,11 @@ def reference_sweep(L, box, leaf, times, plus) -> list[dict]:
         if box is not None:
             lo, hi = box
             for i, var in enumerate(bag.scope):
-                if var < n:
-                    rows = [row for row in rows if lo[var] <= row[i] <= hi[var]]
+                if var < n:  # a side given as None cuts no row
+                    if lo is not None:
+                        rows = [row for row in rows if lo[var] <= row[i]]
+                    if hi is not None:
+                        rows = [row for row in rows if row[i] <= hi[var]]
         children = [(msgs[c], tuple(index[v] for v in bags[c].sep)) for c in bag.children]
         sep = tuple(index[v] for v in bag.sep)
         agg: dict = {}

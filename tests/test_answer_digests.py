@@ -91,7 +91,7 @@ def answers_digest(name: str) -> str:
         MonomialOrder(tuple(rng.randint(0, 3) for _ in range(n))),
     )
     boxes = [None]
-    boxes += [shift_box(tuple(rng.randint(0, bound) for _ in range(n)), bound) for _ in range(3)]
+    boxes += [shift_box(tuple(rng.randint(0, bound) for _ in range(n))) for _ in range(3)]
     boxes += [conformal_box(tuple(rng.randint(-bound, bound) for _ in range(n))) for _ in range(2)]
     answers = [
         len(L._bags),

@@ -295,4 +295,4 @@ def test_vector_helpers_match_their_definitions(u, data):
         assert infinity_norm(a) == max([abs(x) for x in a], default=0)
         assert one_norm(a) == sum(abs(x) for x in a)
         assert is_nonnegative(a) == all(x >= 0 for x in a)
-        assert shift_box(a, 3) == (tuple(-x for x in a), (3,) * len(a))
+        assert shift_box(a) == (tuple(-x for x in a), None)

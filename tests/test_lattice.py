@@ -210,9 +210,15 @@ def test_truncated_contains_checks_degree(twisted_cubic):
     assert build_truncated_lattice(A, 2).contains((-2, 1))
 
 
-def in_box(v, box):
+def in_interval(box, var, x):
+    """Whether x lies in the box's interval for column var; a side given as
+    None cuts nothing."""
     lo, hi = box
-    return all(l <= x <= h for x, l, h in zip(v, lo, hi))
+    return (lo is None or lo[var] <= x) and (hi is None or x <= hi[var])
+
+
+def in_box(v, box):
+    return all(in_interval(box, j, x) for j, x in enumerate(v))
 
 
 def check_box_queries(L, everything, order, box):
@@ -226,12 +232,12 @@ def test_restrict_shift_nonneg(twisted_cubic):
     everything = frozenset(L.iterate())
     order = MonomialOrder.grlex(4)
     # shifting by the bound changes nothing
-    assert L.count(shift_box((3, 3, 3, 3), 3)) == len(everything)
+    assert L.count(shift_box((3, 3, 3, 3))) == len(everything)
     # the all-ones row leaves no nonzero nonnegative kernel vector
-    assert L.count(shift_box((0, 0, 0, 0), 3)) == 1
-    assert L.minimize(order, shift_box((0, 0, 0, 0), 3)) == (0, 0, 0, 0)
+    assert L.count(shift_box((0, 0, 0, 0))) == 1
+    assert L.minimize(order, shift_box((0, 0, 0, 0))) == (0, 0, 0, 0)
     for u in ((0, 1, 0, 1), (1, 0, 0, 1), (2, 0, 1, 3)):
-        check_box_queries(L, everything, order, shift_box(u, 3))
+        check_box_queries(L, everything, order, shift_box(u))
 
 
 def test_restrict_conformal(twisted_cubic):
@@ -258,7 +264,7 @@ def test_minimize_matches_oracle(twisted_cubic):
     # of (-1, 1, -1, 0) ties with that of the true minimum (-1, 0, 1, 0)
     A = SparseIntMatrix.from_dense([[1, 2, 1, 1], [0, 0, 0, -1]])
     L = build_lattice(A, 1)
-    assert L.minimize(MonomialOrder.lex(4), shift_box((1, 1, 1, 1), 1)) == (-1, 0, 1, 0)
+    assert L.minimize(MonomialOrder.lex(4), shift_box((1, 1, 1, 1))) == (-1, 0, 1, 0)
 
 
 def test_minimize_on_singleton():
@@ -311,10 +317,8 @@ def test_minimize_decodes_edge_cases(A, kind, bound):
         MonomialOrder(tuple((3 * j + 1) % 4 for j in range(n))),
     )
     for order in orders:
-        for box in (None, shift_box(u, bound)):
-            inside = [
-                v for v in elements if box is None or all(l <= x <= h for l, h, x in zip(*box, v))
-            ]
+        for box in (None, shift_box(u)):
+            inside = [v for v in elements if box is None or in_box(v, box)]
             assert L.minimize(order, box) == min(inside, key=order.key, default=None)
 
 
@@ -329,8 +333,10 @@ def test_refiltered_nonempty_subset(twisted_cubic):
 
 def test_box_dimension_mismatch(twisted_cubic):
     L = build_lattice(twisted_cubic, 2)
-    with pytest.raises(DimensionMismatch):
-        L.count(((0, 0), (0, 0)))
+    # a side given as None is not measured, and the other side still is
+    for box in (((0, 0), (0, 0)), (None, (0, 0)), ((0, 0), None)):
+        with pytest.raises(DimensionMismatch, match="box needs 4 lower and upper bounds"):
+            L.count(box)
     with pytest.raises(DimensionMismatch):
         L.minimize(MonomialOrder.lex(3))
 
@@ -349,15 +355,18 @@ def lattice_cases(draw):
     z = draw(st.lists(column, min_size=n, max_size=n))
     lo = tuple(draw(st.lists(column, min_size=n, max_size=n)))
     hi = tuple(draw(st.lists(column, min_size=n, max_size=n)))
-    boxes = (shift_box(u, bound), conformal_box(z), (lo, hi), *draw(side_boxes(n, bound)))
+    boxes = (shift_box(u), conformal_box(z), (lo, hi), *draw(side_boxes(n, bound)))
+    # a side given as None: one side cuts, or neither
+    boxes += ((lo, None), (None, hi), (None, None))
     return SparseIntMatrix.from_dense(rows), kind, bound, MonomialOrder(tuple(weights)), boxes
 
 
 @st.composite
 def side_boxes(draw, n, bound):
     """Boxes whose sides sit at the bound in every column, in every column but
-    one, or partly beyond it: a side at the bound cuts no stored row, and a
-    side one column short of it may."""
+    one, or partly beyond it.  Every stored value lies in [-bound, bound], so
+    a side at the bound cuts no stored row, though its compares still run,
+    and a side one column short of it may cut some."""
     column = st.integers(-bound, bound)
     lo = tuple(draw(st.lists(column, min_size=n, max_size=n)))
     hi = tuple(draw(st.lists(column, min_size=n, max_size=n)))
@@ -391,8 +400,8 @@ def test_box_queries_match_oracle(case):
 def test_sweep_plan_matches_tuple_keyed_reference():
     # the integer-indexed sweep against the tuple-keyed one it replaced, with
     # no box, a shift box, a conformal box, an arbitrary box, boxes with a
-    # side at the bound, at it but in one column, or beyond it, and an empty
-    # one
+    # side at the bound, at it but in one column, or beyond it, boxes with a
+    # side or both given as None, and an empty one
     widening = []  # per case, whether a parent row joins several child rows
 
     @settings(max_examples=150, deadline=None, derandomize=True, database=None)
@@ -480,7 +489,7 @@ def test_count_under_a_box_on_a_leaf_bag():
     (bag,) = L._bags
     assert not bag.children and len(bag.key_ids) == 19
     u = (1, 0, 2, 0, 1, 1)
-    boxes = [shift_box(u, 2), conformal_box((1, -1, 0, -1, 1, 0)), pinned_box(L, {0: (2, -2)})]
+    boxes = [shift_box(u), conformal_box((1, -1, 0, -1, 1, 0)), pinned_box(L, {0: (2, -2)})]
     for box in boxes:
         rows = picked_rows(L, bag, box)
         assert L.count(box) == len(rows) == reference_count(L, box)
@@ -553,7 +562,7 @@ def test_minimize_decodes_many_columns(bound):
         order = MonomialOrder(tuple(rng.randint(0, 3) for _ in range(n)))
         u = tuple(rng.randint(0, bound) for _ in range(n))
         z = tuple(rng.randint(-bound, bound) for _ in range(n))
-        for box in (None, shift_box(u, bound), conformal_box(z)):
+        for box in (None, shift_box(u), conformal_box(z)):
             want = reference_minimize(L, order, box)
             assert L.minimize(order, box) == want
         # one of +-alt, no zero digit, beats 0 under every order
@@ -597,13 +606,13 @@ def test_minimize_returns_zero_with_no_decode(monkeypatch):
     cycle = incidence_matrix(cycle_graph(8))
     cases = [
         (build_lattice(TWISTED_CUBIC, 0), None),
-        (build_lattice(TWISTED_CUBIC, 0), shift_box((1, 0, 2, 0), 0)),
+        (build_lattice(TWISTED_CUBIC, 0), shift_box((1, 0, 2, 0))),
         (build_truncated_lattice(TWISTED_CUBIC, 0), None),
         # the row of ones leaves no nonnegative move but 0
-        (build_lattice(TWISTED_CUBIC, 2), shift_box((0, 0, 0, 0), 2)),
+        (build_lattice(TWISTED_CUBIC, 2), shift_box((0, 0, 0, 0))),
         (build_truncated_lattice(BLOCK_DIAGONAL, 2), conformal_box((0,) * 6)),
         # +-alt each need a 1 where u has a 0: the long-build cycle's usual jump
-        (build_lattice(cycle, 1), shift_box((1,) + (0,) * 7, 1)),
+        (build_lattice(cycle, 1), shift_box((1,) + (0,) * 7)),
     ]
     for L, box in cases:
         n = L.num_columns
@@ -632,7 +641,7 @@ def test_ties_are_built_at_the_first_minimize():
             assert list(tie) == want and len(tie) == len(bag.key_ids)
         if L.kind == "degree":
             assert any(v >= n for bag in L._bags for v in bag.intros)
-        L.minimize(MonomialOrder.grlex(n), shift_box((1,) * n, L.bound))
+        L.minimize(MonomialOrder.grlex(n), shift_box((1,) * n))
         assert vars(L)["_ties"] is ties
 
 
@@ -736,7 +745,7 @@ def twin_cases(draw):
     L = build_lattice(incidence_matrix(graph), g)
     n = L.num_columns
     column = st.integers(-g, g)
-    boxes = [shift_box(draw(st.lists(st.integers(0, g), min_size=n, max_size=n)), g)]
+    boxes = [shift_box(draw(st.lists(st.integers(0, g), min_size=n, max_size=n)))]
     boxes.append(tuple(tuple(draw(st.lists(column, min_size=n, max_size=n))) for _ in range(2)))
     # boxes that narrow some members of a group of equal columns and leave
     # the others, its first among them, free
@@ -767,13 +776,12 @@ def test_equal_columns_are_boxed_and_weighed_once():
         vectors = list(L.iterate())
         assert L.count() == len(vectors) and all(not any(A.apply(v)) for v in vectors)
         for box in boxes:
-            lo, hi = box
             for bag in L._bags:
                 rows = zip(*bag.table)
                 kept = [
                     r
                     for r, row in enumerate(rows)
-                    if all(lo[v] <= x <= hi[v] for v, x in zip(bag.scope, row) if v < n)
+                    if all(in_interval(box, v, x) for v, x in zip(bag.scope, row) if v < n)
                 ]
                 assert picked_rows(L, bag, box) == kept
             assert L.count(box) == reference_count(L, box)
@@ -1029,8 +1037,8 @@ def test_budget_covers_only_the_table_estimate():
     L = build_lattice(A, 2100)
     assert L.count() == 4201
     assert L.contains((2100, -2100)) and not L.contains((2101, -2101))
-    assert L.count(shift_box((5, 0), 2100)) == 6
-    assert L.minimize(MonomialOrder.lex(2), shift_box((5, 0), 2100)) == (-5, 5)
+    assert L.count(shift_box((5, 0))) == 6
+    assert L.minimize(MonomialOrder.lex(2), shift_box((5, 0))) == (-5, 5)
     assert L.minimize(MonomialOrder.lex(2), ((-7, -3000), (-7, 3000))) == (-7, 7)
 
 

@@ -63,3 +63,33 @@ def test_library_private_names_are_read():
     assert len(defined) > 40, defined  # not a vacuous check
     unread = [f"{module} {name}" for module, name in defined if name not in read]
     assert not unread, f"private names the library never reads: {unread}"
+
+
+def test_library_parameters_are_read():
+    # no argument is accepted and then ignored: every parameter of every def
+    # and lambda of the library is read in its body, save self, cls and names
+    # starting with an underscore
+    found = []
+    checked = 0
+    for path in sorted(LIBRARY.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
+                continue
+            args = node.args
+            params = [*args.posonlyargs, *args.args, *args.kwonlyargs, args.vararg, args.kwarg]
+            body = node.body if isinstance(node.body, list) else [node.body]
+            read = {
+                name.id
+                for stmt in body
+                for name in ast.walk(stmt)
+                if isinstance(name, ast.Name) and isinstance(name.ctx, ast.Load)
+            }
+            for param in filter(None, params):
+                if param.arg in ("self", "cls") or param.arg.startswith("_"):
+                    continue
+                checked += 1
+                if param.arg not in read:
+                    name = getattr(node, "name", "lambda")
+                    found.append(f"{path.name}:{node.lineno} {name}({param.arg})")
+    assert checked > 200, checked  # not a vacuous check
+    assert not found, f"parameters the library never reads: {found}"

@@ -219,15 +219,28 @@ def test_is_standard_is_exact_only_when_certified(twisted_cubic):
         (lambda A, L, grlex: reduce_by_basis([], grlex, (1, -1, 0, 0)),
          ValueError, "monomial exponents must be nonnegative"),
         (lambda A, L, grlex: reduce_by_basis([Binomial((1, 0, 1, 0), (0, 2, 0, 0))], grlex, (1, 0)),
-         DimensionMismatch, "basis and monomial dimensions differ"),
+         DimensionMismatch, "expected length 4, got 2"),
+        (lambda A, L, grlex: reduce_by_basis([], grlex, (1, 2)),
+         DimensionMismatch, "expected length 4, got 2"),
+        # the length before the sign, and before the unoriented element is read
+        (lambda A, L, grlex: reduce_by_basis([Binomial((0, 2, 0, 0), (1, 0, 1, 0))], grlex, (-1, 0, 0, 0, 0)),
+         DimensionMismatch, "expected length 4, got 5"),
         # the order reads every element's length before any element is checked
         (lambda A, L, grlex: reduce_by_basis(
-            [Binomial((0, 2, 0, 0), (1, 0, 1, 0)), Binomial((1, 0), (0, 1))], grlex, (1, 0)),
+            [Binomial((0, 2, 0, 0), (1, 0, 1, 0)), Binomial((1, 0), (0, 1))], grlex, (1, 0, 1, 0)),
          DimensionMismatch, "expected length 4, got 2"),
         (lambda A, L, grlex: reduce_by_basis([Binomial((0, 2, 0, 0), (1, 0, 1, 0))], grlex, (1, 0, 1, 0)),
          ValueError, "basis element not oriented head-above-tail"),
     ],
-    ids=["normal-form-length", "reduce-negative", "reduce-length", "reduce-order-length", "reduce-unoriented"],
+    ids=[
+        "normal-form-length",
+        "reduce-negative",
+        "reduce-length",
+        "reduce-length-empty-basis",
+        "reduce-length-first",
+        "reduce-order-length",
+        "reduce-unoriented",
+    ],
 )
 def test_normalform_refusals(twisted_cubic, call, error, message):
     with pytest.raises(error) as info:
