@@ -459,7 +459,9 @@ def build_parser() -> argparse.ArgumentParser:
     _add_matrix_arg(p)
     _add_lattice_args(p)
     p.add_argument("--order", required=True, help="lex | grlex | weights:<csv>")
-    p.add_argument("--monomial", required=True, help="comma-separated exponents")
+    # argparse reads a value that begins with "-" after a space as an option
+    # ("expected one argument"), so the help shows the form with "="
+    p.add_argument("--monomial", required=True, help="comma-separated exponents: --monomial=<csv>")
     p.add_argument("--via", choices=["lattice", "gb", "ip"], default="lattice")
     p.add_argument(
         "--polynomial",

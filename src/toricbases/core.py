@@ -8,6 +8,8 @@ construction and safe to share between threads.
 
 from __future__ import annotations
 
+import heapq
+import math
 import operator
 import re
 import warnings
@@ -196,6 +198,66 @@ class SparseIntMatrix:
     def __repr__(self) -> str:
         nonzeros = sum(map(len, self._rows))
         return f"SparseIntMatrix({self.num_rows}x{self.num_cols}, {nonzeros} nonzeros)"
+
+
+def in_row_space(A: SparseIntMatrix, w: Sequence[int], order: Sequence[int]) -> bool:
+    """Whether w is a rational combination of A's rows, exactly.
+
+    The rows, then w, are reduced to a leading-term echelon form whose
+    leading column is a row's first column in ``order``, a permutation of
+    the columns.  A row is reduced only at its leading column, by the kept
+    row that leads there, until no kept row does; a nonzero row left then
+    is kept, divided by its gcd.  A row is scaled only when the pivot does
+    not divide its leading entry.  w lies in the row space exactly when it
+    reduces to zero, whatever the order.  The order sets only the cost:
+    taken as an elimination ordering of the column graph, every kept row
+    stays inside a clique of its chordal completion, as in sparse Gaussian
+    elimination, so a long, narrow matrix keeps short rows."""
+    n = A.num_cols
+    if len(w) != n:
+        raise DimensionMismatch(f"expected length {n}, got {len(w)}")
+    position = dict(zip(order, range(len(order))))
+    if sorted(position) != list(range(n)):
+        raise ValueError("order must be a permutation of the columns")
+    echelon: dict[int, dict[int, int]] = {}  # leading column -> kept row
+
+    def reduce_row(row: dict[int, int]) -> int | None:
+        """Reduce the row in place; its leading column, or None when it is
+        zero.  A heap holds the positions of its entries, stale ones too."""
+        heap = [(position[j], j) for j in row]
+        heapq.heapify(heap)
+        while heap:
+            j = heapq.heappop(heap)[1]
+            x = row.get(j)
+            if x is None:
+                continue
+            pivot = echelon.get(j)
+            if pivot is None:
+                return j
+            a = pivot[j]
+            if x % a:
+                scale = a // math.gcd(a, x)
+                for k in row:
+                    row[k] *= scale
+                x *= scale
+            f = x // a
+            for k, y in pivot.items():
+                z = row.get(k, 0) - f * y
+                if not z:
+                    del row[k]
+                    continue
+                if k not in row:
+                    heapq.heappush(heap, (position[k], k))
+                row[k] = z
+        return None
+
+    for i in range(A.num_rows):
+        row = dict(A.row(i))
+        lead = reduce_row(row)
+        if lead is not None:
+            g = math.gcd(*row.values())
+            echelon[lead] = {k: x // g for k, x in row.items()} if g > 1 else row
+    return reduce_row({j: x for j, x in enumerate(map(operator.index, w)) if x}) is None
 
 
 def matrix_to_text(A: SparseIntMatrix, *, sparse: bool | None = None) -> str:

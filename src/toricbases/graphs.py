@@ -47,18 +47,10 @@ class Graph:
         return len(self.edges)
 
 
-def path_graph(n: int) -> Graph:
-    return Graph.from_edges(n, ((i, i + 1) for i in range(n - 1)))
-
-
 def cycle_graph(n: int) -> Graph:
     if n < 3:
         raise ValueError("cycle needs at least 3 vertices")
     return Graph.from_edges(n, [(i, (i + 1) % n) for i in range(n)])
-
-
-def complete_graph(n: int) -> Graph:
-    return Graph.from_edges(n, combinations(range(n), 2))
 
 
 def column_graph(A: SparseIntMatrix) -> Graph:

@@ -9,23 +9,25 @@ The represented set is either
 
 Construction treats the defining conditions as a constraint network whose
 primal graph is the column graph of the matrix (plus, for the degree kind,
-two chains of running-sum counters interleaved along the elimination
-ordering).  Every bound is a variable's domain: [-g, g] for a column of the
-box kind, [-d, d] for a column and 0..d for a counter of the degree kind.
-Bags start as the cliques of the chordal completion under the chosen
-ordering, one per elimination step, along the elimination tree.  One merge
-shapes the tree: a bag absorbs its first child, whose introduced variables
-and children go in front of its own, which keeps the enumeration order.
-Before enumeration, a clique that is exactly its first child's separator is
-folded in this way, leaving one bag per maximal clique as in a clique tree
-(Blair & Peyton 1993); a clique equal to a later child's separator keeps its
-bag.  Two semijoin passes make every stored row extend to a full solution,
-and the downward pass amalgamates, as relaxed supernodes do (Ashcraft &
-Grimes 1989): a bag absorbs its first child while the joined table holds no
-more entries than the two it replaces, so a long chain of small bags sweeps
-as a few wide ones.  A fold is the certain case of that rule, taken early.
-The budget estimate is taken after the folds and before the amalgamation;
-the realized clique number is that of the cliques.
+running-sum counters interleaved along the elimination ordering: one chain
+per part, or only the positive part's chain when (1, ..., 1) lies in the
+matrix's rational row space, since every kernel vector then sums to 0 and
+its parts have equal 1-norm).  Every bound is a variable's domain: [-g, g]
+for a column of the box kind, [-d, d] for a column and 0..d for a counter of
+the degree kind.  Bags start as the cliques of the chordal completion under
+the chosen ordering, one per elimination step, along the elimination
+tree.  One merge shapes the tree: a bag absorbs its first child, whose
+introduced variables and children go in front of its own, which keeps the
+enumeration order.  Before enumeration, a clique that is exactly its first
+child's separator is folded in this way, leaving one bag per maximal clique
+as in a clique tree (Blair & Peyton 1993); a clique equal to a later child's
+separator keeps its bag.  Two semijoin passes make every stored row extend
+to a full solution, and the downward pass amalgamates, as relaxed supernodes
+do (Ashcraft & Grimes 1989): a bag absorbs its first child while the joined
+table holds no more entries than the two it replaces, so a long chain of
+small bags sweeps as a few wide ones.  A fold is the certain case of that
+rule, taken early.  The budget estimate is taken after the folds and before
+the amalgamation; the realized clique number is that of the cliques.
 """
 
 from __future__ import annotations
@@ -45,6 +47,7 @@ from .core import (
     ToricError,
     Vec,
     as_vector,
+    in_row_space,
     infinity_norm,
     negative_part,
     one_norm,
@@ -948,20 +951,28 @@ def build_truncated_lattice(
     parts both have 1-norm at most d.
 
     The two degree conditions are global, so they are threaded along the
-    elimination ordering as running-sum counters over 0..d, one pair per
-    column, interleaved right after their column.  The sums only grow, so a
-    counter's domain is the whole bound: a branch whose sum passes d ends
-    there.
+    elimination ordering as running-sum counters over 0..d, one chain per
+    condition, each counter interleaved right after its column.  The sums
+    only grow, so a counter's domain is the whole bound: a branch whose sum
+    passes d ends there.  When (1, ..., 1) lies in A's rational row space
+    (A is homogeneous, as every table matrix and the incidence matrix of
+    every bipartite graph are), every kernel vector sums to 0, so its two
+    parts have equal 1-norm and the negative chain would repeat the
+    positive one: only the positive chain is threaded, 2n variables in all
+    rather than 3n.  The test reduces the rows in the build's own column
+    ordering, which keeps it cheap on long, narrow matrices.
     """
     column_ordering = _check_build_args(A, "degree", d, ordering)
     n = A.num_cols
+    signs = (True,) if in_row_space(A, (1,) * n, column_ordering) else (True, False)
     domains = dict.fromkeys(range(n), range(-d, d + 1))
-    domains.update(dict.fromkeys(range(n, 3 * n), range(d + 1)))
+    domains.update(dict.fromkeys(range(n, (1 + len(signs)) * n), range(d + 1)))
     pi: list[int] = []
     counters: list[Counter] = []
     for l, col in enumerate(column_ordering):
-        pos, neg = n + l, 2 * n + l
-        pi.extend((col, pos, neg))
-        counters.append((pos - 1 if l else None, col, pos, True))
-        counters.append((neg - 1 if l else None, col, neg, False))
+        pi.append(col)
+        for chain, positive in enumerate(signs, 1):
+            out = chain * n + l
+            pi.append(out)
+            counters.append((out - 1 if l else None, col, out, positive))
     return _assemble(A, "degree", d, tuple(pi), domains, counters, _resolve_budget(build_budget))

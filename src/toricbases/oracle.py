@@ -282,12 +282,6 @@ def random_sparse_matrix(
     return SparseIntMatrix(m, n, entries)
 
 
-def random_graph(n: int, p: float, seed: int) -> Graph:
-    rng = random.Random(seed)
-    edges = [(a, b) for a, b in itertools.combinations(range(n), 2) if rng.random() < p]
-    return Graph.from_edges(n, edges)
-
-
 def saturated_graver(
     A: SparseIntMatrix, start: int = 1, cap: int = 8, budget: int = DEFAULT_BUDGET
 ) -> tuple[frozenset[Vec], int]:

@@ -11,7 +11,6 @@ feasible starting monomial reads off an optimal solution.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import gcd
 from typing import Iterator, Sequence
 
 from .core import (
@@ -21,6 +20,7 @@ from .core import (
     ToricError,
     Vec,
     as_vector,
+    in_row_space,
     is_nonnegative,
     negative_part,
     positive_part,
@@ -210,24 +210,6 @@ def solve_ip(ip: IntegerProgram) -> Vec:
 # normal form -> integer program
 
 
-def _in_row_space(A: SparseIntMatrix, w: Sequence[int]) -> bool:
-    """Whether w is a rational combination of A's rows, by fraction-free
-    elimination: each row, then w, is reduced by the echelon rows kept so
-    far, and a row left nonzero joins them.  w lies in the row space exactly
-    when it reduces to zero."""
-    echelon: list[tuple[int, list[int]]] = []  # (pivot column, row)
-    for row in [*A.to_dense(), list(w)]:
-        for p, pivot_row in echelon:
-            if row[p]:
-                a, b = pivot_row[p], row[p]
-                row = [a * x - b * y for x, y in zip(row, pivot_row)]
-        if not any(row):
-            continue
-        g = gcd(*row)
-        echelon.append((next(j for j, x in enumerate(row) if x), [x // g for x in row]))
-    return not any(row)
-
-
 def _positive_row_scan(A: SparseIntMatrix, w: Vec, b: Vec) -> tuple[Vec, list[int | None]]:
     """The weight remainder and the fiber caps, from one scan of the rows
     of A whose entries are all positive.
@@ -277,8 +259,9 @@ def normalform_to_ip(
     w' = w - yA is the order's weights w less the positive rows of A, each
     taken as often as w' stays nonnegative (the same scan), and w' = 0 when
     w lies in the rational row space of A (lex, or any graded order on a
-    homogeneous matrix).  The fraction-free elimination that tests this runs
-    only when w' is nonzero; w' is in the row space exactly when w is.
+    homogeneous matrix).  The row-space test (:func:`core.in_row_space`, in
+    column order) runs only when w' is nonzero; w' is in the row space
+    exactly when w is.
 
     Why the answer is the same: w - w' = yA, with y integer for the rows
     taken and rational when w' = 0 replaces a w in the row space, so on the
@@ -303,7 +286,7 @@ def normalform_to_ip(
     rest, caps = _positive_row_scan(A, order.weights, b)
     # the row-space test: 0.034 s against 0.51 s on 120 grlex programs on
     # the incidence matrix of K_5
-    if any(rest) and _in_row_space(A, rest):
+    if any(rest) and in_row_space(A, rest, range(n)):
         rest = (0,) * n
     if None not in caps:
         radix = min(graver_infinity_bound(A), max(caps, default=0)) + 1

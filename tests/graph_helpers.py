@@ -1,11 +1,26 @@
-"""Graph helpers only the tests use: small fixed graphs, exact and
-constructed orderings, and the quadratic greedy orderings that the library's
-incremental ones are checked against."""
+"""Graph helpers only the tests use: small fixed graphs, seeded random
+ones, exact and constructed orderings, and the quadratic greedy orderings
+that the library's incremental ones are checked against."""
 
+import random
 from functools import lru_cache
 from itertools import combinations
 
 from toricbases.graphs import Graph
+
+
+def path_graph(n: int) -> Graph:
+    return Graph.from_edges(n, ((i, i + 1) for i in range(n - 1)))
+
+
+def complete_graph(n: int) -> Graph:
+    return Graph.from_edges(n, combinations(range(n), 2))
+
+
+def random_graph(n: int, p: float, seed: int) -> Graph:
+    rng = random.Random(seed)
+    edges = [(a, b) for a, b in combinations(range(n), 2) if rng.random() < p]
+    return Graph.from_edges(n, edges)
 
 
 def star_graph(n: int) -> Graph:

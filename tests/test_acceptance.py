@@ -36,19 +36,18 @@ from toricbases import (
     weight_vector,
 )
 from toricbases.cli import main as cli_main
-from toricbases.graphs import complete_graph, cycle_graph, path_graph
+from toricbases.graphs import cycle_graph
 from toricbases.oracle import (
     enumerate_kernel,
     graver_bruteforce,
     incidence_matrix,
     nfold_product,
-    random_graph,
     random_sparse_matrix,
     reduced_gb_bruteforce,
     saturated_graver,
 )
 
-from graph_helpers import recursive_median_ordering
+from graph_helpers import complete_graph, path_graph, random_graph, recursive_median_ordering
 
 NUM_INSTANCES = 200
 _HARDNESS_CAP = 2500

@@ -41,7 +41,7 @@ from toricbases import (
     vertex_cover_ip,
     weight_vector,
 )
-from toricbases.graphs import complete_graph, cycle_graph, path_graph
+from toricbases.graphs import cycle_graph
 from toricbases.lattice import conformal_box, shift_box
 from toricbases.oracle import (
     incidence_matrix,
@@ -49,6 +49,8 @@ from toricbases.oracle import (
     threeway_table_matrix,
     two_by_two_minors_matrix,
 )
+
+from graph_helpers import complete_graph, path_graph
 
 
 def _random_cases() -> dict:

@@ -445,6 +445,19 @@ def test_normal_form_checks_exponent_lengths_before_the_build(
     assert message in err and "budget" not in err, err
 
 
+def test_negative_monomial_in_the_equals_form(capsys, tc_matrix):
+    # after a space argparse takes -1,0,0,0 for an option; written
+    # --monomial=<csv>, as the help shows, it reaches the library's refusal
+    common = ["normal-form", "--matrix", tc_matrix, "--order", "grlex"]
+    for route in (["--bound", "2"], ["--bound", "2", "--via", "gb"], ["--degree", "2"], ["--via", "ip"]):
+        code, out, err = run_cli(capsys, *common, *route, "--monomial=-1,0,0,0")
+        assert code == 2 and out == "" and err == "error: monomial exponents must be nonnegative\n", route
+    code, out, err = run_cli(capsys, *common, "--bound", "2", "--monomial", "-1,0,0,0")
+    assert code == 2 and out == "" and "expected one argument" in err
+    code, out, _ = run_cli(capsys, "normal-form", "--help")
+    assert code == 0 and "--monomial=<csv>" in out
+
+
 def test_solve_ip_and_reduce_ip(capsys, tmp_path):
     ip_path = tmp_path / "ip.json"
     ip_path.write_text(
@@ -850,7 +863,7 @@ def test_lattice_list_output_is_pinned(capsys, tc_matrix, tmp_path):
         ),
         (
             ("--matrix", tc_matrix, "--degree", "2"),
-            '{"bound": 2, "clique_number": 6, "elements": [[0, 0, 0, 0], [-1, 1, 1, -1], [0, -1,'
+            '{"bound": 2, "clique_number": 5, "elements": [[0, 0, 0, 0], [-1, 1, 1, -1], [0, -1,'
             ' 2, -1], [-1, 2, -1, 0], [1, -2, 1, 0], [0, 1, -2, 1], [1, -1, -1, 1]], "kind":'
             ' "degree", "stored_rows": 7}',
         ),

@@ -1,3 +1,4 @@
+import itertools
 import random
 
 import numpy as np
@@ -17,6 +18,7 @@ from toricbases import (
 from toricbases.core import (
     as_vector,
     conformal_leq,
+    in_row_space,
     infinity_norm,
     is_nonnegative,
     negative_part,
@@ -26,10 +28,12 @@ from toricbases.core import (
     vector_sub,
     weight_vector,
 )
-from toricbases.graphs import Graph, edge_list_from_text, eliminate, path_graph
+from toricbases.graphs import Graph, edge_list_from_text, eliminate
 from toricbases.lattice import build_lattice, build_truncated_lattice, shift_box
 from toricbases.normalform import normal_form_bounded, polynomial_normal_form
 from toricbases.oracle import two_by_two_minors_matrix
+
+from graph_helpers import path_graph
 
 
 def test_compare_lex_first_negative_entry():
@@ -237,15 +241,36 @@ def test_matrix_text_parse_errors():
         (lambda: Binomial((1, 0), (0,)), DimensionMismatch, "head and tail lengths differ"),
         (lambda: ideal_membership(SparseIntMatrix.from_dense([[1, 1]]), [(1, (1, -1))]),
          ValueError, "exponents must be nonnegative"),
+        (lambda: in_row_space(SparseIntMatrix.from_dense([[1, 1]]), (1,), (0, 1)),
+         DimensionMismatch, "expected length 2, got 1"),
+        (lambda: in_row_space(SparseIntMatrix.from_dense([[1, 1]]), (1, 1), (0,)),
+         ValueError, "order must be a permutation of the columns"),
+        (lambda: in_row_space(SparseIntMatrix.from_dense([[1, 1]]), (1, 1), (0, 2)),
+         ValueError, "order must be a permutation of the columns"),
     ],
     ids=["vector-add", "vector-sub", "conformal-leq", "negative-dimensions", "ragged", "apply-length",
          "sparse-header", "dense-header", "column-count", "negative-weight", "weight-vector-length",
-         "binomial-lengths", "membership-negative"],
+         "binomial-lengths", "membership-negative", "row-space-length", "row-space-short-order",
+         "row-space-bad-order"],
 )
 def test_core_refusals(call, error, message):
     with pytest.raises(error) as info:
         call()
     assert type(info.value) is error and str(info.value) == message
+
+
+def test_in_row_space_is_the_rational_span():
+    # (1, 1, 1) is half the row: a rational combination and no integer one
+    A = SparseIntMatrix.from_dense([[2, 2, 2]])
+    for order in itertools.permutations(range(3)):
+        assert in_row_space(A, (1, 1, 1), order)
+        assert not in_row_space(A, (1, 1, 0), order)
+    # the second row leads where the first does, with 3 against the pivot 2,
+    # which does not divide it: the row is scaled before it is reduced
+    A = SparseIntMatrix.from_dense([[2, 1, 0], [3, 0, 1]])
+    assert in_row_space(A, (5, 1, 1), range(3))
+    assert in_row_space(A, (1, 2, -1), range(3))  # twice the first row less the second
+    assert not in_row_space(A, (1, 1, 1), range(3))
 
 
 def test_non_integral_inputs_raise_type_error():

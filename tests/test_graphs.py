@@ -17,18 +17,19 @@ from toricbases import (
 )
 from toricbases.graphs import (
     Graph,
-    complete_graph,
     cycle_graph,
     edge_list_from_text,
     edge_list_to_text,
-    path_graph,
 )
-from toricbases.oracle import incidence_matrix, nfold_product, random_graph
+from toricbases.oracle import incidence_matrix, nfold_product
 
 from graph_helpers import (
+    complete_graph,
     exact_depth_ordering,
     exact_width_ordering,
     ladder_graph,
+    path_graph,
+    random_graph,
     recursive_median_ordering,
     reference_min_degree_ordering,
     reference_min_fill_ordering,

@@ -38,6 +38,7 @@ from toricbases.reductions import ip_to_normalform, vertex_cover_ip
 from conftest import TWISTED_CUBIC_GRAVER
 from graph_helpers import ladder_graph
 from lattice_invariants import InvariantError, validate
+from row_space_reference import dense_in_row_space
 from sweep_reference import reference_count, reference_iterate, reference_minimize
 
 
@@ -160,12 +161,15 @@ def test_stored_rows_within_bound_random():
 
 
 def test_truncated_stored_rows_within_bound_random():
-    # three variables per column and the realized clique of the extended graph
+    # two variables per column on a homogeneous matrix, which threads one
+    # counter chain, three on any other, and the realized clique of the
+    # extended graph
     rng = random.Random(49)
     for A in random_instances(20, seed=49):
         d = rng.randint(1, 3)
         L = build_truncated_lattice(A, d)
-        bound = 3 * A.num_cols * (2 * d + 1) ** L.realized_clique_number
+        per_column = 2 if dense_in_row_space(A, (1,) * A.num_cols) else 3
+        bound = per_column * A.num_cols * (2 * d + 1) ** L.realized_clique_number
         assert L.total_rows() <= bound
 
 
@@ -208,6 +212,60 @@ def test_truncated_contains_checks_degree(twisted_cubic):
     A = SparseIntMatrix.from_dense([[1, 2]])
     assert not build_truncated_lattice(A, 1).contains((-2, 1))
     assert build_truncated_lattice(A, 2).contains((-2, 1))
+    # contains checks the bound before it reads the lattice, so read the
+    # stored set: (-1, -1, 1) lies in the column box, and only its negative
+    # part exceeds 1, which the negative counter chain alone sees; [[1, 1, 2]]
+    # is not homogeneous, so it keeps that chain
+    B = SparseIntMatrix.from_dense([[1, 1, 2]])
+    assert frozenset(build_truncated_lattice(B, 1).iterate()) == {(0, 0, 0), (1, -1, 0), (-1, 1, 0)}
+
+
+def scope_variables(L):
+    return {var for bag in L._bags for var in bag.scope}
+
+
+def test_degree_lattice_threads_one_chain_on_homogeneous_matrices(twisted_cubic):
+    # (1, ..., 1) in the row space: n columns and one chain of n counters;
+    # [[1, 2]] keeps both chains, so 3n variables
+    for A in (twisted_cubic, two_by_two_minors_matrix(3, 3), incidence_matrix(ladder_graph(4))):
+        assert scope_variables(build_truncated_lattice(A, 2)) == set(range(2 * A.num_cols))
+    A = SparseIntMatrix.from_dense([[1, 2]])
+    assert scope_variables(build_truncated_lattice(A, 2)) == set(range(6))
+
+
+@st.composite
+def homogeneous_matrices(draw):
+    """A matrix whose rational row space holds (1, ..., 1): the incidence
+    matrix of a bipartite graph, or a row k(1, ..., 1) among perturbed rows,
+    given as it is or split into k(1, ..., 1) + e and k(1, ..., 1) - e."""
+    if draw(st.booleans()):
+        a, b = draw(st.integers(1, 3)), draw(st.integers(1, 3))
+        pairs = st.tuples(st.integers(0, a - 1), st.integers(0, b - 1))
+        edges = draw(st.lists(pairs, min_size=1, max_size=6, unique=True))
+        return incidence_matrix(Graph.from_edges(a + b, [(i, a + j) for i, j in edges]))
+    n, k = draw(st.integers(2, 5)), draw(st.integers(1, 3))
+    entry = st.integers(-2, 2)
+    rows = [[k + draw(entry) for _ in range(n)] for _ in range(draw(st.integers(0, 2)))]
+    if draw(st.booleans()):
+        ones = [[k] * n]
+    else:
+        e = [draw(entry) for _ in range(n)]
+        ones = [[k + x for x in e], [k - x for x in e]]
+    for row in ones:
+        rows.insert(draw(st.integers(0, len(rows))), row)
+    return SparseIntMatrix.from_dense(rows)
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(homogeneous_matrices(), st.integers(1, 2))
+def test_one_chain_degree_lattices_match_the_oracle(A, d):
+    n = A.num_cols
+    assert dense_in_row_space(A, (1,) * n)
+    L = build_truncated_lattice(A, d)
+    assert max(scope_variables(L)) < 2 * n
+    validate(L)
+    want = oracle_truncated(A, d)
+    assert L.count() == len(want) and frozenset(L.iterate()) == want, (A.to_dense(), d)
 
 
 def in_interval(box, var, x):
@@ -1045,12 +1103,17 @@ def test_budget_covers_only_the_table_estimate():
 def test_budget_estimate_is_taken_after_the_folds():
     # a clique that is exactly its first child's separator folds into the
     # child before anything is enumerated, and adds nothing to the estimate
-    # (unfolded, these would read 613,280, 1,956,581 and 2,192,277)
+    # (unfolded, these would read 613,280, 1,956,581, 521,238 and 18,687).
+    # K_{3,3} is homogeneous, so its degree lattice threads one counter chain
+    # (with both, it read 2,016,495); the block-diagonal matrix is not, and
+    # keeps both
     cover = ip_to_normalform(vertex_cover_ip(cycle_graph(5))).matrix
+    block_diagonal = SparseIntMatrix.from_dense([[1, 2, 1, 0, 0, 0, 0], [0, 0, 0, 1, 1, 2, 1]])
     cases = [
         (build_lattice, two_by_two_minors_matrix(3, 4), 2, 515_625),
         (build_lattice, cover, 5, 1_795_519),
-        (build_truncated_lattice, two_by_two_minors_matrix(3, 3), 2, 2_016_495),
+        (build_truncated_lattice, two_by_two_minors_matrix(3, 3), 2, 462_645),
+        (build_truncated_lattice, block_diagonal, 2, 17_010),
     ]
     for build, A, bound, estimate in cases:
         build(A, bound, build_budget=estimate)

@@ -3,7 +3,7 @@ import random
 import pytest
 
 from toricbases import SparseIntMatrix, row_graph
-from toricbases.graphs import complete_graph, path_graph, treedepth_estimate
+from toricbases.graphs import treedepth_estimate
 from toricbases.oracle import (
     BudgetExceededError,
     _jump_minimum,
@@ -21,6 +21,7 @@ from toricbases.oracle import (
 )
 
 from conftest import TWISTED_CUBIC_GRAVER
+from graph_helpers import complete_graph, path_graph
 
 
 def test_enumerate_kernel_single_row():

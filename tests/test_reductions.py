@@ -25,17 +25,17 @@ from toricbases import (
     vertex_cover_ip,
     weight_vector,
 )
-from toricbases.core import negative_part
-from toricbases.graphs import complete_graph, cycle_graph
+from toricbases.core import in_row_space, negative_part
+from toricbases.graphs import cycle_graph
 from toricbases.oracle import (
     normal_form_bruteforce,
     random_sparse_matrix,
     threeway_table_matrix,
     two_by_two_minors_matrix,
 )
-from toricbases.reductions import _in_row_space
 
-from graph_helpers import petersen_graph, star_graph
+from graph_helpers import complete_graph, petersen_graph, star_graph
+from row_space_reference import dense_in_row_space
 
 
 def brute_force_optimum(ip: IntegerProgram):
@@ -351,7 +351,7 @@ def dense_matrix(rows, n):
 
 def fraction_rank(rows) -> int:
     # Gaussian elimination over the rationals, independent of the library's
-    # fraction-free integer elimination
+    # integer elimination
     rows = [[Fraction(x) for x in row] for row in rows]
     rank = 0
     for j in range(len(rows[0]) if rows else 0):
@@ -395,15 +395,18 @@ def row_space_cases(draw):
         w = [int(x * scale) for x in w]
         if kind == "yA + e_j":
             w[draw(st.integers(0, n - 1))] += 1
-    return rows, n, kind, tuple(w)
+    return rows, n, kind, tuple(w), draw(st.permutations(range(n)))
 
 
 @settings(max_examples=300, deadline=None, derandomize=True, database=None)
 @given(row_space_cases())
 def test_row_space_test_matches_fraction_rank(case):
-    rows, n, kind, w = case
+    # the sparse test under any column order, and the dense reference
+    rows, n, kind, w, order = case
     want = fraction_rank(rows + [list(w)]) == fraction_rank(rows)
-    assert _in_row_space(dense_matrix(rows, n), w) is want
+    A = dense_matrix(rows, n)
+    assert in_row_space(A, w, order) is want
+    assert dense_in_row_space(A, w) is want
     if kind in ("integer y", "rational y"):
         assert want
 
@@ -411,16 +414,22 @@ def test_row_space_test_matches_fraction_rank(case):
 def test_row_space_test_named_cases(twisted_cubic):
     # every grlex weight vector of a homogeneous matrix reads as in the row
     # space; one weight more on the last column does not
+    def in_row_space_every_order(A, w):
+        n = A.num_cols
+        answers = {in_row_space(A, w, order) for order in (range(n), range(n - 1, -1, -1))}
+        assert answers == {dense_in_row_space(A, w)}
+        return answers.pop()
+
     for A in (two_by_two_minors_matrix(3, 4), threeway_table_matrix(3, 3, 2), twisted_cubic):
         n = A.num_cols
-        assert _in_row_space(A, (1,) * n)
-        assert _in_row_space(A, (0,) * n)
-        assert not _in_row_space(A, (1,) * (n - 1) + (2,))
-    assert _in_row_space(twisted_cubic, (0, 1, 2, 3))  # the last row alone
-    assert _in_row_space(twisted_cubic, (2, 3, 4, 5))
-    assert not _in_row_space(twisted_cubic, (1, 0, 0, 0))
-    assert _in_row_space(SparseIntMatrix(0, 2, []), (0, 0))
-    assert not _in_row_space(SparseIntMatrix(0, 2, []), (0, 1))
+        assert in_row_space_every_order(A, (1,) * n)
+        assert in_row_space_every_order(A, (0,) * n)
+        assert not in_row_space_every_order(A, (1,) * (n - 1) + (2,))
+    assert in_row_space_every_order(twisted_cubic, (0, 1, 2, 3))  # the last row alone
+    assert in_row_space_every_order(twisted_cubic, (2, 3, 4, 5))
+    assert not in_row_space_every_order(twisted_cubic, (1, 0, 0, 0))
+    assert in_row_space_every_order(SparseIntMatrix(0, 2, []), (0, 0))
+    assert not in_row_space_every_order(SparseIntMatrix(0, 2, []), (0, 1))
 
 
 def fiber_caps(A, b):
@@ -472,7 +481,7 @@ def test_normalform_to_ip_keeps_weights_outside_the_row_space(twisted_cubic):
     cases = [(mixed, MonomialOrder((0, 2, 0, 0, 0)), (1, 1, 0, 2, 1), graver_infinity_bound(mixed) + 1),
              (twisted_cubic, tc_order, tc_u, 5)]
     for A, order, u, radix in cases:
-        assert not _in_row_space(A, order.weights)
+        assert not dense_in_row_space(A, order.weights)
         ip = normalform_to_ip(A, order, u)
         assert ip == full_weight_program(A, order, u)
         assert ip.objective == weight_vector(order.weights, radix, A.num_cols)
@@ -509,7 +518,7 @@ def test_normalform_to_ip_subtracts_nonnegative_rows_from_the_weights():
         if fraction_rank(k34.to_dense() + [list(order.weights)]) > fraction_rank(k34.to_dense()):
             cases.append((order, tuple(rng.randint(0, 2) for _ in range(12))))
     for (order, u), rest in zip(cases, K34_REMAINDERS):
-        assert not _in_row_space(k34, order.weights)
+        assert not dense_in_row_space(k34, order.weights)
         ip, full = normalform_to_ip(k34, order, u), full_weight_program(k34, order, u)
         assert ip.objective == weight_vector(rest, fiber_radix(k34, ip.rhs), 12)
         assert (ip.matrix, ip.rhs, ip.lower, ip.upper, ip.feasible_hint) == (
