@@ -65,12 +65,6 @@ def vector_add(u: Sequence[int], v: Sequence[int]) -> Vec:
     return tuple(map(operator.add, u, v))
 
 
-def vector_sub(u: Sequence[int], v: Sequence[int]) -> Vec:
-    if len(u) != len(v):
-        raise DimensionMismatch(f"vector lengths differ: {len(u)} vs {len(v)}")
-    return tuple(map(operator.sub, u, v))
-
-
 def infinity_norm(v: Sequence[int]) -> int:
     return max(map(abs, v), default=0)
 
@@ -153,11 +147,6 @@ class SparseIntMatrix:
             ((renumber[i], j, v) for i, j, v in self.iter_entries()),
         )
 
-    def entry(self, i: int, j: int) -> int:
-        if not (0 <= i < self.num_rows and 0 <= j < self.num_cols):
-            raise IndexError(f"entry ({i},{j}) out of range for {self.num_rows}x{self.num_cols}")
-        return dict(self._rows[i]).get(j, 0)
-
     def row(self, i: int) -> tuple[tuple[int, int], ...]:
         """Nonzero entries of row i as (column, value) pairs, column-sorted."""
         return self._rows[i]
@@ -216,9 +205,9 @@ def in_row_space(A: SparseIntMatrix, w: Sequence[int], order: Sequence[int]) -> 
     n = A.num_cols
     if len(w) != n:
         raise DimensionMismatch(f"expected length {n}, got {len(w)}")
-    position = dict(zip(order, range(len(order))))
-    if sorted(position) != list(range(n)):
+    if sorted(order) != list(range(n)):
         raise ValueError("order must be a permutation of the columns")
+    position = dict(zip(order, range(n)))
     echelon: dict[int, dict[int, int]] = {}  # leading column -> kept row
 
     def reduce_row(row: dict[int, int]) -> int | None:
@@ -260,19 +249,17 @@ def in_row_space(A: SparseIntMatrix, w: Sequence[int], order: Sequence[int]) -> 
     return reduce_row({j: x for j, x in enumerate(map(operator.index, w)) if x}) is None
 
 
-def matrix_to_text(A: SparseIntMatrix, *, sparse: bool | None = None) -> str:
+def matrix_to_text(A: SparseIntMatrix) -> str:
     """Bit-exact text format.
 
     Dense: first line ``m n``, then m lines of n space-separated integers.
     Sparse: first line ``sparse m n k``, then k lines ``i j value`` (0-based).
-    By default the dense form is used unless fewer than a quarter of the
-    entries are nonzero.
+    The sparse form is written exactly when fewer than a quarter of the
+    entries are nonzero, the dense form otherwise.
     """
     nnz = sum(1 for _ in A.iter_entries())
-    if sparse is None:
-        sparse = A.num_rows * A.num_cols > 0 and nnz * 4 < A.num_rows * A.num_cols
     lines = []
-    if sparse:
+    if nnz * 4 < A.num_rows * A.num_cols:
         lines.append(f"sparse {A.num_rows} {A.num_cols} {nnz}")
         for i, j, value in sorted(A.iter_entries()):
             lines.append(f"{i} {j} {value}")
@@ -429,9 +416,6 @@ class Binomial:
     @classmethod
     def from_kernel_vector(cls, v: Sequence[int]) -> "Binomial":
         return cls(positive_part(v), negative_part(v))
-
-    def kernel_vector(self) -> Vec:
-        return vector_sub(self.head, self.tail)
 
     def oriented(self, order: MonomialOrder) -> "Binomial":
         """The same binomial with head strictly above tail under the order."""

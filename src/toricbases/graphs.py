@@ -242,7 +242,3 @@ def edge_list_from_text(text: str) -> Graph:
         edges.append((a, b))
         hi = max(hi, a, b)
     return Graph.from_edges(hi + 1, edges)
-
-
-def edge_list_to_text(graph: Graph) -> str:
-    return "".join(f"{a} {b}\n" for a, b in sorted(graph.edges))

@@ -649,9 +649,8 @@ class KernelLattice:
         w_j x_j over its weighted columns.  A bag whose columns all weigh 0,
         every bag under lex, reads its ties as they are.  A group of twin
         columns (see ``_Bag``) is one column weighing the sum of its
-        weights.  A bag that picks fewer rows than twice its weighted
-        columns takes one dot product per row, and any other bag one stream
-        per column, a column of weight 1 with no product.
+        weights.  Any other bag sums one stream per weighted column, a
+        column of weight 1 taken as it is, with no product.
         Every partial key lies in [-M, M] for M = bound * sum c_j (c is
         positive), so 2M + 1 absorbs under + and loses every min: it is the
         zero.  The roots cover disjoint columns, so one check of their sum
@@ -682,24 +681,9 @@ class KernelLattice:
                 weights += (sum(get(w)),)
             if not any(weights):
                 return tie
-            columns = list(map(pick, compress(table, weights)))
-            weights = tuple(compress(weights, weights))
-            # By rows when a bag picks fewer rows than twice its weighted
-            # columns.  Timed over one sweep's leaf calls on a 2-CPU host, by
-            # rows everywhere against by column streams everywhere: the
-            # 1000-cycle's one bag (1 row, 2 distinct weighted columns) 15.7
-            # against 15.9 us; the 2 x 300 ladder at g=1 (826 rows from 299
-            # bags of at most 3 weighted columns) 837 against 896 us; K_{3,4}
-            # g=2 (354 rows over 12 columns) 130 against 108 us.  On the
-            # ladder, over 8 shift boxes, the factor 2 took 1.4-7% less per
-            # sweep than fewer rows than columns in each of 4 interleaved runs
-            # (1,041 against 1,120 us in the fastest); no leaf of the cycle or
-            # K_{3,4} g=2 falls between the two rules.
-            if len(columns[0]) < 2 * len(columns):  # one product per row
-                dot = map(sum, map(map, repeat(operator.mul), repeat(weights), zip(*columns)))
-            else:  # one stream per column, a column of weight 1 as it is
-                terms = [col if x == 1 else map(x.__mul__, col) for col, x in zip(columns, weights)]
-                dot = map(sum, zip(*terms)) if len(terms) > 1 else terms[0]
+            columns = map(pick, compress(table, weights))
+            terms = [col if x == 1 else map(x.__mul__, col) for col, x in zip(columns, filter(None, weights))]
+            dot = map(sum, zip(*terms)) if len(terms) > 1 else terms[0]
             return map(operator.add, map(scale.__mul__, dot), tie)
 
         total = self._sweep(box, leaf, operator.add, min, 2 * limit + 1, 0)

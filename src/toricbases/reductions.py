@@ -271,13 +271,18 @@ def normalform_to_ip(
     box, so the smaller it is, the sooner the objective cut bounds
     variables; since w' >= 0 every cost is positive and the cut bounds
     every variable.
+
+    The monomial's length and sign, then the order's length, are checked
+    first, as the other two routes check them.
     """
     u = as_vector(u)
+    n = A.num_cols
+    if len(u) != n:
+        raise DimensionMismatch(f"expected length {n}, got {len(u)}")
     if not is_nonnegative(u):
         raise ValueError("monomial exponents must be nonnegative")
-    n = A.num_cols
-    if len(u) != n or order.num_vars != n:
-        raise DimensionMismatch("dimension mismatch between matrix, order and monomial")
+    if order.num_vars != n:
+        raise DimensionMismatch(f"order has {order.num_vars} weights, not {n}")
     b = A.apply(u)
     # each rule below pays for itself: CPU time to embed and solve, with the
     # rule against without it, on a shared 2-CPU host.  The remainder w':
@@ -388,7 +393,7 @@ def ip_to_normalform(ip: IntegerProgram, *, graded: bool = False) -> NormalFormR
     return NormalFormReduction(enlarged, rhs, start, order, c, t)
 
 
-def solve_ip_via_normal_form(ip: IntegerProgram, *, graded: bool = False) -> tuple[Vec, int]:
+def solve_ip_via_normal_form(ip: IntegerProgram) -> tuple[Vec, int]:
     """Round trip: embed the program, compute the normal form of the start
     exponent with the join-tree machinery, and read off the optimum.
 
@@ -396,7 +401,7 @@ def solve_ip_via_normal_form(ip: IntegerProgram, *, graded: bool = False) -> tup
     point of the embedded system, so the bounded fiber is the whole fiber and
     the computed normal form is exact.
     """
-    reduction = ip_to_normalform(ip, graded=graded)
+    reduction = ip_to_normalform(ip)
     c, t = reduction.source_objective, reduction.source_upper
     tracker_max = sum(abs(cj) * tj for cj, tj in zip(c, t))
     bound = max([tracker_max, 1, *t])

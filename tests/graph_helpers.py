@@ -1,6 +1,7 @@
-"""Graph helpers only the tests use: small fixed graphs, seeded random
-ones, exact and constructed orderings, and the quadratic greedy orderings
-that the library's incremental ones are checked against."""
+"""Graph helpers only the tests use: the edge-list writer, small fixed
+graphs, seeded random ones, exact and constructed orderings, and the
+quadratic greedy orderings that the library's incremental ones are checked
+against."""
 
 import random
 from functools import lru_cache
@@ -21,6 +22,10 @@ def random_graph(n: int, p: float, seed: int) -> Graph:
     rng = random.Random(seed)
     edges = [(a, b) for a, b in combinations(range(n), 2) if rng.random() < p]
     return Graph.from_edges(n, edges)
+
+
+def edge_list_to_text(graph: Graph) -> str:
+    return "".join(f"{a} {b}\n" for a, b in sorted(graph.edges))
 
 
 def star_graph(n: int) -> Graph:

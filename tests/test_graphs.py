@@ -19,12 +19,12 @@ from toricbases.graphs import (
     Graph,
     cycle_graph,
     edge_list_from_text,
-    edge_list_to_text,
 )
 from toricbases.oracle import incidence_matrix, nfold_product
 
 from graph_helpers import (
     complete_graph,
+    edge_list_to_text,
     exact_depth_ordering,
     exact_width_ordering,
     ladder_graph,

@@ -93,3 +93,48 @@ def test_library_parameters_are_read():
                     found.append(f"{path.name}:{node.lineno} {name}({param.arg})")
     assert checked > 200, checked  # not a vacuous check
     assert not found, f"parameters the library never reads: {found}"
+
+
+def test_library_names_have_a_reader():
+    # no library name exists only for the tests: every module-level function
+    # or class, and every public method or property, is read in the library
+    # or in perfbench (a module-level name as a name, an attribute or an
+    # import, a method as an attribute), or is exported in __all__.  Dunders
+    # are exempt, and so is oracle.py, whose brute-force references exist to
+    # be compared against
+    readers = sorted(LIBRARY.glob("*.py")) + sorted((LIBRARY.parents[1] / "perfbench").glob("*.py"))
+    names, attributes = set(), set()
+    for path in readers:
+        tree = ast.parse(path.read_text(), str(path))
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                names.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                attributes.add(node.attr)
+            elif isinstance(node, (ast.Import, ast.ImportFrom)):
+                names |= {alias.name.split(".")[-1] for alias in node.names}
+            elif isinstance(node, ast.Assign) and any(
+                isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets
+            ):
+                names |= {elt.value for elt in node.value.elts}
+    found = []
+    checked = 0
+    for path in sorted(LIBRARY.glob("*.py")):
+        if path.name == "oracle.py":
+            continue
+        for node in ast.parse(path.read_text(), str(path)).body:
+            if not isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                continue
+            checked += 1
+            if node.name not in names and node.name not in attributes:
+                found.append(f"{path.name} {node.name}")
+            if not isinstance(node, ast.ClassDef):
+                continue
+            for method in node.body:
+                if not isinstance(method, ast.FunctionDef) or method.name.startswith("_"):
+                    continue
+                checked += 1
+                if method.name not in attributes:
+                    found.append(f"{path.name} {node.name}.{method.name}")
+    assert checked > 120, checked  # not a vacuous check
+    assert not found, f"library names only the tests read: {found}"

@@ -140,12 +140,19 @@ ROW = SparseIntMatrix.from_dense([[1, 1]])
         (lambda: normalform_to_ip(ROW, MonomialOrder.lex(2), (1, -1)),
          ValueError, "monomial exponents must be nonnegative"),
         (lambda: normalform_to_ip(ROW, MonomialOrder.lex(2), (1, 0, 0)),
-         DimensionMismatch, "dimension mismatch between matrix, order and monomial"),
+         DimensionMismatch, "expected length 2, got 3"),
+        (lambda: normalform_to_ip(ROW, MonomialOrder.lex(2), (1, 0, -1)),
+         DimensionMismatch, "expected length 2, got 3"),
+        (lambda: normalform_to_ip(ROW, MonomialOrder.lex(3), (1, -1)),
+         ValueError, "monomial exponents must be nonnegative"),
+        (lambda: normalform_to_ip(ROW, MonomialOrder.lex(3), (1, 0)),
+         DimensionMismatch, "order has 3 weights, not 2"),
         (lambda: ip_to_normalform(IntegerProgram(ROW, (2,), (1, 1), upper=(2, 2), feasible_hint=(1, 1)))
          .extract_solution((0,)), DimensionMismatch, "expected length 5, got 1"),
     ],
     ids=["rhs", "objective", "lower", "upper", "hint-length", "hint-below", "hint-above", "no-upper", "empty-box",
-         "nf-negative", "nf-length", "extract-length"],
+         "nf-negative", "nf-length", "nf-length-and-negative", "nf-negative-before-order", "nf-order-length",
+         "extract-length"],
 )
 def test_reductions_refusals(call, error, message):
     with pytest.raises(error) as info:
@@ -312,11 +319,17 @@ def test_extraction_identity_tracker():
 def test_vertex_cover_via_graded_normal_form():
     # the embedding also works under the graded order: total degree is fixed
     # along the fiber, so degree-first minimisation reduces to the tracker
-    ip = vertex_cover_ip(complete_graph(3))
-    z, objective = solve_ip_via_normal_form(ip, graded=True)
-    assert objective == 2
+    graph = complete_graph(3)
+    ip = vertex_cover_ip(graph)
     reduction = ip_to_normalform(ip, graded=True)
     assert reduction.order.weights == (1,) * reduction.matrix.num_cols
+    c, t = reduction.source_objective, reduction.source_upper
+    L = build_lattice(reduction.matrix, max([sum(abs(cj) * tj for cj, tj in zip(c, t)), 1, *t]))
+    nf = normal_form_bounded(reduction.matrix, L, reduction.order, reduction.start_exponent)
+    z, objective = reduction.extract_solution(nf.normal_exponent)
+    assert objective == 2
+    cover = {v for v in range(graph.num_vertices) if z[v]}
+    assert all(a in cover or b in cover for a, b in graph.edges)
 
 
 def test_round_trip_with_negative_costs():
