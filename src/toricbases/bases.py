@@ -16,11 +16,11 @@ from typing import Sequence
 
 from .core import (
     Binomial,
-    DimensionMismatch,
     MonomialOrder,
     SparseIntMatrix,
     Vec,
     as_vector,
+    check_length,
     conformal_leq,
     one_norm,
 )
@@ -37,11 +37,10 @@ class BasisReport:
     Binomial objects for the Groebner kinds and sorted kernel vectors for the
     Graver kinds; ``scanned`` counts the lattice elements examined;
     ``certified`` is :attr:`KernelLattice.certified`, without which elements
-    beyond the bound may be missing.
+    beyond ``bound_used``, the lattice's bound, may be missing.
     """
 
     kind: str
-    order: MonomialOrder | None
     elements: tuple
     scanned: int
     bound_used: int
@@ -68,9 +67,9 @@ def in_reduced_gb(
     caller reads it off the lattice.
     """
     L.check_matrix(A)
+    L.check_order(order)
     head, tail = binomial.head, binomial.tail
-    if len(head) != A.num_cols:
-        raise DimensionMismatch(f"expected length {A.num_cols}, got {len(head)}")
+    check_length(head, A.num_cols)
     _check_kernel_pair(A, head, tail)
     if order.compare(head, tail) <= 0:
         raise ValueError("binomial must be oriented head-above-tail")
@@ -113,7 +112,7 @@ def reduced_groebner_basis(
         and not any(h != b.head and conformal_leq(h, b.head) for h in heads)
     ]
     kind = "reduced-groebner" if L.kind == "box" else "truncated-groebner"
-    return BasisReport(kind, order, tuple(kept), graver.scanned, L.bound, L.certified)
+    return BasisReport(kind, tuple(kept), graver.scanned, L.bound, L.certified)
 
 
 def in_graver(A: SparseIntMatrix, L: KernelLattice, z: Sequence[int]) -> bool:
@@ -125,8 +124,7 @@ def in_graver(A: SparseIntMatrix, L: KernelLattice, z: Sequence[int]) -> bool:
     """
     L.check_matrix(A)
     z = as_vector(z)
-    if len(z) != A.num_cols:
-        raise DimensionMismatch(f"expected length {A.num_cols}, got {len(z)}")
+    check_length(z, A.num_cols)
     if not any(z):
         raise ValueError("the zero vector is never a basis element")
     if any(A.apply(z)):
@@ -152,7 +150,7 @@ def graver_basis(A: SparseIntMatrix, L: KernelLattice) -> BasisReport:
             kept.append(z)
     kept.sort()
     kind = "graver" if L.kind == "box" else "truncated-graver"
-    return BasisReport(kind, None, tuple(kept), len(vectors), L.bound, L.certified)
+    return BasisReport(kind, tuple(kept), len(vectors), L.bound, L.certified)
 
 
 def binomials_from_vectors(vectors: Sequence[Vec], order: MonomialOrder) -> list[Binomial]:

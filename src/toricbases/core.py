@@ -51,6 +51,23 @@ def int_from_text(text: str) -> int:
     raise ValueError(f"expected an integer, got {text!r}")
 
 
+def check_length(v: Sequence[int], n: int) -> None:
+    """Raise DimensionMismatch unless v has n entries."""
+    if len(v) != n:
+        raise DimensionMismatch(f"expected length {n}, got {len(v)}")
+
+
+def check_monomial(u: Vec, n: int) -> set[int]:
+    """u's distinct entries, once u has n entries (DimensionMismatch) and
+    none negative (ValueError).  Every route to a normal form checks its
+    monomial here; the set answers the sign, and a caller may read more."""
+    check_length(u, n)
+    values = set(u)
+    if min(values, default=0) < 0:
+        raise ValueError("monomial exponents must be nonnegative")
+    return values
+
+
 def positive_part(v: Sequence[int]) -> Vec:
     return tuple(x if x > 0 else 0 for x in v)
 
@@ -158,8 +175,7 @@ class SparseIntMatrix:
 
     def apply(self, v: Sequence[int]) -> Vec:
         """A.v with exact arithmetic."""
-        if len(v) != self.num_cols:
-            raise DimensionMismatch(f"expected length {self.num_cols}, got {len(v)}")
+        check_length(v, self.num_cols)
         return tuple(sum(value * v[j] for j, value in row) for row in self._rows)
 
     def transpose(self) -> "SparseIntMatrix":
@@ -203,8 +219,7 @@ def in_row_space(A: SparseIntMatrix, w: Sequence[int], order: Sequence[int]) -> 
     stays inside a clique of its chordal completion, as in sparse Gaussian
     elimination, so a long, narrow matrix keeps short rows."""
     n = A.num_cols
-    if len(w) != n:
-        raise DimensionMismatch(f"expected length {n}, got {len(w)}")
+    check_length(w, n)
     if sorted(order) != list(range(n)):
         raise ValueError("order must be a permutation of the columns")
     position = dict(zip(order, range(n)))
@@ -350,17 +365,13 @@ class MonomialOrder:
     def is_unit_weights(self) -> bool:
         return all(w == 1 for w in self.weights)
 
-    def _check(self, v: Sequence[int]) -> None:
-        if len(v) != len(self.weights):
-            raise DimensionMismatch(f"expected length {len(self.weights)}, got {len(v)}")
-
     def key(self, v: Sequence[int]) -> Vec:
         """Additive comparison key (w.v, v_1, ..., v_n).
 
         Lexicographic comparison of keys matches :meth:`compare`, and
         key(u + v) = key(u) + key(v) componentwise.
         """
-        self._check(v)
+        check_length(v, len(self.weights))
         return (sum(w * x for w, x in zip(self.weights, v)),) + tuple(v)
 
     def compare(self, u: Sequence[int], v: Sequence[int]) -> int:
@@ -371,6 +382,12 @@ class MonomialOrder:
         if ku > kv:
             return 1
         return 0
+
+
+def check_order_length(order: MonomialOrder, n: int) -> None:
+    """Raise DimensionMismatch unless the order has n weights."""
+    if order.num_vars != n:
+        raise DimensionMismatch(f"order has {order.num_vars} weights, not {n}")
 
 
 def weight_vector(weights: Sequence[int], r: int, n: int) -> Vec:
@@ -437,8 +454,7 @@ def ideal_membership(A: SparseIntMatrix, terms: Iterable[tuple[int, Sequence[int
     sums: dict[Vec, int] = {}
     for coef, u in terms:
         u = as_vector(u)
-        if not is_nonnegative(u):
-            raise ValueError("exponents must be nonnegative")
+        check_monomial(u, A.num_cols)
         image = A.apply(u)
         sums[image] = sums.get(image, 0) + operator.index(coef)
     return all(s == 0 for s in sums.values())

@@ -47,8 +47,11 @@ from .core import (
     ToricError,
     Vec,
     as_vector,
+    check_length,
+    check_order_length,
     in_row_space,
     infinity_norm,
+    int_from_text,
     negative_part,
     one_norm,
     positive_part,
@@ -67,19 +70,19 @@ class BudgetExceeded(ToricError):
 DEFAULT_BUILD_BUDGET = 50_000_000
 
 
-def _resolve_budget(build_budget: int | None) -> int:
-    """The build budget: the argument when given, else ``TORICBASES_BUDGET``
-    when set, else the default.  A variable that is not an integer is
-    rejected."""
-    if build_budget is not None:
-        return build_budget
+def _resolve_budget() -> int:
+    """The build budget: ``TORICBASES_BUDGET`` when set, else the default.
+    A value that is not a nonnegative integer in text raises ValueError."""
     raw = os.environ.get("TORICBASES_BUDGET")
     if raw is None:
         return DEFAULT_BUILD_BUDGET
     try:
-        return int(raw)
+        budget = int_from_text(raw)
+        if budget >= 0:
+            return budget
     except ValueError:
-        raise ValueError(f"TORICBASES_BUDGET must be an integer, got {raw!r}") from None
+        pass
+    raise ValueError(f"TORICBASES_BUDGET must be a nonnegative integer, got {raw!r}")
 
 
 def graver_infinity_bound(A: SparseIntMatrix) -> int:
@@ -501,8 +504,7 @@ class KernelLattice:
         column, and ValueError unless the lattice serves it: a degree
         lattice serves only the graded lexicographic order, under which a
         normal form never has a larger degree."""
-        if order.num_vars != self.num_columns:
-            raise DimensionMismatch(f"order has {order.num_vars} weights, not {self.num_columns}")
+        check_order_length(order, self.num_columns)
         if self.kind == "degree" and not order.is_unit_weights:
             raise ValueError("degree-truncated lattices support only the graded lexicographic order")
 
@@ -518,8 +520,7 @@ class KernelLattice:
         holds v alone.  The columns fix every counter of a degree lattice,
         so boxing the columns is enough."""
         v = as_vector(v)
-        if len(v) != self.num_columns:
-            raise DimensionMismatch(f"expected length {self.num_columns}, got {len(v)}")
+        check_length(v, self.num_columns)
         return self.within_bound(v) and self.count((v, v)) == 1
 
     def __contains__(self, v: Sequence[int]) -> bool:
@@ -664,9 +665,8 @@ class KernelLattice:
         off by halving.  So the vector is decoded, not searched for top-down.
         """
         n = self.num_columns
+        check_order_length(order, n)
         w = order.weights
-        if len(w) != n:
-            raise DimensionMismatch(f"weights length {len(w)}, expected {n}")
         scale, powers, powers_sum = self._radix
         ties = self._ties
         limit = (scale * sum(w) + powers_sum) * self.bound
@@ -912,24 +912,16 @@ def _check_build_args(
 
 
 def build_lattice(
-    A: SparseIntMatrix,
-    g: int,
-    ordering: Sequence[int] | None = None,
-    *,
-    build_budget: int | None = None,
+    A: SparseIntMatrix, g: int, ordering: Sequence[int] | None = None
 ) -> KernelLattice:
     """Join tree for the kernel vectors of A with entries in [-g, g]."""
     column_ordering = _check_build_args(A, "box", g, ordering)
     domains = dict.fromkeys(range(A.num_cols), range(-g, g + 1))
-    return _assemble(A, "box", g, column_ordering, domains, [], _resolve_budget(build_budget))
+    return _assemble(A, "box", g, column_ordering, domains, [], _resolve_budget())
 
 
 def build_truncated_lattice(
-    A: SparseIntMatrix,
-    d: int,
-    ordering: Sequence[int] | None = None,
-    *,
-    build_budget: int | None = None,
+    A: SparseIntMatrix, d: int, ordering: Sequence[int] | None = None
 ) -> KernelLattice:
     """Join tree for the kernel vectors of A whose positive and negative
     parts both have 1-norm at most d.
@@ -959,4 +951,4 @@ def build_truncated_lattice(
             out = chain * n + l
             pi.append(out)
             counters.append((out - 1 if l else None, col, out, positive))
-    return _assemble(A, "degree", d, tuple(pi), domains, counters, _resolve_budget(build_budget))
+    return _assemble(A, "degree", d, tuple(pi), domains, counters, _resolve_budget())

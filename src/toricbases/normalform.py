@@ -13,13 +13,12 @@ from typing import Iterable, Sequence
 
 from .core import (
     Binomial,
-    DimensionMismatch,
     MonomialOrder,
     SparseIntMatrix,
     ToricError,
     Vec,
     as_vector,
-    is_nonnegative,
+    check_monomial,
     vector_add,
 )
 from .lattice import KernelLattice, shift_box
@@ -27,11 +26,10 @@ from .lattice import KernelLattice, shift_box
 
 @dataclass(frozen=True)
 class NormalFormResult:
-    """``certified`` is :attr:`KernelLattice.certified`: when it is false the
-    bound may miss a move, and the normal form may be too large.  ``jumps``
-    is the number of sweeps the call ran."""
+    """The normal form, and whether the monomial was its own.  ``certified``
+    is :attr:`KernelLattice.certified`: when it is false the bound may miss
+    a move, and the normal form may be too large.  ``jumps`` counts sweeps."""
 
-    input_exponent: Vec
     normal_exponent: Vec
     was_standard: bool
     certified: bool
@@ -41,15 +39,12 @@ class NormalFormResult:
 def _check_monomial(
     A: SparseIntMatrix, L: KernelLattice, order: MonomialOrder, u: Vec
 ) -> None:
+    """Matrix, monomial (:func:`core.check_monomial`), bound, then order."""
     L.check_matrix(A)
-    if len(u) != A.num_cols:
-        raise DimensionMismatch(f"expected length {A.num_cols}, got {len(u)}")
-    # u's distinct values answer the sign check, and with it the bound: a
-    # nonnegative u lies in the box bound when its largest entry does, and
+    # u's distinct values, which answered the sign check, answer the bound:
+    # a nonnegative u lies in the box bound when its largest entry does, and
     # in the degree bound when its sum does
-    values = set(u)
-    if min(values, default=0) < 0:
-        raise ValueError("monomial exponents must be nonnegative")
+    values = check_monomial(u, A.num_cols)
     if (max(values, default=0) if L.kind == "box" else sum(u)) > L.bound:
         L.check_bound(u)
     L.check_order(order)
@@ -72,7 +67,7 @@ def normal_form_bounded(
     minimiser, and adds the minimiser only when it moves.
 
     The monomial is checked before the first jump, in this order: its
-    length (DimensionMismatch), its sign (ValueError), the lattice's bound
+    length and sign (:func:`core.check_monomial`), the lattice's bound
     (BoundExceeded), the order.
 
     On a degree-d lattice the first jump lands on the normal form nf.  The
@@ -95,7 +90,7 @@ def normal_form_bounded(
         if L.kind == "degree":
             break
     # a move strictly lowers the key, so u is standard when none was made
-    return NormalFormResult(u, current, current is u, L.certified, jumps)
+    return NormalFormResult(current, current is u, L.certified, jumps)
 
 
 def is_standard(
@@ -131,14 +126,11 @@ def reduce_by_basis(
     cap guards against pathologically long chains).  The remainder is the
     normal form exactly when the heads generate the initial ideal.  Elements
     are processed in ascending head order so reduction traces are
-    reproducible.  The monomial's length (DimensionMismatch) and sign
-    (ValueError) are checked before any element is read.
+    reproducible.  The monomial is checked by :func:`core.check_monomial`,
+    against the order's length, before any element is read.
     """
     u = as_vector(u)
-    if len(u) != order.num_vars:
-        raise DimensionMismatch(f"expected length {order.num_vars}, got {len(u)}")
-    if not is_nonnegative(u):
-        raise ValueError("monomial exponents must be nonnegative")
+    check_monomial(u, order.num_vars)
     # keys once per element, which refuses an element of another length; the
     # sort reads only the keys, never two binomials
     keyed = [(order.key(b.head), order.key(b.tail), b) for b in gb]

@@ -20,8 +20,10 @@ from .core import (
     ToricError,
     Vec,
     as_vector,
+    check_length,
+    check_monomial,
+    check_order_length,
     in_row_space,
-    is_nonnegative,
     negative_part,
     positive_part,
     weight_vector,
@@ -272,17 +274,13 @@ def normalform_to_ip(
     variables; since w' >= 0 every cost is positive and the cut bounds
     every variable.
 
-    The monomial's length and sign, then the order's length, are checked
-    first, as the other two routes check them.
+    The monomial is checked first, by :func:`core.check_monomial`, then
+    the order's length, by :func:`core.check_order_length`.
     """
     u = as_vector(u)
     n = A.num_cols
-    if len(u) != n:
-        raise DimensionMismatch(f"expected length {n}, got {len(u)}")
-    if not is_nonnegative(u):
-        raise ValueError("monomial exponents must be nonnegative")
-    if order.num_vars != n:
-        raise DimensionMismatch(f"order has {order.num_vars} weights, not {n}")
+    check_monomial(u, n)
+    check_order_length(order, n)
     b = A.apply(u)
     # each rule below pays for itself: CPU time to embed and solve, with the
     # rule against without it, on a shared 2-CPU host.  The remainder w':
@@ -337,8 +335,7 @@ class NormalFormReduction:
         fails, since the exponent then encodes no solution."""
         v = as_vector(normal_exponent)
         n = self.num_source_vars
-        if len(v) != 2 * n + 1:
-            raise DimensionMismatch(f"expected length {2 * n + 1}, got {len(v)}")
+        check_length(v, 2 * n + 1)
         tracker, z = v[0], v[n + 1 :]
         c = self.source_objective
         objective = sum(cj * xj for cj, xj in zip(c, z))

@@ -643,6 +643,28 @@ def test_budget_env_must_be_an_integer(capsys, tc_matrix, monkeypatch):
     assert "TORICBASES_BUDGET" in err
 
 
+@pytest.mark.parametrize(
+    "value",
+    ["lots", "1_000000", " 5000000 ", "+5000000", "-1"],
+    ids=["word", "underscore", "spaces", "plus", "negative"],
+)
+def test_budget_env_is_a_nonnegative_integer_in_text(capsys, tc_matrix, monkeypatch, value):
+    # the variable follows the rule for integers in text, and a budget
+    # below 0 is refused as a usage error, not reported as exceeded
+    monkeypatch.setenv("TORICBASES_BUDGET", value)
+    code, out, err = run_cli(capsys, "lattice", "--matrix", tc_matrix, "--bound", "3", "count")
+    assert code == 2 and out == ""
+    assert err == f"error: TORICBASES_BUDGET must be a nonnegative integer, got {value!r}\n"
+    # the IP route builds no lattice, so it never reads the variable
+    code, _, _ = run_cli(
+        capsys, "normal-form", "--matrix", tc_matrix, "--order", "grlex", "--via", "ip", "--monomial", "1,0,1,0"
+    )
+    assert code == 0
+    monkeypatch.setenv("TORICBASES_BUDGET", "0")
+    code, _, err = run_cli(capsys, "lattice", "--matrix", tc_matrix, "--bound", "3", "count")
+    assert code == 1 and "exceeds budget 0" in err
+
+
 def test_removed_flags_are_usage_errors(capsys, tc_matrix, tmp_path):
     # both calls succeed without the removed flag
     lattice = ["lattice", "--matrix", tc_matrix, "--bound", "1", "count"]

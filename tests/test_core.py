@@ -239,7 +239,9 @@ def test_matrix_text_parse_errors():
         (lambda: weight_vector((1,), 2, 2), DimensionMismatch, "weights length 1, expected 2"),
         (lambda: Binomial((1, 0), (0,)), DimensionMismatch, "head and tail lengths differ"),
         (lambda: ideal_membership(SparseIntMatrix.from_dense([[1, 1]]), [(1, (1, -1))]),
-         ValueError, "exponents must be nonnegative"),
+         ValueError, "monomial exponents must be nonnegative"),
+        (lambda: ideal_membership(SparseIntMatrix.from_dense([[1, 1, 1, 1]]), [(1, (1, 2, -1))]),
+         DimensionMismatch, "expected length 4, got 3"),
         (lambda: in_row_space(SparseIntMatrix.from_dense([[1, 1]]), (1,), (0, 1)),
          DimensionMismatch, "expected length 2, got 1"),
         (lambda: in_row_space(SparseIntMatrix.from_dense([[1, 1]]), (1, 1), (0,)),
@@ -253,8 +255,8 @@ def test_matrix_text_parse_errors():
     ],
     ids=["vector-add", "conformal-leq", "negative-dimensions", "ragged", "apply-length",
          "sparse-header", "dense-header", "column-count", "negative-weight", "weight-vector-length",
-         "binomial-lengths", "membership-negative", "row-space-length", "row-space-short-order",
-         "row-space-bad-order", "row-space-repeat-0", "row-space-repeat-1"],
+         "binomial-lengths", "membership-negative", "membership-length-before-sign", "row-space-length",
+         "row-space-short-order", "row-space-bad-order", "row-space-repeat-0", "row-space-repeat-1"],
 )
 def test_core_refusals(call, error, message):
     with pytest.raises(error) as info:

@@ -952,8 +952,9 @@ def test_merges_keep_the_unmerged_answers(monkeypatch):
     monkeypatch.undo()
     monkeypatch.setattr(lattice_module, "_folds", lambda *args: False)
     unfolded = [build(A, bound, ordering) for build, A, bound, ordering in cases]
+    monkeypatch.setenv("TORICBASES_BUDGET", "515625")
     with pytest.raises(BudgetExceeded):  # its estimate is 613,280 unfolded
-        build_lattice(two_by_two_minors_matrix(3, 4), 2, build_budget=515_625)
+        build_lattice(two_by_two_minors_matrix(3, 4), 2)
     monkeypatch.undo()
     fewer = 0
     for L, U, F in zip(merged, unmerged, unfolded):
@@ -1056,31 +1057,25 @@ def test_default_bound_small_matrix():
 
 
 def test_build_budget_guard(twisted_cubic, monkeypatch):
-    with pytest.raises(BudgetExceeded):
-        build_lattice(twisted_cubic, 3, build_budget=10)
-    # TORICBASES_BUDGET replaces the default only; an explicit budget wins
-    monkeypatch.setenv("TORICBASES_BUDGET", str(10**8))
-    with pytest.raises(BudgetExceeded):
-        build_lattice(twisted_cubic, 3, build_budget=10)
-    with pytest.raises(BudgetExceeded):
-        build_truncated_lattice(twisted_cubic, 3, build_budget=10)
     monkeypatch.setenv("TORICBASES_BUDGET", "10")
     with pytest.raises(BudgetExceeded):
         build_lattice(twisted_cubic, 3)
-    assert build_lattice(twisted_cubic, 3, build_budget=10**8).count() == len(
-        enumerate_kernel(twisted_cubic, 3)
-    )
+    with pytest.raises(BudgetExceeded):
+        build_truncated_lattice(twisted_cubic, 3)
+    monkeypatch.setenv("TORICBASES_BUDGET", str(10**8))
+    assert build_lattice(twisted_cubic, 3).count() == len(enumerate_kernel(twisted_cubic, 3))
 
 
-def test_budget_refuses_before_allocating_the_domains():
+def test_budget_refuses_before_allocating_the_domains(monkeypatch):
     # a domain is a range, so both builders refuse a huge bound from the
     # table estimate alone, with no list or tuple as long as the domain
+    monkeypatch.setenv("TORICBASES_BUDGET", "10")
     A = SparseIntMatrix.from_dense([[1, 1, 1]])
     for build in (build_lattice, build_truncated_lattice):
         tracemalloc.start()
         try:
             with pytest.raises(BudgetExceeded):
-                build(A, 200_000, build_budget=10)
+                build(A, 200_000)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -1100,7 +1095,7 @@ def test_budget_covers_only_the_table_estimate():
     assert L.minimize(MonomialOrder.lex(2), ((-7, -3000), (-7, 3000))) == (-7, 7)
 
 
-def test_budget_estimate_is_taken_after_the_folds():
+def test_budget_estimate_is_taken_after_the_folds(monkeypatch):
     # a clique that is exactly its first child's separator folds into the
     # child before anything is enumerated, and adds nothing to the estimate
     # (unfolded, these would read 613,280, 1,956,581, 521,238 and 18,687).
@@ -1116,9 +1111,11 @@ def test_budget_estimate_is_taken_after_the_folds():
         (build_truncated_lattice, block_diagonal, 2, 17_010),
     ]
     for build, A, bound, estimate in cases:
-        build(A, bound, build_budget=estimate)
+        monkeypatch.setenv("TORICBASES_BUDGET", str(estimate))
+        build(A, bound)
+        monkeypatch.setenv("TORICBASES_BUDGET", str(estimate - 1))
         with pytest.raises(BudgetExceeded, match=f"work {estimate} exceeds budget {estimate - 1};"):
-            build(A, bound, build_budget=estimate - 1)
+            build(A, bound)
 
 
 def test_ordering_validation(twisted_cubic):

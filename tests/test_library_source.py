@@ -138,3 +138,25 @@ def test_library_names_have_a_reader():
                     found.append(f"{path.name} {node.name}.{method.name}")
     assert checked > 120, checked  # not a vacuous check
     assert not found, f"library names only the tests read: {found}"
+
+
+def test_refusal_messages_have_one_home():
+    # an input rule that several entry points share is written once, in
+    # core.py (check_length, check_monomial, check_order_length), so no
+    # route can word it or order its checks another way: its message is a
+    # string nowhere else in the library, f-string parts included
+    phrases = ("expected length", "monomial exponents must be nonnegative", "weights, not")
+    found, homed = [], set()
+    for path in sorted(LIBRARY.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            if not (isinstance(node, ast.Constant) and isinstance(node.value, str)):
+                continue
+            for phrase in phrases:
+                if phrase not in node.value:
+                    continue
+                if path.name == "core.py":
+                    homed.add(phrase)
+                else:
+                    found.append(f"{path.name}:{node.lineno} {phrase!r}")
+    assert not found, f"refusal messages outside core.py: {found}"
+    assert homed == set(phrases), homed  # not a vacuous check

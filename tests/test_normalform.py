@@ -13,8 +13,10 @@ from toricbases import (
     build_truncated_lattice,
     graver_infinity_bound,
     ideal_membership,
+    in_reduced_gb,
     is_standard,
     normal_form_bounded,
+    normalform_to_ip,
     polynomial_normal_form,
     reduce_by_basis,
     reduced_groebner_basis,
@@ -22,6 +24,8 @@ from toricbases import (
 from toricbases.lattice import BoundExceeded
 from toricbases.normalform import ReductionDiverged
 from toricbases.oracle import normal_form_bruteforce, random_sparse_matrix
+
+from conftest import TWISTED_CUBIC_RGB
 
 
 def test_basic_normal_form():
@@ -246,6 +250,43 @@ def test_normalform_refusals(twisted_cubic, call, error, message):
     with pytest.raises(error) as info:
         call(twisted_cubic, build_lattice(twisted_cubic, 1), MonomialOrder.grlex(4))
     assert type(info.value) is error and str(info.value) == message
+
+
+def test_routes_refuse_a_monomial_alike(twisted_cubic):
+    # the join-tree route, division by the reduced basis, the integer
+    # program and the membership test read one rule for a monomial and one
+    # for an order's length, so each refusal is the same on every route
+    A = twisted_cubic
+    L = build_lattice(A, 2)
+    grlex = MonomialOrder.grlex(4)
+    basis = [Binomial(h, t) for h, t in sorted(TWISTED_CUBIC_RGB)]
+
+    def refusal(call):
+        with pytest.raises((DimensionMismatch, ValueError)) as info:
+            call()
+        return type(info.value), str(info.value)
+
+    short = (DimensionMismatch, "expected length 4, got 3")
+    negative = (ValueError, "monomial exponents must be nonnegative")
+    for u, expected in (((1, 0, 1), short), ((1, -1, 0, 0), negative), ((1, -1, 0), short)):
+        calls = (
+            lambda: normal_form_bounded(A, L, grlex, u),
+            lambda: is_standard(A, L, grlex, u),
+            lambda: reduce_by_basis(basis, grlex, u),
+            lambda: normalform_to_ip(A, grlex, u),
+            lambda: ideal_membership(A, [(1, u)]),
+        )
+        assert [refusal(call) for call in calls] == [expected] * len(calls), u
+    lex3 = MonomialOrder.lex(3)
+    calls = (
+        lambda: normal_form_bounded(A, L, lex3, (1, 0, 1, 0)),
+        lambda: normalform_to_ip(A, lex3, (1, 0, 1, 0)),
+        lambda: in_reduced_gb(A, L, lex3, basis[0]),
+        lambda: L.minimize(lex3),
+        lambda: reduced_groebner_basis(A, L, lex3),
+    )
+    expected = (DimensionMismatch, "order has 3 weights, not 4")
+    assert [refusal(call) for call in calls] == [expected] * len(calls)
 
 
 def test_reduce_by_basis_takes_a_repeated_element():
