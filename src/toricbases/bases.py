@@ -11,11 +11,11 @@ reduced basis is read off the Graver binomials with no sweep.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Sequence
 
 from .core import (
     Binomial,
+    Frozen,
     MonomialOrder,
     SparseIntMatrix,
     Vec,
@@ -28,8 +28,7 @@ from .lattice import KernelLattice, conformal_box
 from .normalform import is_standard, normal_form_bounded
 
 
-@dataclass(frozen=True)
-class BasisReport:
+class BasisReport(Frozen):
     """Outcome of a basis construction scan.
 
     ``kind`` is one of ``reduced-groebner``, ``graver``,
@@ -40,11 +39,14 @@ class BasisReport:
     beyond ``bound_used``, the lattice's bound, may be missing.
     """
 
-    kind: str
-    elements: tuple
-    scanned: int
-    bound_used: int
-    certified: bool
+    __slots__ = ("kind", "elements", "scanned", "bound_used", "certified")
+
+    def __init__(self, kind: str, elements: tuple, scanned: int, bound_used: int, certified: bool):
+        object.__setattr__(self, "kind", kind)
+        object.__setattr__(self, "elements", elements)
+        object.__setattr__(self, "scanned", scanned)
+        object.__setattr__(self, "bound_used", bound_used)
+        object.__setattr__(self, "certified", certified)
 
 
 def _check_kernel_pair(A: SparseIntMatrix, head: Vec, tail: Vec) -> None:

@@ -10,22 +10,25 @@ from __future__ import annotations
 
 import heapq
 import operator
-from dataclasses import dataclass
 from itertools import combinations
 from typing import Callable, Iterable, Sequence
 
-from .core import SparseIntMatrix, int_from_text
+from .core import Frozen, SparseIntMatrix, int_from_text
 
 
-@dataclass(frozen=True)
-class Graph:
+class Graph(Frozen):
     """Simple undirected graph on vertices 0..num_vertices-1."""
 
-    num_vertices: int
-    edges: frozenset[tuple[int, int]]
+    __slots__ = ("num_vertices", "edges")
+
+    def __init__(self, num_vertices: int, edges: frozenset[tuple[int, int]]):
+        object.__setattr__(self, "num_vertices", num_vertices)
+        object.__setattr__(self, "edges", edges)
 
     @classmethod
     def from_edges(cls, num_vertices: int, edges: Iterable[tuple[int, int]]) -> "Graph":
+        if num_vertices < 0:
+            raise ValueError(f"vertex count must be nonnegative, got {num_vertices}")
         norm = set()
         for a, b in edges:
             a, b = operator.index(a), operator.index(b)
@@ -72,8 +75,7 @@ def row_graph(A: SparseIntMatrix) -> Graph:
 # elimination
 
 
-@dataclass(frozen=True)
-class EliminationStructure:
+class EliminationStructure(Frozen):
     """Result of eliminating a graph along a fixed vertex ordering.
 
     ``cliques[l]`` is the vertex eliminated at step l together with its
@@ -84,13 +86,25 @@ class EliminationStructure:
     forest).
     """
 
-    ordering: tuple[int, ...]
-    position: dict[int, int]
-    cliques: tuple[frozenset[int], ...]
-    fill_edges: frozenset[tuple[int, int]]
-    clique_number: int
-    parent: dict[int, int | None]
-    height: int
+    __slots__ = ("ordering", "position", "cliques", "fill_edges", "clique_number", "parent", "height")
+
+    def __init__(
+        self,
+        ordering: tuple[int, ...],
+        position: dict[int, int],
+        cliques: tuple[frozenset[int], ...],
+        fill_edges: frozenset[tuple[int, int]],
+        clique_number: int,
+        parent: dict[int, int | None],
+        height: int,
+    ):
+        object.__setattr__(self, "ordering", ordering)
+        object.__setattr__(self, "position", position)
+        object.__setattr__(self, "cliques", cliques)
+        object.__setattr__(self, "fill_edges", fill_edges)
+        object.__setattr__(self, "clique_number", clique_number)
+        object.__setattr__(self, "parent", parent)
+        object.__setattr__(self, "height", height)
 
 
 def eliminate(graph: Graph, ordering: Sequence[int]) -> EliminationStructure:

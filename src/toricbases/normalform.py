@@ -8,11 +8,11 @@ division by an explicit Groebner basis for anything else.
 from __future__ import annotations
 
 import operator
-from dataclasses import dataclass
 from typing import Iterable, Sequence
 
 from .core import (
     Binomial,
+    Frozen,
     MonomialOrder,
     SparseIntMatrix,
     ToricError,
@@ -24,16 +24,18 @@ from .core import (
 from .lattice import KernelLattice, shift_box
 
 
-@dataclass(frozen=True)
-class NormalFormResult:
+class NormalFormResult(Frozen):
     """The normal form, and whether the monomial was its own.  ``certified``
     is :attr:`KernelLattice.certified`: when it is false the bound may miss
     a move, and the normal form may be too large.  ``jumps`` counts sweeps."""
 
-    normal_exponent: Vec
-    was_standard: bool
-    certified: bool
-    jumps: int = 0
+    __slots__ = ("normal_exponent", "was_standard", "certified", "jumps")
+
+    def __init__(self, normal_exponent: Vec, was_standard: bool, certified: bool, jumps: int = 0):
+        object.__setattr__(self, "normal_exponent", normal_exponent)
+        object.__setattr__(self, "was_standard", was_standard)
+        object.__setattr__(self, "certified", certified)
+        object.__setattr__(self, "jumps", jumps)
 
 
 def _check_monomial(

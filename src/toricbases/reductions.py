@@ -10,11 +10,11 @@ feasible starting monomial reads off an optimal solution.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Iterator, Sequence
 
 from .core import (
     DimensionMismatch,
+    Frozen,
     MonomialOrder,
     SparseIntMatrix,
     ToricError,
@@ -41,8 +41,7 @@ class NoBoxError(ToricError):
     """Raised when no finite variable bounds are available to search over."""
 
 
-@dataclass(frozen=True)
-class IntegerProgram:
+class IntegerProgram(Frozen):
     """min objective . z  subject to  matrix . z = rhs and box bounds.
 
     ``lower`` defaults to all zeros and ``upper`` is required; both are
@@ -51,30 +50,33 @@ class IntegerProgram:
     incumbent.
     """
 
-    matrix: SparseIntMatrix
-    rhs: Vec
-    objective: Vec
-    lower: Vec | None = None
-    upper: Vec | None = None
-    feasible_hint: Vec | None = None
+    __slots__ = ("matrix", "rhs", "objective", "lower", "upper", "feasible_hint")
 
-    def __post_init__(self):
-        n, m = self.matrix.num_cols, self.matrix.num_rows
-        object.__setattr__(self, "rhs", as_vector(self.rhs))
-        object.__setattr__(self, "objective", as_vector(self.objective))
+    def __init__(
+        self,
+        matrix: SparseIntMatrix,
+        rhs: Sequence[int],
+        objective: Sequence[int],
+        lower: Sequence[int] | None = None,
+        upper: Sequence[int] | None = None,
+        feasible_hint: Sequence[int] | None = None,
+    ):
+        n, m = matrix.num_cols, matrix.num_rows
+        object.__setattr__(self, "matrix", matrix)
+        object.__setattr__(self, "rhs", as_vector(rhs))
+        object.__setattr__(self, "objective", as_vector(objective))
         if len(self.rhs) != m:
             raise DimensionMismatch(f"rhs length {len(self.rhs)}, expected {m}")
         if len(self.objective) != n:
             raise DimensionMismatch(f"objective length {len(self.objective)}, expected {n}")
-        if self.lower is None:
-            object.__setattr__(self, "lower", (0,) * n)
-        for name in ("lower", "upper", "feasible_hint"):
-            value = getattr(self, name)
+        if lower is None:
+            lower = (0,) * n
+        for name, value in (("lower", lower), ("upper", upper), ("feasible_hint", feasible_hint)):
             if value is not None:
                 value = as_vector(value)
                 if len(value) != n:
                     raise DimensionMismatch(f"{name} length {len(value)}, expected {n}")
-                object.__setattr__(self, name, value)
+            object.__setattr__(self, name, value)
         hint = self.feasible_hint
         if hint is not None:
             if self.matrix.apply(hint) != self.rhs:
@@ -307,8 +309,7 @@ def normalform_to_ip(
 # integer program -> normal form
 
 
-@dataclass(frozen=True)
-class NormalFormReduction:
+class NormalFormReduction(Frozen):
     """Equality system, starting exponent and order whose normal form encodes
     an optimal solution of the source program.
 
@@ -317,12 +318,23 @@ class NormalFormReduction:
     first.
     """
 
-    matrix: SparseIntMatrix
-    rhs: Vec
-    start_exponent: Vec
-    order: MonomialOrder
-    source_objective: Vec
-    source_upper: Vec
+    __slots__ = ("matrix", "rhs", "start_exponent", "order", "source_objective", "source_upper")
+
+    def __init__(
+        self,
+        matrix: SparseIntMatrix,
+        rhs: Vec,
+        start_exponent: Vec,
+        order: MonomialOrder,
+        source_objective: Vec,
+        source_upper: Vec,
+    ):
+        object.__setattr__(self, "matrix", matrix)
+        object.__setattr__(self, "rhs", rhs)
+        object.__setattr__(self, "start_exponent", start_exponent)
+        object.__setattr__(self, "order", order)
+        object.__setattr__(self, "source_objective", source_objective)
+        object.__setattr__(self, "source_upper", source_upper)
 
     @property
     def num_source_vars(self) -> int:

@@ -601,6 +601,20 @@ def test_cli_import_leaves_numpy_unloaded():
         assert proc.returncode == 0, f"{module} imported {proc.stderr}"
 
 
+def test_import_leaves_dataclasses_unloaded():
+    # the value classes are written on core.Frozen, not @dataclass:
+    # dataclasses loads inspect, and with the decoration that was a third of
+    # the library's import time, paid by every CLI call
+    env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
+    for module in ("toricbases", "toricbases.cli"):
+        loaded = "sorted({'dataclasses', 'inspect'} & set(sys.modules))"
+        script = f"import sys, {module}; sys.exit({loaded} or None)"
+        proc = subprocess.run(
+            [sys.executable, "-c", script], cwd=ROOT, env=env, capture_output=True, text=True, timeout=60
+        )
+        assert proc.returncode == 0, f"{module} imported {proc.stderr}"
+
+
 def test_ordering_from_file_and_strategies(capsys, tc_matrix, tmp_path):
     ordering_path = tmp_path / "ord.txt"
     ordering_path.write_text("3 2 1 0\n")

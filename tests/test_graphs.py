@@ -243,6 +243,7 @@ def test_graph_validation():
         Graph.from_edges(3, [(0, 0)])
     with pytest.raises(ValueError):
         Graph.from_edges(3, [(0, 9)])
+    assert Graph.from_edges(0, []).num_vertices == 0
 
 
 @pytest.mark.parametrize(
@@ -250,8 +251,11 @@ def test_graph_validation():
     [
         (lambda: cycle_graph(2), ValueError, "cycle needs at least 3 vertices"),
         (lambda: eliminate(path_graph(3), (0, 1, 1)), ValueError, "ordering must be a permutation of the vertices"),
+        (lambda: Graph.from_edges(-1, []), ValueError, "vertex count must be nonnegative, got -1"),
+        # the count is checked before the edges
+        (lambda: Graph.from_edges(-2, [(0, 1)]), ValueError, "vertex count must be nonnegative, got -2"),
     ],
-    ids=["cycle-of-two", "not-a-permutation"],
+    ids=["cycle-of-two", "not-a-permutation", "negative-vertex-count", "negative-count-before-edges"],
 )
 def test_graphs_refusals(call, error, message):
     with pytest.raises(error) as info:
