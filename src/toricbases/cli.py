@@ -22,6 +22,7 @@ from .core import (
     MonomialOrder,
     SparseIntMatrix,
     ToricError,
+    data_lines,
     int_from_text,
     matrix_from_text,
     matrix_to_text,
@@ -132,8 +133,8 @@ def _resolve_cli_ordering(spec: str | None, A: SparseIntMatrix) -> tuple[int, ..
     if spec in (graphs_mod.MIN_FILL, graphs_mod.MIN_DEGREE):
         return graphs_mod.heuristic_ordering(graphs_mod.column_graph(A), spec)
     if spec.startswith("file:"):
-        text = Path(spec[len("file:") :]).read_text()
-        return tuple(map(int_from_text, text.split()))
+        lines = data_lines(Path(spec[len("file:") :]).read_text())
+        return tuple(int_from_text(token) for tokens in lines for token in tokens)
     raise ValueError(f"unknown ordering {spec!r}")
 
 

@@ -2,8 +2,8 @@
 and weighted monomial orders.
 
 Everything here uses arbitrary-precision Python integers; no operation is
-allowed to overflow a machine word.  All types are immutable after
-construction and safe to share between threads.
+allowed to overflow a machine word.  All value types are :class:`Frozen`:
+immutable after construction and safe to share between threads.
 """
 
 from __future__ import annotations
@@ -36,7 +36,8 @@ class Frozen:
     Two values are equal when they have the same class and equal fields; the
     hash is that of the field tuple; the repr is ``Name(field=value, ...)``;
     setting or deleting a field raises AttributeError; copy and pickle call
-    the constructor with the fields in order.
+    the constructor with the fields in order.  SparseIntMatrix, whose
+    constructor takes entries, gives its own ``__reduce__`` and ``__repr__``.
     """
 
     # Written out, not made with @dataclass(frozen=True), for start-up time:
@@ -151,9 +152,9 @@ def conformal_leq(u: Sequence[int], v: Sequence[int]) -> bool:
 # sparse matrices
 
 
-class SparseIntMatrix:
+class SparseIntMatrix(Frozen):
     """Immutable sparse integer matrix stored as a coordinate list with a
-    row-major index.
+    row-major index.  Copy and pickle rebuild it from its entries.
 
     Zero rows are representable (the incidence matrix of a graph with an
     isolated vertex has one), but the text parser rejects them by default
@@ -178,12 +179,11 @@ class SparseIntMatrix:
             seen.add((i, j))
             rows[i].append((j, value))
 
-        self.num_rows = num_rows
-        self.num_cols = num_cols
-        self._rows: tuple[tuple[tuple[int, int], ...], ...] = tuple(
-            tuple(sorted(r)) for r in rows
-        )
-        self.max_abs = max((abs(v) for row in self._rows for _, v in row), default=0)
+        sorted_rows = tuple(tuple(sorted(r)) for r in rows)
+        object.__setattr__(self, "num_rows", num_rows)
+        object.__setattr__(self, "num_cols", num_cols)
+        object.__setattr__(self, "_rows", sorted_rows)
+        object.__setattr__(self, "max_abs", max((abs(v) for row in sorted_rows for _, v in row), default=0))
 
     @classmethod
     def from_dense(cls, rows: Sequence[Sequence[int]]) -> "SparseIntMatrix":
@@ -235,20 +235,12 @@ class SparseIntMatrix:
             out[i][j] = value
         return out
 
-    def _key(self) -> tuple:
-        return self.num_rows, self.num_cols, self._rows
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, SparseIntMatrix):
-            return NotImplemented
-        return self._key() == other._key()
-
-    def __hash__(self) -> int:
-        return hash(self._key())
-
     def __repr__(self) -> str:
         nonzeros = sum(map(len, self._rows))
         return f"SparseIntMatrix({self.num_rows}x{self.num_cols}, {nonzeros} nonzeros)"
+
+    def __reduce__(self) -> tuple:
+        return self.__class__, (self.num_rows, self.num_cols, tuple(self.iter_entries()))
 
 
 def in_row_space(A: SparseIntMatrix, w: Sequence[int], order: Sequence[int]) -> bool:
@@ -310,6 +302,13 @@ def in_row_space(A: SparseIntMatrix, w: Sequence[int], order: Sequence[int]) -> 
     return reduce_row({j: x for j, x in enumerate(map(operator.index, w)) if x}) is None
 
 
+def data_lines(text: str) -> list[list[str]]:
+    """The tokens of each data line of a matrix file, edge list or ordering
+    file: blank lines and lines whose first token starts with ``#`` are
+    skipped."""
+    return [t for t in map(str.split, text.splitlines()) if t and not t[0].startswith("#")]
+
+
 def matrix_to_text(A: SparseIntMatrix) -> str:
     """Bit-exact text format.
 
@@ -337,8 +336,7 @@ def matrix_from_text(text: str, *, drop_zero_rows: bool = False) -> SparseIntMat
     Zero rows are rejected at parse time (they carry no constraint); pass
     ``drop_zero_rows=True`` to remove them with a warning instead.
     """
-    # blank lines and comment lines, indented or not, as edge_list_from_text skips them
-    tokens_by_line = [t for t in map(str.split, text.splitlines()) if t and not t[0].startswith("#")]
+    tokens_by_line = data_lines(text)
     if not tokens_by_line:
         raise ValueError("empty matrix file")
     head = tokens_by_line[0]

@@ -13,20 +13,17 @@ import operator
 from itertools import combinations
 from typing import Callable, Iterable, Sequence
 
-from .core import Frozen, SparseIntMatrix, int_from_text
+from .core import Frozen, SparseIntMatrix, data_lines, int_from_text
 
 
 class Graph(Frozen):
-    """Simple undirected graph on vertices 0..num_vertices-1."""
+    """Simple undirected graph on vertices 0..num_vertices-1.  The edges, any
+    iterable of vertex pairs, are checked and stored as ``(a, b)`` with a < b."""
 
     __slots__ = ("num_vertices", "edges")
 
-    def __init__(self, num_vertices: int, edges: frozenset[tuple[int, int]]):
-        object.__setattr__(self, "num_vertices", num_vertices)
-        object.__setattr__(self, "edges", edges)
-
-    @classmethod
-    def from_edges(cls, num_vertices: int, edges: Iterable[tuple[int, int]]) -> "Graph":
+    def __init__(self, num_vertices: int, edges: Iterable[tuple[int, int]]):
+        num_vertices = operator.index(num_vertices)
         if num_vertices < 0:
             raise ValueError(f"vertex count must be nonnegative, got {num_vertices}")
         norm = set()
@@ -37,7 +34,12 @@ class Graph(Frozen):
             if not (0 <= a < num_vertices and 0 <= b < num_vertices):
                 raise ValueError(f"edge ({a},{b}) out of range")
             norm.add((a, b) if a < b else (b, a))
-        return cls(num_vertices, frozenset(norm))
+        object.__setattr__(self, "num_vertices", num_vertices)
+        object.__setattr__(self, "edges", frozenset(norm))
+
+    @classmethod
+    def from_edges(cls, num_vertices: int, edges: Iterable[tuple[int, int]]) -> "Graph":
+        return cls(num_vertices, edges)
 
     def adjacency(self) -> list[set[int]]:
         adj: list[set[int]] = [set() for _ in range(self.num_vertices)]
@@ -53,7 +55,7 @@ class Graph(Frozen):
 def cycle_graph(n: int) -> Graph:
     if n < 3:
         raise ValueError("cycle needs at least 3 vertices")
-    return Graph.from_edges(n, [(i, (i + 1) % n) for i in range(n)])
+    return Graph(n, [(i, (i + 1) % n) for i in range(n)])
 
 
 def column_graph(A: SparseIntMatrix) -> Graph:
@@ -63,7 +65,7 @@ def column_graph(A: SparseIntMatrix) -> Graph:
     for i in range(A.num_rows):
         support = [j for j, _ in A.row(i)]
         edges.update(combinations(support, 2))
-    return Graph.from_edges(A.num_cols, edges)
+    return Graph(A.num_cols, edges)
 
 
 def row_graph(A: SparseIntMatrix) -> Graph:
@@ -78,12 +80,12 @@ def row_graph(A: SparseIntMatrix) -> Graph:
 class EliminationStructure(Frozen):
     """Result of eliminating a graph along a fixed vertex ordering.
 
-    ``cliques[l]`` is the vertex eliminated at step l together with its
-    not-yet-eliminated neighbours in the completed graph; each such set is a
-    clique of the completion.  The parent of the step-l vertex is the member
-    of its clique eliminated soonest after it; vertices whose clique is a
-    singleton are roots (the completion of a disconnected graph yields a
-    forest).
+    ``cliques[l]`` is ``(v, *later)``: the vertex v eliminated at step l,
+    then its not-yet-eliminated neighbours in the completed graph, in
+    elimination order; each is a clique of the completion.  ``position`` and
+    ``parent`` are indexed by vertex: ``parent[v]`` is the first of v's later
+    neighbours, or None when there is none and v is a root (the completion
+    of a disconnected graph yields a forest).
     """
 
     __slots__ = ("ordering", "position", "cliques", "fill_edges", "clique_number", "parent", "height")
@@ -91,11 +93,11 @@ class EliminationStructure(Frozen):
     def __init__(
         self,
         ordering: tuple[int, ...],
-        position: dict[int, int],
-        cliques: tuple[frozenset[int], ...],
+        position: tuple[int, ...],
+        cliques: tuple[tuple[int, ...], ...],
         fill_edges: frozenset[tuple[int, int]],
         clique_number: int,
-        parent: dict[int, int | None],
+        parent: tuple[int | None, ...],
         height: int,
     ):
         object.__setattr__(self, "ordering", ordering)
@@ -114,14 +116,18 @@ def eliminate(graph: Graph, ordering: Sequence[int]) -> EliminationStructure:
     ordering = tuple(map(operator.index, ordering))
     if sorted(ordering) != list(range(n)):
         raise ValueError("ordering must be a permutation of the vertices")
-    position = {v: l for l, v in enumerate(ordering)}
+    position = [0] * n
+    for l, v in enumerate(ordering):
+        position[v] = l
 
     adj = graph.adjacency()
     fill: set[tuple[int, int]] = set()
-    cliques: list[frozenset[int]] = []
+    cliques: list[tuple[int, ...]] = []
+    parent: list[int | None] = [None] * n
     for v in ordering:
-        later = sorted(adj[v])
-        cliques.append(frozenset([v] + later))
+        later = sorted(adj[v], key=position.__getitem__)
+        cliques.append((v, *later))
+        parent[v] = later[0] if later else None
         for a, b in combinations(later, 2):
             if b not in adj[a]:
                 adj[a].add(b)
@@ -131,25 +137,18 @@ def eliminate(graph: Graph, ordering: Sequence[int]) -> EliminationStructure:
             adj[w].discard(v)
         adj[v].clear()
 
-    parent: dict[int, int | None] = {}
-    for l, v in enumerate(ordering):
-        rest = cliques[l] - {v}
-        parent[v] = min(rest, key=position.__getitem__) if rest else None
-
-    depth: dict[int, int] = {}
+    depth = [0] * n
     for v in reversed(ordering):
-        p = parent[v]
-        depth[v] = 1 if p is None else depth[p] + 1
-    height = max(depth.values(), default=0)
+        depth[v] = 1 if parent[v] is None else depth[parent[v]] + 1
 
     return EliminationStructure(
         ordering=ordering,
-        position=position,
+        position=tuple(position),
         cliques=tuple(cliques),
         fill_edges=frozenset(fill),
-        clique_number=max((len(c) for c in cliques), default=0),
-        parent=parent,
-        height=height,
+        clique_number=max(map(len, cliques), default=0),
+        parent=tuple(parent),
+        height=max(depth, default=0),
     )
 
 
@@ -244,15 +243,8 @@ def treedepth_estimate(graph: Graph, ordering: Sequence[int]) -> int:
 
 def edge_list_from_text(text: str) -> Graph:
     edges = []
-    hi = -1
-    for ln in text.splitlines():
-        ln = ln.strip()
-        if not ln or ln.startswith("#"):
-            continue
-        parts = ln.split()
+    for parts in data_lines(text):
         if len(parts) != 2:
-            raise ValueError(f"bad edge line: {ln!r}")
-        a, b = map(int_from_text, parts)
-        edges.append((a, b))
-        hi = max(hi, a, b)
-    return Graph.from_edges(hi + 1, edges)
+            raise ValueError(f"bad edge line: {' '.join(parts)!r}")
+        edges.append(tuple(map(int_from_text, parts)))
+    return Graph(max(map(max, edges), default=-1) + 1, edges)

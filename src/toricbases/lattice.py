@@ -42,6 +42,7 @@ from typing import Iterator, Sequence
 
 from .core import (
     DimensionMismatch,
+    Frozen,
     MonomialOrder,
     SparseIntMatrix,
     ToricError,
@@ -434,10 +435,15 @@ class KernelLattice:
     (kind ``box`` with bound g) or degree-truncated (kind ``degree`` with
     bound d).
 
-    Immutable once built; the queries are pure.  ``count`` and ``minimize``
-    take an optional :data:`Box` that restricts them to the represented
-    vectors inside it.
+    Immutable once built, as a :class:`Frozen` value is, but compared by
+    identity; the queries are pure.  ``count`` and ``minimize`` take an
+    optional :data:`Box` that restricts them to the represented vectors
+    inside it.
     """
+
+    # Frozen's refusals, not its equality; cached properties write vars(self)
+    __setattr__ = Frozen.__setattr__
+    __delattr__ = Frozen.__delattr__
 
     def __init__(
         self,
@@ -447,25 +453,23 @@ class KernelLattice:
         bags: list[_Bag],
         clique_number: int,
     ):
-        self.matrix = matrix
-        self.kind = kind
-        self.bound = bound
-        self.num_columns = matrix.num_cols
-        self._bags = bags
-        self.realized_clique_number = clique_number
-        self._roots = tuple(b.pos for b in bags if b.parent is None)
+        roots = tuple(b.pos for b in bags if b.parent is None)
         # an enumerated tuple holds the introduced variables of the bags in
         # preorder, roots in order; the layout picks the columns out of it
         intros: list[int] = []
-        stack = list(reversed(self._roots))
+        stack = list(reversed(roots))
         while stack:
             bag = bags[stack.pop()]
             intros.extend(bag.intros)
             stack.extend(reversed(bag.children))
         where = {var: i for i, var in enumerate(intros)}
-        self._layout = tuple(map(where.__getitem__, range(self.num_columns)))
-        # the row numbers of the largest bag, from which a box picks its rows
-        self._row_numbers = tuple(range(max((len(b.key_ids) for b in bags), default=0)))
+        vars(self).update(
+            matrix=matrix, kind=kind, bound=bound, num_columns=matrix.num_cols, _bags=bags,
+            realized_clique_number=clique_number, _roots=roots,
+            _layout=tuple(map(where.__getitem__, range(matrix.num_cols))),
+            # the row numbers of the largest bag, from which a box picks its rows
+            _row_numbers=tuple(range(max((len(b.key_ids) for b in bags), default=0))),
+        )
 
     def total_rows(self) -> int:
         return sum(len(b.key_ids) for b in self._bags)
@@ -748,16 +752,16 @@ def _assemble(
     equations = [tuple(zip(*row)) for row in map(matrix.row, range(matrix.num_rows)) if row]
     scopes = [columns for columns, _ in equations]
     scopes += [(x, out) if prev is None else (prev, x, out) for prev, x, out, _ in counters]
-    primal = Graph.from_edges(len(domains), (e for scope in scopes for e in combinations(scope, 2)))
+    primal = Graph(len(domains), (e for scope in scopes for e in combinations(scope, 2)))
     elim = eliminate(primal, pi)
 
-    # one bag per elimination step; a clique that is exactly its first
-    # child's separator folds into that child.  Children have earlier steps,
-    # so a bag's children are all listed, in step order, when it is reached.
-    position = elim.position
-    parent = [None if elim.parent[v] is None else position[elim.parent[v]] for v in pi]
+    # one bag per elimination step, its clique already in elimination order;
+    # a clique that is exactly its first child's separator folds into that
+    # child.  Children have earlier steps, so a bag's children are all
+    # listed, in step order, when it is reached.
+    position, parent = elim.position, elim.parent
     bags = [
-        _Bag(l, (v,), tuple(sorted(elim.cliques[l], key=position.__getitem__)), parent[l])
+        _Bag(l, (v,), elim.cliques[l], None if parent[v] is None else position[parent[v]])
         for l, v in enumerate(pi)
     ]
     for bag in bags:

@@ -629,6 +629,23 @@ def test_ordering_from_file_and_strategies(capsys, tc_matrix, tmp_path):
     assert len(set(results)) == 1  # the represented set is ordering-independent
 
 
+def test_ordering_file_skips_comment_and_blank_lines(capsys, tc_matrix, tmp_path):
+    # ordering files follow the rule of matrix files and edge lists: blank
+    # lines and lines whose first token starts with '#' are skipped
+    bare = tmp_path / "bare.txt"
+    bare.write_text("3 1\n2 0\n")
+    commented = tmp_path / "commented.txt"
+    commented.write_text("# order\n3 1\n\n   #later columns\n2 0\n")
+    outputs = []
+    for path in (bare, commented):
+        code, out, err = run_cli(
+            capsys, "lattice", "--matrix", tc_matrix, "--bound", "2", "--ordering", f"file:{path}", "count"
+        )
+        assert (code, err) == (0, "")
+        outputs.append(out)
+    assert outputs[0] == outputs[1]
+
+
 def test_weights_order_on_cli(capsys, tc_matrix):
     code, out, _ = run_cli(
         capsys, "normal-form", "--matrix", tc_matrix, "--order", "weights:2,0,1,0",

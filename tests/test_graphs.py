@@ -107,6 +107,36 @@ def test_eliminate_cliques_are_cliques_of_completion():
                 assert (a, b) in completed
 
 
+def test_eliminate_cliques_follow_the_ordering():
+    # cliques[l] is ordering[l], then its later neighbours in elimination
+    # order.  Checked against the definition, on a copy of the graph being
+    # completed: the clique is v and its neighbours there, and the parent is
+    # the member of the clique eliminated soonest after v
+    rng = random.Random(35)
+    for trial in range(200):
+        n = rng.randint(1, 9)
+        G = random_graph(n, rng.random(), seed=3500 + trial)
+        ordering = tuple(rng.sample(range(n), n))
+        elim = eliminate(G, ordering)
+        position = {v: l for l, v in enumerate(ordering)}
+        assert elim.position == tuple(map(position.__getitem__, range(n)))
+        adj = G.adjacency()
+        for l, v in enumerate(ordering):
+            clique = elim.cliques[l]
+            assert clique[0] == v
+            assert [position[w] for w in clique[1:]] == sorted(position[w] for w in clique[1:])
+            later = adj[v]
+            assert set(clique) == {v} | later
+            expected_parent = min(later, key=position.__getitem__) if later else None
+            assert elim.parent[v] == expected_parent
+            for a, b in itertools.combinations(later, 2):
+                adj[a].add(b)
+                adj[b].add(a)
+            for w in later:
+                adj[w].discard(v)
+            adj[v] = set()
+
+
 def test_eliminate_peo_of_chordal_graph_has_no_fill():
     # a tree is chordal; any leaf-first ordering is perfect
     G = star_graph(6)
@@ -244,6 +274,11 @@ def test_graph_validation():
     with pytest.raises(ValueError):
         Graph.from_edges(3, [(0, 9)])
     assert Graph.from_edges(0, []).num_vertices == 0
+    # the bare constructor takes any iterable of pairs, each stored once as
+    # (a, b) with a < b
+    assert Graph(3, frozenset({(2, 0)})) == Graph.from_edges(3, [(0, 2)])
+    assert Graph(3, iter([(2, 0), (0, 2), (1, 2)])).edges == frozenset({(0, 2), (1, 2)})
+    assert Graph.from_edges(3, [(1, 0)]) == Graph(3, [(0, 1)])
 
 
 @pytest.mark.parametrize(
@@ -254,8 +289,16 @@ def test_graph_validation():
         (lambda: Graph.from_edges(-1, []), ValueError, "vertex count must be nonnegative, got -1"),
         # the count is checked before the edges
         (lambda: Graph.from_edges(-2, [(0, 1)]), ValueError, "vertex count must be nonnegative, got -2"),
+        # the bare constructor checks as from_edges does
+        (lambda: Graph(-1, frozenset()), ValueError, "vertex count must be nonnegative, got -1"),
+        (lambda: Graph(2, frozenset({(0, 5)})), ValueError, "edge (0,5) out of range"),
+        (lambda: Graph(3, frozenset({(1, 1)})), ValueError, "self-loop at vertex 1"),
+        (lambda: Graph(3.0, [(0, 1)]), TypeError, "'float' object cannot be interpreted as an integer"),
     ],
-    ids=["cycle-of-two", "not-a-permutation", "negative-vertex-count", "negative-count-before-edges"],
+    ids=[
+        "cycle-of-two", "not-a-permutation", "negative-vertex-count", "negative-count-before-edges",
+        "bare-negative-count", "bare-edge-out-of-range", "bare-self-loop", "bare-float-count",
+    ],
 )
 def test_graphs_refusals(call, error, message):
     with pytest.raises(error) as info:

@@ -1049,6 +1049,26 @@ def test_one_bag_per_maximal_clique(twisted_cubic):
     assert L._bags[0].intros == L._bags[0].scope
 
 
+def test_lattice_fields_cannot_be_set_or_deleted(twisted_cubic):
+    # a reassigned bound would make minimize mix the radix cached for
+    # bound 3 with the new bound, and the normal form below would not stop
+    L = build_lattice(twisted_cubic, 3)
+    grlex = MonomialOrder.grlex(4)
+    assert normal_form_bounded(twisted_cubic, L, grlex, (1, 0, 1, 0)).normal_exponent == (0, 2, 0, 0)
+    for field in ("bound", "matrix", "_bags"):
+        before = getattr(L, field)
+        with pytest.raises(AttributeError):
+            setattr(L, field, 1)
+        with pytest.raises(AttributeError):
+            delattr(L, field)
+        assert getattr(L, field) is before
+    with pytest.raises(AttributeError):
+        L.extra = 1
+    assert normal_form_bounded(twisted_cubic, L, grlex, (1, 0, 1, 0)).normal_exponent == (0, 2, 0, 0)
+    # lattices compare by identity
+    assert L == L and L != build_lattice(twisted_cubic, 3)
+
+
 def test_default_bound_small_matrix():
     A = SparseIntMatrix.from_dense([[1, -1]])
     L = build_lattice(A, graver_infinity_bound(A))  # the CLI's default bound, 3

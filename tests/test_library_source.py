@@ -160,3 +160,23 @@ def test_refusal_messages_have_one_home():
                     found.append(f"{path.name}:{node.lineno} {phrase!r}")
     assert not found, f"refusal messages outside core.py: {found}"
     assert homed == set(phrases), homed  # not a vacuous check
+
+
+def test_value_types_share_one_base():
+    # equality, hashing and immutability are written once, in core.Frozen:
+    # a value class inherits them, and KernelLattice borrows the refusals as
+    # class attributes, so no other class defines one of these methods
+    special = {"__eq__", "__hash__", "__setattr__", "__delattr__"}
+    found, homed = [], set()
+    for path in sorted(LIBRARY.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            if not isinstance(node, ast.ClassDef):
+                continue
+            for method in node.body:
+                if isinstance(method, (ast.FunctionDef, ast.AsyncFunctionDef)) and method.name in special:
+                    if (path.name, node.name) == ("core.py", "Frozen"):
+                        homed.add(method.name)
+                    else:
+                        found.append(f"{path.name} {node.name}.{method.name}")
+    assert not found, f"value-type methods outside core.Frozen: {found}"
+    assert homed == special, homed  # not a vacuous check

@@ -306,7 +306,7 @@ def count_minimize_calls(L):
         calls.append(args)
         return minimize(*args)
 
-    L.minimize = counted
+    vars(L)["minimize"] = counted  # the lattice refuses attribute assignment
     return calls
 
 

@@ -1,9 +1,13 @@
 """The library's frozen value classes: repr, equality, hashing, keyword
 construction, immutability and copy/pickle round trips, pinned class by
-class.  The reprs are the ones a frozen dataclass printed."""
+class.  The reprs are the ones a frozen dataclass printed, save
+EliminationStructure's, whose fields became tuples.  SparseIntMatrix, whose
+constructor takes entries rather than its fields, has tests of its own at
+the end."""
 
 import copy
 import pickle
+import random
 
 import pytest
 
@@ -49,13 +53,12 @@ CASES = {
         lambda: eliminate(_path(), (0, 2, 1)),
         lambda: eliminate(_path(), (0, 1, 2)),
         dict(
-            ordering=(0, 2, 1), position={0: 0, 2: 1, 1: 2},
-            cliques=(frozenset({0, 1}), frozenset({1, 2}), frozenset({1})),
-            fill_edges=frozenset(), clique_number=2, parent={0: 1, 2: 1, 1: None}, height=2,
+            ordering=(0, 2, 1), position=(0, 2, 1), cliques=((0, 1), (2, 1), (1,)),
+            fill_edges=frozenset(), clique_number=2, parent=(1, None, 1), height=2,
         ),
-        "EliminationStructure(ordering=(0, 2, 1), position={0: 0, 2: 1, 1: 2}, "
-        "cliques=(frozenset({0, 1}), frozenset({1, 2}), frozenset({1})), fill_edges=frozenset(), "
-        "clique_number=2, parent={0: 1, 2: 1, 1: None}, height=2)",
+        "EliminationStructure(ordering=(0, 2, 1), position=(0, 2, 1), "
+        "cliques=((0, 1), (2, 1), (1,)), fill_edges=frozenset(), "
+        "clique_number=2, parent=(1, None, 1), height=2)",
     ),
     "NormalFormResult": (
         lambda: NormalFormResult((1,), True, False),
@@ -118,10 +121,6 @@ def test_equality_is_by_class_and_fields(name):
 def test_hash_follows_equality(name):
     make, _, _, _ = CASES[name]
     a, b = make(), make()
-    if name == "EliminationStructure":
-        with pytest.raises(TypeError):  # it holds dicts
-            hash(a)
-        return
     assert hash(a) == hash(b)
     assert len({a, b}) == 1
 
@@ -170,3 +169,46 @@ def test_copy_and_pickle_round_trip(name):
     for twin in (copy.copy(value), copy.deepcopy(value), pickle.loads(pickle.dumps(value))):
         assert type(twin) is type(value)
         assert twin == value and repr(twin) == text
+
+
+# -- SparseIntMatrix: a Frozen with its own repr and __reduce__ --------------
+
+TWISTED_CUBIC = [[1, 1, 1, 1], [0, 1, 2, 3]]
+
+
+def test_matrix_repr_is_pinned():
+    assert repr(SparseIntMatrix.from_dense(TWISTED_CUBIC)) == "SparseIntMatrix(2x4, 7 nonzeros)"
+
+
+def test_matrix_equality_ignores_entry_order():
+    dense = SparseIntMatrix.from_dense(TWISTED_CUBIC)
+    entries = list(dense.iter_entries())
+    random.Random(3).shuffle(entries)
+    shuffled = SparseIntMatrix(2, 4, entries)
+    assert dense is not shuffled and dense == shuffled and hash(dense) == hash(shuffled)
+    assert dense != SparseIntMatrix.from_dense([[1, 1, 1, 1], [0, 1, 2, 4]])
+    assert dense != SparseIntMatrix.from_dense([[1, 1, 1, 1, 0], [0, 1, 2, 3, 0]])
+    assert dense.__eq__(object()) is NotImplemented
+    # Frozen's rule: a subclass instance never equals a base instance
+    twin = type("SubMatrix", (SparseIntMatrix,), {})(2, 4, entries)
+    assert dense != twin and twin != dense
+
+
+def test_matrix_fields_cannot_be_set_or_deleted():
+    A = SparseIntMatrix.from_dense(TWISTED_CUBIC)
+    before = hash(A)
+    with pytest.raises(AttributeError):
+        A.num_cols = 3
+    with pytest.raises(AttributeError):
+        del A.max_abs
+    for field in ("num_rows", "_rows"):
+        with pytest.raises(AttributeError):
+            setattr(A, field, getattr(A, field))
+    assert (A.num_rows, A.num_cols, A.max_abs, hash(A)) == (2, 4, 3, before)
+
+
+def test_matrix_copy_and_pickle_round_trip():
+    A = SparseIntMatrix.from_dense(TWISTED_CUBIC)
+    for twin in (copy.copy(A), copy.deepcopy(A), pickle.loads(pickle.dumps(A))):
+        assert type(twin) is SparseIntMatrix
+        assert twin == A and repr(twin) == repr(A) and twin.to_dense() == TWISTED_CUBIC
